@@ -130,7 +130,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("search", help="exact or greedy maximum search")
     add_qnt(sp)
     sp.add_argument("--budget", type=int, default=None, help="node budget")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--greedy", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
     add_out(sp)
@@ -289,9 +288,7 @@ def _cmd_search(args, out):
     if args.greedy:
         res = srch.greedy_result(params, seed=args.seed)
     else:
-        res = srch.max_partial_spread(
-            params, max_nodes=args.budget, threads=args.threads
-        )
+        res = srch.max_partial_spread(params, max_nodes=args.budget)
     out.write_json(res.to_dict())
     return 0
 

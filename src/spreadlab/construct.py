@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .bounds import SpreadParams, lower_bound
+from .bounds import SpreadParams, lower_bound, theta
 from .errors import (
     AmbientMismatchError,
     ConstructionSizeMismatchError,
@@ -26,10 +26,11 @@ from .errors import (
     InvalidParamsError,
 )
 from .gf import ExtField, ext_field, field_for_order
-from .linalg import Subspace, intersect_dim, subspace_point_encodings
+from .linalg import Subspace, intersect_dim, least_shared_pair
 
-# above this many members, pairwise intersection checks lose to point coverage
-PAIRWISE_LIMIT = 300
+# most points a spread or partition check lists; larger inputs are refused,
+# or verified by pairwise intersections
+VERIFY_POINT_BUDGET = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -125,46 +126,44 @@ def build_lower_bound_spread(params: SpreadParams) -> PartialSpread:
 def verify_partial_spread(spread: PartialSpread) -> VerificationResult:
     """Check that all members are t-dimensional and pairwise disjoint.
 
-    Small collections get exact pairwise intersection tests; larger ones are
-    checked by covering points, which touches each member once.  Both paths
-    report the lexicographically least clashing index pair.
+    The members' points are listed by the point kernel and sorted; a point
+    listed twice reports the lexicographically least pair of members that
+    share a point.  When those points would exceed VERIFY_POINT_BUDGET, or
+    q^n does not fit an int64, pairwise intersection tests take their place
+    and report the same pair.
     """
     params = spread.params
-    field = field_for_order(params.q)
-    for s in spread.members:
+    q, n, t = params.q, params.n, params.t
+    field = field_for_order(q)
+    members = spread.members
+    for s in members:
         if s.field != field:
             raise FieldMismatchError(
-                f"member over {s.field} but spread declares q = {params.q}"
+                f"member over {s.field} but spread declares q = {q}"
             )
-        if s.ambient != params.n:
+        if s.ambient != n:
             raise AmbientMismatchError(
-                f"member in ambient {s.ambient}, spread declares n = {params.n}"
+                f"member in ambient {s.ambient}, spread declares n = {n}"
             )
-    for i, s in enumerate(spread.members):
-        if s.dim != params.t:
+    for i, s in enumerate(members):
+        if s.dim != t:
             return VerificationResult(
-                False, None, f"member {i} has dimension {s.dim}, expected {params.t}"
+                False, None, f"member {i} has dimension {s.dim}, expected {t}"
             )
 
-    if len(spread.members) <= PAIRWISE_LIMIT:
-        for i in range(len(spread.members)):
-            for j in range(i + 1, len(spread.members)):
-                if intersect_dim(spread.members[i], spread.members[j]) > 0:
-                    return VerificationResult(
-                        False, (i, j), f"members {i} and {j} share a nonzero vector"
-                    )
-        return VerificationResult(True)
-
-    seen: dict[int, int] = {}
-    clash: tuple[int, int] | None = None
-    for i, s in enumerate(spread.members):
-        for enc in subspace_point_encodings(s):
-            if enc in seen:
-                pair = (seen[enc], i)
-                if clash is None or pair < clash:
-                    clash = pair
-            else:
-                seen[enc] = i
+    if len(members) * theta(t, q) > VERIFY_POINT_BUDGET or q ** n >= 1 << 63:
+        clash = next(
+            (
+                (i, j)
+                for i in range(len(members))
+                for j in range(i + 1, len(members))
+                if intersect_dim(members[i], members[j]) > 0
+            ),
+            None,
+        )
+    else:
+        shared = least_shared_pair(members)
+        clash = None if shared is None else shared[:2]
     if clash is not None:
         return VerificationResult(
             False, clash, f"members {clash[0]} and {clash[1]} share a nonzero vector"

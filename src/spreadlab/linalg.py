@@ -7,17 +7,20 @@ is bit-packed (rows become Python ints, elimination is word-parallel XOR);
 every other field takes the generic path.
 
 Vectors of V(n, q) are also handled as single integers via base-q positional
-encoding (digit i = coordinate i); ``PointSpace`` does fast vector addition
-on these encodings, which is what the spread-verification and partition
-covers run on.
+encoding (digit i = coordinate i).  ``point_encodings`` is the one place
+that lists the points of subspaces: it works on GF(p) digits with numpy, the
+same way for prime and extension fields, and spread verification, partition
+fill, hyperplane profiles and search candidates all run on it.
+``point_ordinals`` numbers the points of V(n, q) for all of them.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
+
+import numpy as np
 
 from .errors import (
     AmbientMismatchError,
@@ -266,17 +269,6 @@ class Hyperplane:
     dual: tuple[int, ...]
 
 
-def _encoding_blocks(n: int, q: int):
-    # encodings whose first nonzero base-q digit is at position i with value 1
-    for i in range(n):
-        yield range(q ** i, q ** i + q ** n, q ** (i + 1))
-
-
-def normalized_point_encodings(n: int, q: int) -> Iterator[int]:
-    """Encodings of the theta_n normalized vectors, ascending."""
-    return heapq.merge(*_encoding_blocks(n, q))
-
-
 def decode_vector(enc: int, n: int, q: int) -> tuple[int, ...]:
     out = []
     for _ in range(n):
@@ -285,18 +277,11 @@ def decode_vector(enc: int, n: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def encode_vector(vec, q: int) -> int:
-    acc = 0
-    for v in reversed(vec):
-        acc = acc * q + v
-    return acc
-
-
 def hyperplanes(n: int, field: Field) -> Iterator[Hyperplane]:
     """All hyperplanes of V(n, q), ascending by dual-vector encoding."""
     if n < 1:
         raise InvalidParamsError("ambient dimension must be >= 1")
-    for enc in normalized_point_encodings(n, field.q):
+    for enc in normalized_point_encodings(n, field.q).tolist():
         yield Hyperplane(field, n, decode_vector(enc, n, field.q))
 
 
@@ -352,132 +337,151 @@ def annihilator(s: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# integer-encoded point arithmetic
+# the point kernel
+
+# Points listed per block by point_encodings; bounds its scratch memory.
+_POINT_BLOCK = 1 << 14
 
 
-_CHUNK_TABLES: dict[int, tuple[int, int, list[list[int]]]] = {}
+def _expanded_rows(field: Field, rows: np.ndarray) -> np.ndarray:
+    """GF(p) digit vectors of x^k * b for every basis row b and every k < e.
 
-
-def _chunk_table(q: int) -> tuple[int, int, list[list[int]]]:
-    cached = _CHUNK_TABLES.get(q)
-    if cached is not None:
-        return cached
-    k = 1
-    while q ** (k + 1) <= 1024:
-        k += 1
-    size = q ** k
-    powers = [q ** i for i in range(k)]
-    table = []
-    for a in range(size):
-        da = [(a // p) % q for p in powers]
-        row = []
-        for b in range(size):
-            acc = 0
-            bb = b
-            for i in range(k):
-                bb, dig = divmod(bb, q)
-                acc += ((da[i] + dig) % q) * powers[i]
-            row.append(acc)
-        table.append(row)
-    _CHUNK_TABLES[q] = (k, size, table)
-    return _CHUNK_TABLES[q]
-
-
-class PointSpace:
-    """Vector arithmetic on base-q integer encodings of V(n, q).
-
-    Characteristic-2 fields add by XOR of the packed encodings (base-q digit
-    fields never carry under XOR).  Odd characteristic prime fields go
-    through chunked addition tables.  Extension fields of odd characteristic
-    fall back to digitwise field addition.
+    ``rows`` holds m bases of d rows in V(n, q), q = p^e.  Digit j*e + l of
+    a vector is digit l of its coordinate j, so the base-p encoding of the
+    n*e digits is the base-q encoding of the vector; and the GF(q)-span of
+    the rows is the GF(p)-span of their x^k multiples.  Returns an array of
+    shape (d, e, n*e, m).
     """
-
-    def __init__(self, field: Field, n: int):
-        self.field = field
-        self.n = n
-        self.q = field.q
-        self._char2 = field.p == 2
-        self._prime = field.e == 1
-        if not self._char2 and self._prime:
-            self._chunk = _chunk_table(field.q)
-        else:
-            self._chunk = None
-
-    def encode(self, vec) -> int:
-        return encode_vector(vec, self.q)
-
-    def decode(self, enc: int) -> tuple[int, ...]:
-        return decode_vector(enc, self.n, self.q)
-
-    def add(self, a: int, b: int) -> int:
-        if self._char2:
-            return a ^ b
-        if self._chunk is not None:
-            _, size, table = self._chunk
-            acc, mult = 0, 1
-            while a or b:
-                a, ca = divmod(a, size)
-                b, cb = divmod(b, size)
-                acc += table[ca][cb] * mult
-                mult *= size
-            return acc
-        field, q = self.field, self.q
-        acc, mult = 0, 1
-        while a or b:
-            a, da = divmod(a, q)
-            b, db = divmod(b, q)
-            acc += field.add(da, db) * mult
-            mult *= q
-        return acc
-
-    def scalar_multiples(self, enc: int) -> list[int]:
-        """[0, v, 2v, ..., (q-1)v] ordered by scalar encoding.
-
-        Prime fields build these by repeated addition; extension fields need
-        genuine coordinate-wise multiplication (char-2 repeated addition
-        would only reach the prime-subfield multiples).
-        """
-        if self._prime:
-            out = [0]
-            for _ in range(self.q - 1):
-                out.append(self.add(out[-1], enc))
-            return out
-        field, q = self.field, self.q
-        vec = self.decode(enc)
-        out = []
-        for c in range(q):
-            out.append(self.encode(tuple(field.mul(c, v) for v in vec)))
-        return out
-
-    def full_span(self, row_encs) -> list[int]:
-        """All q^d encodings in the span, zero included."""
-        span = [0]
-        for enc in row_encs:
-            mults = self.scalar_multiples(enc)
-            span = [self.add(m, s) for m in mults for s in span]
-        return span
-
-    def normalized_span(self, row_encs) -> list[int]:
-        """One encoding per projective point of the span.
-
-        Requires the rows in RREF order: a combination whose first nonzero
-        coefficient (on row i) equals 1 then has its first nonzero
-        coordinate equal to 1 at pivot i, i.e. it is the canonical
-        representative.  Returns theta_d encodings, row-0 block first.
-        """
-        blocks: list[list[int]] = []
-        suffix = [0]
-        for enc in reversed(list(row_encs)):
-            blocks.append([self.add(enc, s) for s in suffix])
-            mults = self.scalar_multiples(enc)
-            suffix = [self.add(m, s) for m in mults for s in suffix]
-        out: list[int] = []
-        for block in reversed(blocks):
-            out.extend(block)
-        return out
+    p, e = field.p, field.e
+    m, d, n = rows.shape
+    digits = rows[..., None] // p ** np.arange(e) % p
+    # x^e = -(f_0 + f_1 x + ... + f_(e-1) x^(e-1)) for the monic modulus f
+    lower = np.array(field.modulus[:e], dtype=np.int64)
+    powers = []
+    for _ in range(e):
+        powers.append(digits)
+        top = digits[..., -1:]
+        shifted = np.concatenate([np.zeros_like(top), digits[..., :-1]], axis=-1)
+        digits = (shifted - top * lower) % p
+    return np.stack(powers).reshape(e, m, d, n * e).transpose(2, 0, 3, 1)
 
 
-def subspace_point_encodings(s: Subspace) -> list[int]:
-    """Normalized point encodings of a subspace, canonical order."""
-    ps = PointSpace(s.field, s.ambient)
-    return ps.normalized_span([ps.encode(r) for r in s.rows])
+def _add_mod(a, b, p: int):
+    """Digitwise (a + b) mod p of unsigned digit arrays with a, b < p."""
+    s = a + b
+    return np.minimum(s, s - p)  # s - p wraps around where s < p
+
+
+def point_encodings(subspaces) -> Iterator[tuple[int, np.ndarray]]:
+    """Normalized point encodings of subspaces of one dimension, in blocks.
+
+    Yields (i, encs) with encs an int64 array whose row k lists the theta_d
+    normalized point encodings of subspaces[i + k].  A block holds about
+    _POINT_BLOCK points, or one subspace if that has more.  The subspaces
+    must share field, ambient space and dimension.
+
+    One code path serves every q = p^e.  Row i of an RREF basis leads the
+    points b_i + v, v in span(b_(i+1), ...): a combination whose first
+    nonzero coefficient is 1 has first nonzero coordinate 1.  Those spans
+    are listed as GF(p)-digit vectors by adding each x^k * b_j in turn
+    (see _expanded_rows), and the digits are then read as base-p integers.
+    The caller keeps q^n below 2^63 so that encodings fit an int64.
+    """
+    subspaces = list(subspaces)
+    if not subspaces:
+        return
+    field, n, d = subspaces[0].field, subspaces[0].ambient, subspaces[0].dim
+    for s in subspaces:
+        if (s.field, s.ambient, s.dim) != (field, n, d):
+            raise InvalidParamsError(
+                "point_encodings needs one field, ambient space and dimension"
+            )
+    if d == 0:
+        return  # the zero subspace has no points
+    p, q, width = field.p, field.q, n * field.e
+    span = q ** (d - 1)  # vectors in span(b_1, ..., b_(d-1))
+    count = (q ** d - 1) // (q - 1)
+    dtype = np.min_scalar_type(2 * p - 2)  # holds a digit sum before reduction
+    scalars = np.arange(p)[:, None, None]
+    per = max(1, _POINT_BLOCK // count)
+    for start in range(0, len(subspaces), per):
+        block = subspaces[start:start + per]
+        m = len(block)
+        basis = _expanded_rows(field, np.array([s.rows for s in block]))
+        # vecs[:, :size] lists span(b_(i+1), ...) once rows above i are added;
+        # adding x^0 b_i leaves b_i + that span in vecs[:, size:2 * size]
+        vecs = np.zeros((width, span, m), dtype)
+        size = 1
+        for i in range(d - 1, 0, -1):
+            for w in basis[i]:
+                multiples = (scalars * w % p).astype(dtype).transpose(1, 0, 2)
+                grown = _add_mod(vecs[:, None, :size], multiples[:, :, None], p)
+                vecs[:, :p * size] = grown.reshape(width, p * size, m)
+                size *= p
+        digits = np.empty((width, count, m), dtype)
+        digits[:, :span] = _add_mod(vecs, basis[0, 0][:, None, :].astype(dtype), p)
+        at = span
+        for i in range(1, d):
+            size = q ** (d - 1 - i)
+            digits[:, at:at + size] = vecs[:, size:2 * size]
+            at += size
+        encs = np.zeros((count, m), dtype=np.int64)
+        for j in range(width - 1, -1, -1):
+            encs *= p
+            encs += digits[j]
+        yield start, encs.T
+
+
+def normalized_point_encodings(n: int, q: int) -> np.ndarray:
+    """Encodings of the theta_n normalized vectors of V(n, q), ascending.
+
+    A point's position here is its ordinal: the index of the hyperplane
+    with that dual vector, and the point's bit in search masks.
+    """
+    return np.sort(
+        np.concatenate(
+            [np.arange(q ** i, q ** n, q ** (i + 1), dtype=np.int64) for i in range(n)]
+        )
+    )
+
+
+def point_ordinals(encs: np.ndarray, n: int, q: int) -> np.ndarray:
+    """Ordinals of normalized encodings, the inverse of
+    normalized_point_encodings.
+
+    Normalized encodings with leading position i are q^i + q^(i+1) k for
+    0 <= k < q^(n-1-i); summing, over i, how many of them lie below E gives
+    the ordinal of E.
+    """
+    below = encs - 1
+    ords = np.full(encs.shape, n, dtype=np.int64)
+    for i in range(n):
+        ords += (below - q ** i) // q ** (i + 1)
+    return ords
+
+
+def least_shared_pair(subspaces) -> tuple[int, int, int] | None:
+    """Lexicographically least index pair (a, b), a < b, of subspaces that
+    share a point, with the least encoding of a point they share; None when
+    no point is listed twice.  Dimensions may differ."""
+    encs, owners = [], []
+    for d in {s.dim for s in subspaces}:
+        index = [i for i, s in enumerate(subspaces) if s.dim == d]
+        for start, block in point_encodings([subspaces[i] for i in index]):
+            encs.append(block.ravel())
+            owners.append(np.repeat(index[start:start + len(block)], block.shape[1]))
+    if not encs:
+        return None
+    encs, owners = np.concatenate(encs), np.concatenate(owners)
+    order = np.lexsort((owners, encs))
+    encs, owners = encs[order], owners[order]
+    repeat = np.flatnonzero(encs[1:] == encs[:-1]) + 1
+    if not repeat.size:
+        return None
+    # first owner of each run of equal encodings, carried along the run
+    head = np.ones(len(encs), dtype=bool)
+    head[repeat] = False
+    first = np.maximum.accumulate(np.where(head, np.arange(len(encs)), 0))
+    a, b, shared = owners[first[repeat]], owners[repeat], encs[repeat]
+    best = np.lexsort((shared, b, a))[0]
+    return int(a[best]), int(b[best]), int(shared[best])

@@ -39,7 +39,7 @@ from .bounds import (
     lemma_main_bound,
     theta,
 )
-from .construct import PartialSpread
+from .construct import VERIFY_POINT_BUDGET, PartialSpread
 from .errors import (
     AmbientMismatchError,
     BudgetExceededError,
@@ -54,11 +54,12 @@ from .linalg import (
     Subspace,
     annihilator,
     decode_vector,
+    least_shared_pair,
     normalized_point_encodings,
-    subspace_point_encodings,
+    point_encodings,
+    point_ordinals,
 )
 
-VERIFY_POINT_BUDGET = 1 << 22
 PROFILE_POINT_CAP = 1 << 24
 
 
@@ -91,23 +92,36 @@ def partition_from_dict(d: dict) -> SubspacePartition:
     return SubspacePartition(d["q"], d["n"], parts)
 
 
+def _covered(parts, n: int, q: int) -> np.ndarray:
+    """Flags, by point ordinal, of the points of V(n, q) the parts cover."""
+    covered = np.zeros(theta(n, q), dtype=bool)
+    for d in {s.dim for s in parts}:
+        for _, block in point_encodings([s for s in parts if s.dim == d]):
+            covered[point_ordinals(block, n, q)] = True
+    return covered
+
+
 def partition_from_spread(spread: PartialSpread) -> SubspacePartition:
     """Extend a verified partial spread to a partition by adding one
-    1-dimensional part per uncovered point."""
+    1-dimensional part per uncovered point, in ascending encoding order."""
     if spread.verified is not True:
         raise UnverifiedSpreadError(
             "refusing to extend an unverified spread; run verify_partial_spread"
         )
     params = spread.params
     q, n = params.q, params.n
+    total = theta(n, q)
+    if total > VERIFY_POINT_BUDGET:
+        raise BudgetExceededError(
+            f"V({n}, {q}) has {total} points, budget is {VERIFY_POINT_BUDGET}"
+        )
     field = field_for_order(q)
-    covered = set()
-    for s in spread.members:
-        covered.update(subspace_point_encodings(s))
+    covered = _covered(spread.members, n, q)
+    holes = normalized_point_encodings(n, q)[~covered].tolist()
     parts = list(spread.members)
-    for enc in normalized_point_encodings(n, q):
-        if enc not in covered:
-            parts.append(Subspace.from_rows(field, n, [decode_vector(enc, n, q)]))
+    parts.extend(
+        Subspace.from_rows(field, n, [decode_vector(enc, n, q)]) for enc in holes
+    )
     return SubspacePartition(q, n, tuple(parts))
 
 
@@ -128,7 +142,10 @@ class PartitionCheck:
 def verify_partition(
     partition: SubspacePartition, point_budget: int = VERIFY_POINT_BUDGET
 ) -> PartitionCheck:
-    """Exact cover check by walking every part's points."""
+    """Exact cover check on the parts' points.
+
+    Reports the lexicographically least pair of parts sharing a point, else
+    the least point no part covers."""
     q, n = partition.q, partition.n
     field = field_for_order(q)
     total = theta(n, q)
@@ -144,80 +161,21 @@ def verify_partition(
         if s.dim == 0:
             return PartitionCheck(False, "zero-dimensional part")
 
-    seen: dict[int, int] = {}
-    for i, s in enumerate(partition.parts):
-        for enc in subspace_point_encodings(s):
-            j = seen.setdefault(enc, i)
-            if j != i:
-                return PartitionCheck(
-                    False,
-                    f"point covered by parts {j} and {i}",
-                    decode_vector(enc, n, q),
-                )
-    if len(seen) != total:
-        for enc in normalized_point_encodings(n, q):
-            if enc not in seen:
-                return PartitionCheck(
-                    False, "point not covered", decode_vector(enc, n, q)
-                )
+    shared = least_shared_pair(partition.parts)
+    if shared is not None:
+        j, i, enc = shared
+        return PartitionCheck(
+            False, f"point covered by parts {j} and {i}", decode_vector(enc, n, q)
+        )
+    if sum(theta(s.dim, q) for s in partition.parts) < total:
+        covered = _covered(partition.parts, n, q)
+        enc = int(normalized_point_encodings(n, q)[np.argmin(covered)])
+        return PartitionCheck(False, "point not covered", decode_vector(enc, n, q))
     return PartitionCheck(True)
 
 
 # ---------------------------------------------------------------------------
 # hyperplane profiles
-
-# (q, dim) -> theta_dim x dim float64 matrix of normalized coefficient vectors
-_COEFF_CACHE: dict[tuple[int, int], np.ndarray] = {}
-# (q, n) -> int32 lookup from point encoding to hyperplane ordinal
-_ORDINAL_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
-def _coeff_matrix(q: int, dim: int) -> np.ndarray:
-    key = (q, dim)
-    got = _COEFF_CACHE.get(key)
-    if got is None:
-        rows = [
-            decode_vector(enc, dim, q) for enc in normalized_point_encodings(dim, q)
-        ]
-        got = np.array(rows, dtype=np.float64)
-        _COEFF_CACHE[key] = got
-    return got
-
-
-def _ordinal_lookup(q: int, n: int) -> np.ndarray:
-    key = (q, n)
-    got = _ORDINAL_CACHE.get(key)
-    if got is None:
-        got = np.full(q ** n, -1, dtype=np.int32)
-        for idx, enc in enumerate(normalized_point_encodings(n, q)):
-            got[enc] = idx
-        _ORDINAL_CACHE[key] = got
-    return got
-
-
-def _containing_hyperplane_ordinals(s: Subspace, inv_table: np.ndarray) -> np.ndarray:
-    """Ordinals (ascending-dual order) of the hyperplanes containing s.
-
-    The annihilator of s holds the dual vectors vanishing on s; its
-    normalized points are exactly the duals of those hyperplanes.  All
-    intermediate values stay far below 2^53, so float64 matmul is exact.
-    """
-    q, n = s.field.q, s.ambient
-    ann = annihilator(s)
-    a = ann.dim
-    if a == 0:
-        return np.empty(0, dtype=np.int64)
-    basis = np.array(ann.rows, dtype=np.float64)
-    pts = _coeff_matrix(q, a) @ basis
-    pts %= q
-    # renormalize each row so its first nonzero entry is 1
-    lead = pts[np.arange(len(pts)), (pts != 0).argmax(axis=1)]
-    pts = (pts * inv_table[lead.astype(np.int64)][:, None]) % q
-    powvec = np.array([float(q) ** j for j in range(n)])
-    encs = (pts @ powvec).astype(np.int64)
-    ordinals = _ordinal_lookup(q, n)[encs]
-    assert (ordinals >= 0).all()
-    return ordinals
 
 
 @dataclass(frozen=True)
@@ -250,36 +208,13 @@ class HyperplaneProfile:
         }
 
 
-def _profile_counts_fast(partition: SubspacePartition, dims) -> list[np.ndarray]:
-    q, n = partition.q, partition.n
-    field = field_for_order(q)
-    inv_table = np.array(
-        [0.0] + [float(field.inv(v)) for v in range(1, q)], dtype=np.float64
-    )
-    counts = {d: np.zeros(theta(n, q), dtype=np.int64) for d in dims}
-    for s in partition.parts:
-        ordinals = _containing_hyperplane_ordinals(s, inv_table)
-        counts[s.dim][ordinals] += 1
-    return [counts[d] for d in dims]
-
-
-def _profile_counts_generic(partition: SubspacePartition, dims) -> list[np.ndarray]:
-    q, n = partition.q, partition.n
-    ordinal = {
-        enc: idx for idx, enc in enumerate(normalized_point_encodings(n, q))
-    }
-    counts = {d: np.zeros(theta(n, q), dtype=np.int64) for d in dims}
-    for s in partition.parts:
-        row = counts[s.dim]
-        for enc in subspace_point_encodings(annihilator(s)):
-            row[ordinal[enc]] += 1
-    return [counts[d] for d in dims]
-
-
 def hyperplane_profile(partition: SubspacePartition) -> HyperplaneProfile:
     """Count, for every hyperplane, the parts of each dimension inside it,
-    then verify both counting identities.  Partitions over prime fields get
-    a vectorized path; extension fields take the generic one.
+    then verify both counting identities.
+
+    The hyperplanes containing a part are the points of its annihilator,
+    so the point kernel lists the annihilators of each dimension's parts
+    and the hyperplane ordinals are counted with one bincount per block.
     """
     q, n = partition.q, partition.n
     if q ** n > PROFILE_POINT_CAP:
@@ -288,11 +223,14 @@ def hyperplane_profile(partition: SubspacePartition) -> HyperplaneProfile:
         raise InvalidParamsError("empty partition has no profile")
     dim_counts = partition.dim_counts
     dims = tuple(dim_counts)
-    field = field_for_order(q)
-    if field.e == 1:
-        per_dim = _profile_counts_fast(partition, dims)
-    else:
-        per_dim = _profile_counts_generic(partition, dims)
+    total = theta(n, q)
+    per_dim = []
+    for d in dims:
+        row = np.zeros(total, dtype=np.int64)
+        duals = [annihilator(s) for s in partition.parts if s.dim == d]
+        for _, block in point_encodings(duals):
+            row += np.bincount(point_ordinals(block, n, q).ravel(), minlength=total)
+        per_dim.append(row)
 
     n_parts = len(partition.parts)
     weights = np.array([q ** d for d in dims], dtype=np.int64)

@@ -13,17 +13,17 @@ Because GL(n, q) is transitive on t-subspaces, some maximum partial spread
 contains the first candidate, so the root fixes it; and by default the
 incumbent is warm-started with the packing-bound construction, which the
 search then tries to beat.  Exhausting the tree proves optimality either
-way.  With threads > 1 the root branches are distributed across worker
-threads sharing one incumbent; the reported size and status do not depend
-on the thread count, but the witness is only reproducible at threads=1.
+way.  The search is deterministic: the same call gives the same witness
+and node count.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 import time
 from dataclasses import dataclass
+
+import numpy as np
 
 from .bounds import SpreadParams, theta
 from .construct import (
@@ -31,13 +31,8 @@ from .construct import (
     build_lower_bound_spread,
     verify_partial_spread,
 )
-from .errors import InvalidParamsError
 from .gf import field_for_order
-from .linalg import (
-    enumerate_subspaces,
-    normalized_point_encodings,
-    subspace_point_encodings,
-)
+from .linalg import enumerate_subspaces, point_encodings, point_ordinals
 
 EXACT = "EXACT"
 BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
@@ -69,21 +64,19 @@ class SearchResult:
 def _candidates(params: SpreadParams):
     """All t-subspaces in enumeration order, each with its point bitset."""
     q, n, t = params.q, params.n, params.t
-    field = field_for_order(q)
-    bit_of = {enc: i for i, enc in enumerate(normalized_point_encodings(n, q))}
-    subs = []
+    subs = list(enumerate_subspaces(n, t, field_for_order(q)))
+    total = theta(n, q)
     masks = []
-    for s in enumerate_subspaces(n, t, field):
-        mask = 0
-        for enc in subspace_point_encodings(s):
-            mask |= 1 << bit_of[enc]
-        subs.append(s)
-        masks.append(mask)
+    for _, block in point_encodings(subs):
+        bits = np.zeros((len(block), total), dtype=bool)
+        bits[np.arange(len(block))[:, None], point_ordinals(block, n, q)] = True
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
     return subs, masks
 
 
-class _Shared:
-    """Incumbent and budgets shared across worker threads."""
+class _State:
+    """Incumbent, node count and budgets of one search."""
 
     def __init__(self, best_size, node_cap, deadline):
         self.best_size = best_size
@@ -92,7 +85,6 @@ class _Shared:
         self.deadline = deadline
         self.nodes = 0
         self.exhausted = True
-        self.lock = threading.Lock()
 
     def out_of_budget(self) -> bool:
         if self.node_cap is not None and self.nodes >= self.node_cap:
@@ -102,10 +94,9 @@ class _Shared:
         return False
 
     def offer(self, chosen: list[int]) -> None:
-        with self.lock:
-            if len(chosen) > self.best_size:
-                self.best_size = len(chosen)
-                self.best_chosen = tuple(chosen)
+        if len(chosen) > self.best_size:
+            self.best_size = len(chosen)
+            self.best_chosen = tuple(chosen)
 
 
 def _bits(a: int):
@@ -115,17 +106,17 @@ def _bits(a: int):
         a ^= low
 
 
-def _grow(chosen, avail, covered, masks, adj, total_points, point_size, shared):
-    shared.nodes += 1
-    if shared.out_of_budget():
-        shared.exhausted = False
+def _grow(chosen, avail, covered, masks, adj, total_points, point_size, state):
+    state.nodes += 1
+    if state.out_of_budget():
+        state.exhausted = False
         return
-    shared.offer(chosen)
+    state.offer(chosen)
     k = len(chosen)
-    if k + avail.bit_count() <= shared.best_size:
+    if k + avail.bit_count() <= state.best_size:
         return
     uncovered = total_points - covered.bit_count()
-    if k + uncovered // point_size <= shared.best_size:
+    if k + uncovered // point_size <= state.best_size:
         return
     for c in _bits(avail):
         rest = avail >> (c + 1) << (c + 1)
@@ -137,10 +128,10 @@ def _grow(chosen, avail, covered, masks, adj, total_points, point_size, shared):
             adj,
             total_points,
             point_size,
-            shared,
+            state,
         )
-        if shared.out_of_budget():
-            shared.exhausted = False
+        if state.out_of_budget():
+            state.exhausted = False
             return
 
 
@@ -148,17 +139,15 @@ def max_partial_spread(
     params: SpreadParams,
     max_nodes: int | None = None,
     max_seconds: float | None = None,
-    threads: int = 1,
     warm_start: bool = True,
 ) -> SearchResult:
     """Branch-and-bound for mu_q(n, t) over the explicit candidate list.
 
     Status EXACT means the tree was exhausted and best_size is the true
     maximum; BUDGET_EXHAUSTED reports the best incumbent when max_nodes or
-    max_seconds cut the run short.
+    max_seconds cut the run short.  That incumbent is the empty spread when
+    the budget ends before the first node of a cold start.
     """
-    if threads < 1:
-        raise InvalidParamsError(f"threads must be >= 1, got {threads}")
     start = time.monotonic()
     q, n, t = params.q, params.n, params.t
     subs, masks = _candidates(params)
@@ -173,7 +162,7 @@ def max_partial_spread(
         adj.append(row)
 
     seed_spread = build_lower_bound_spread(params) if warm_start else None
-    shared = _Shared(
+    state = _State(
         best_size=seed_spread.size if seed_spread else 0,
         node_cap=max_nodes,
         deadline=None if max_seconds is None else start + max_seconds,
@@ -182,51 +171,29 @@ def max_partial_spread(
     point_size = theta(t, q)
 
     # every maximum partial spread can be moved onto the first candidate
-    root_chosen = [0]
-    root_avail = (adj[0] >> 1) << 1
-    if threads == 1:
-        _grow(
-            root_chosen, root_avail, masks[0], masks, adj,
-            total_points, point_size, shared,
-        )
-    else:
-        shared.offer(root_chosen)
-        branches = list(_bits(root_avail))
+    _grow(
+        [0], (adj[0] >> 1) << 1, masks[0], masks, adj,
+        total_points, point_size, state,
+    )
 
-        def worker(my_branches):
-            for c in my_branches:
-                rest = root_avail >> (c + 1) << (c + 1)
-                _grow(
-                    root_chosen + [c], rest & adj[c], masks[0] | masks[c],
-                    masks, adj, total_points, point_size, shared,
-                )
-
-        pool = [
-            threading.Thread(target=worker, args=(branches[w::threads],))
-            for w in range(threads)
-        ]
-        for th in pool:
-            th.start()
-        for th in pool:
-            th.join()
-
-    if shared.best_chosen is not None:
+    if state.best_chosen is not None:
         witness = PartialSpread(
-            params, tuple(subs[c] for c in shared.best_chosen)
+            params, tuple(subs[c] for c in state.best_chosen)
         )
         res = verify_partial_spread(witness)
         assert res.ok, res.reason
         witness = PartialSpread(params, witness.members, verified=True)
-    else:
-        assert seed_spread is not None
+    elif seed_spread is not None:
         witness = seed_spread
-    status = EXACT if shared.exhausted else BUDGET_EXHAUSTED
+    else:
+        witness = PartialSpread(params, (), verified=True)
+    status = EXACT if state.exhausted else BUDGET_EXHAUSTED
     return SearchResult(
         params=params,
-        best_size=shared.best_size,
+        best_size=state.best_size,
         witness=witness,
         status=status,
-        nodes_explored=shared.nodes,
+        nodes_explored=state.nodes,
         wall_time=time.monotonic() - start,
     )
 

@@ -6,6 +6,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -168,6 +169,35 @@ def test_analyze_overlap_exits_one(validator):
     ana = json.loads(ana_json)
     validator("analysis", ana)
     assert ana["verified"] is False
+
+
+def _two_member_doc(n, t):
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    members = [
+        {"q": 2, "n": n, "dim": t, "rows": eye[:t]},
+        {"q": 2, "n": n, "dim": t, "rows": eye[t:2 * t]},
+    ]
+    return json.dumps({"q": 2, "n": n, "t": t, "members": members})
+
+
+def test_verify_large_ambient_is_fast(validator):
+    t0 = time.monotonic()
+    rc, ver_json, _ = go(["verify"], inp=_two_member_doc(40, 20))
+    assert time.monotonic() - t0 < 10
+    assert rc == 0
+    ver = json.loads(ver_json)
+    validator("verify_result", ver)
+    assert ver["ok"] is True
+
+
+def test_analyze_large_ambient_exits_two():
+    # filling the holes would list all 2^40 - 1 points of V(40, 2)
+    t0 = time.monotonic()
+    rc, out, err = go(["analyze"], inp=_two_member_doc(40, 20))
+    assert time.monotonic() - t0 < 10
+    assert rc == 2
+    assert out == ""
+    assert "budget" in err
 
 
 def test_certify_emit_golden(validator):

@@ -14,7 +14,7 @@ from spreadlab.construct import (
 )
 from spreadlab.errors import AmbientMismatchError, FieldMismatchError
 from spreadlab.gf import ext_field, field_for_order
-from spreadlab.linalg import Subspace, intersect_dim, subspace_point_encodings
+from spreadlab.linalg import Subspace, intersect_dim, point_encodings
 
 
 def P(q, n, t):
@@ -104,10 +104,9 @@ class TestBuild:
         # r = 0: members partition the nonzero points exactly
         sp = build_lower_bound_spread(P(2, 6, 2))
         seen = set()
-        for s in sp.members:
-            pts = subspace_point_encodings(s)
-            assert len(pts) == theta(2, 2)
-            seen.update(pts)
+        for _, block in point_encodings(sp.members):
+            assert block.shape[1] == theta(2, 2)
+            seen.update(block.ravel().tolist())
         assert len(seen) == theta(6, 2)
 
     def test_t1_spread_is_all_points(self):
@@ -154,14 +153,35 @@ class TestVerify:
         assert "dimension" in res.reason
         assert res.clash is None
 
-    def test_point_cover_path_agrees(self, monkeypatch):
+    def test_point_cover_path_agrees(self):
         sp = build_lower_bound_spread(P(2, 7, 3))
         bad = PartialSpread(sp.params, sp.members + (sp.members[5],))
-        res_pair = verify_partial_spread(bad)
-        monkeypatch.setattr(construct, "PAIRWISE_LIMIT", 0)
-        res_cover = verify_partial_spread(bad)
-        assert res_pair.ok == res_cover.ok is False
-        assert res_pair.clash == res_cover.clash == (5, 17)
+        res = verify_partial_spread(bad)
+        assert res.ok is False
+        assert res.clash == (5, 17)
+        # over GF(4), two clashing pairs: the pair with the smaller second
+        # index, (9, 17), is not the lexicographically least one, (3, 18)
+        sp4 = build_lower_bound_spread(P(4, 4, 2))
+        members = sp4.members + (sp4.members[9], sp4.members[3])
+        pairs = [
+            (i, j)
+            for i in range(len(members))
+            for j in range(i + 1, len(members))
+            if intersect_dim(members[i], members[j]) > 0
+        ]
+        assert pairs == [(3, 18), (9, 17)]
+        res = verify_partial_spread(PartialSpread(sp4.params, members))
+        assert res.ok is False
+        assert res.clash == (3, 18)
+
+    def test_pairwise_path_agrees(self, monkeypatch):
+        sp = build_lower_bound_spread(P(3, 6, 2))
+        bad = PartialSpread(sp.params, sp.members[:40] + (sp.members[7],) + sp.members[40:])
+        want = verify_partial_spread(bad)
+        monkeypatch.setattr(construct, "VERIFY_POINT_BUDGET", 0)
+        got = verify_partial_spread(bad)
+        assert got == want
+        assert got.clash == (7, 40)
 
     def test_ambient_mismatch_raises(self):
         f = field_for_order(2)

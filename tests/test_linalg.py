@@ -22,6 +22,11 @@ def _mat(field, rows):
     return linalg.matrix(field, rows)
 
 
+def _encode(vec, q):
+    """Base-q encoding of a vector, coordinate i as digit i."""
+    return sum(v * q ** i for i, v in enumerate(vec))
+
+
 # -- rref ---------------------------------------------------------------------
 
 
@@ -234,7 +239,7 @@ def test_hyperplane_count_matches_theta():
 
 def test_hyperplanes_ascending_encoding():
     encs = [
-        linalg.encode_vector(h.dual, 3) for h in linalg.hyperplanes(3, GF3)
+        _encode(h.dual, 3) for h in linalg.hyperplanes(3, GF3)
     ]
     assert encs == sorted(encs)
 
@@ -286,40 +291,88 @@ def test_annihilator_dims_and_orthogonality(field):
 # -- point encodings -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=["GF2", "GF3", "GF4"])
-def test_pointspace_add_matches_field(field):
-    ps = linalg.PointSpace(field, 3)
-    rng = random.Random(17)
-    for _ in range(300):
-        u = tuple(rng.randrange(field.q) for _ in range(3))
-        v = tuple(rng.randrange(field.q) for _ in range(3))
-        direct = tuple(field.add(a, b) for a, b in zip(u, v))
-        assert ps.add(ps.encode(u), ps.encode(v)) == ps.encode(direct)
+GF5 = gf.field_new(5)
+GF8 = gf.field_new(2, 3)
+GF9 = gf.field_new(3, 2)
+KERNEL_FIELDS = [GF2, GF3, GF4, GF5, GF8, GF9]
+KERNEL_IDS = ["GF2", "GF3", "GF4", "GF5", "GF8", "GF9"]
 
 
-def test_pointspace_gf5_chunked():
-    GF5 = gf.field_new(5)
-    ps = linalg.PointSpace(GF5, 6)
-    u = (4, 3, 0, 1, 2, 4)
-    v = (3, 4, 2, 0, 4, 4)
-    want = tuple((a + b) % 5 for a, b in zip(u, v))
-    assert ps.add(ps.encode(u), ps.encode(v)) == ps.encode(want)
+def _kernel_points(subspaces):
+    out = {}
+    for start, block in linalg.point_encodings(subspaces):
+        for k, row in enumerate(block.tolist()):
+            out[start + k] = row
+    return [out[i] for i in range(len(subspaces))]
 
 
-@pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=["GF2", "GF3", "GF4"])
+def _brute_span(field, s):
+    """Every vector of span(s.rows), built with field.add and field.mul."""
+    span = {(0,) * s.ambient}
+    for row in s.rows:
+        span = {
+            tuple(field.add(v, field.mul(c, r)) for v, r in zip(vec, row))
+            for vec in span
+            for c in field.elements()
+        }
+    return span
+
+
+def _random_subspaces(field, n, d, count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(d)]
+        s = linalg.Subspace.from_rows(field, n, rows)
+        if s.dim == d:
+            out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
 def test_normalized_span_matches_bruteforce(field):
     q = field.q
-    for s in linalg.enumerate_subspaces(4, 2, field):
-        pts = linalg.subspace_point_encodings(s)
-        assert len(pts) == q + 1  # theta_2
-        ps = linalg.PointSpace(field, 4)
-        full = set(ps.full_span([ps.encode(r) for r in s.rows]))
-        assert len(full) == q * q
-        assert set(pts) <= full
-        # one representative per scalar class and all normalized
-        for enc in pts:
-            vec = ps.decode(enc)
-            assert next(v for v in vec if v) == 1
+    n = 4 if q <= 5 else 3
+    for d in range(1, n + 1):
+        subs = _random_subspaces(field, n, d, 4, seed=q * 10 + d)
+        for s, pts in zip(subs, _kernel_points(subs)):
+            nonzero = _brute_span(field, s) - {(0,) * n}
+            assert len(nonzero) == q ** d - 1
+            # one normalized representative per projective point
+            assert len(pts) == len(set(pts)) == (q ** d - 1) // (q - 1)
+            want = {
+                _encode(v, q)
+                for v in nonzero
+                if next(x for x in v if x) == 1
+            }
+            assert set(pts) == want
+
+
+def test_full_span_size():
+    s = linalg.Subspace.from_rows(GF3, 3, [(1, 0, 2), (0, 1, 1)])
+    (pts,) = _kernel_points([s])
+    vecs = {(0, 0, 0)}
+    for enc in pts:
+        v = linalg.decode_vector(enc, 3, 3)
+        vecs.update(tuple(GF3.mul(c, x) for x in v) for c in (1, 2))
+    assert len(vecs) == 9
+
+
+@pytest.mark.parametrize("field", [GF2, GF4, GF9], ids=["GF2", "GF4", "GF9"])
+def test_point_blocks_do_not_change_points(field, monkeypatch):
+    subs = _random_subspaces(field, 3, 2, 9, seed=5)
+    want = _kernel_points(subs)
+    for block in (1, 7, 2 * (field.q + 1)):
+        monkeypatch.setattr(linalg, "_POINT_BLOCK", block)
+        assert _kernel_points(subs) == want
+
+
+def test_point_encodings_one_dimension_only():
+    line = linalg.Subspace.from_rows(GF2, 3, [(1, 0, 0)])
+    plane = linalg.Subspace.from_rows(GF2, 3, [(1, 0, 0), (0, 1, 0)])
+    with pytest.raises(InvalidParamsError):
+        list(linalg.point_encodings([line, plane]))
+    assert list(linalg.point_encodings([linalg.Subspace(GF2, 3, ())])) == []
 
 
 def test_normalized_point_encodings_ascending():
@@ -328,7 +381,7 @@ def test_normalized_point_encodings_ascending():
     assert len(encs) == (3 ** 4 - 1) // 2
 
 
-def test_full_span_size():
-    ps = linalg.PointSpace(GF3, 3)
-    rows = [ps.encode((1, 0, 2)), ps.encode((0, 1, 1))]
-    assert len(set(ps.full_span(rows))) == 9
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (9, 2)])
+def test_point_ordinals_invert_the_listing(q, n):
+    encs = linalg.normalized_point_encodings(n, q)
+    assert linalg.point_ordinals(encs, n, q).tolist() == list(range(len(encs)))

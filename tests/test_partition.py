@@ -21,7 +21,7 @@ from spreadlab.linalg import (
     decode_vector,
     enumerate_subspaces,
     normalized_point_encodings,
-    subspace_point_encodings,
+    point_encodings,
 )
 
 
@@ -33,7 +33,7 @@ def singles_partition(q, n):
     f = field_for_order(q)
     parts = tuple(
         Subspace.from_rows(f, n, [decode_vector(e, n, q)])
-        for e in normalized_point_encodings(n, q)
+        for e in normalized_point_encodings(n, q).tolist()
     )
     return pt.SubspacePartition(q, n, parts)
 
@@ -50,6 +50,15 @@ class TestFromSpread:
     def test_full_spread_has_no_tail(self):
         part = pt.partition_from_spread(build_lower_bound_spread(P(3, 6, 3)))
         assert part.dim_counts == {3: 28}
+
+    def test_point_budget(self):
+        f = field_for_order(2)
+        eye = [tuple(int(i == j) for j in range(24)) for i in range(24)]
+        spread = PartialSpread(
+            P(2, 24, 2), (Subspace.from_rows(f, 24, eye[:2]),), verified=True
+        )
+        with pytest.raises(BudgetExceededError):
+            pt.partition_from_spread(spread)
 
     def test_refuses_unverified(self):
         sp = build_lower_bound_spread(P(2, 6, 2))
@@ -128,18 +137,22 @@ class TestProfile:
         assert prof.s_b == {(1,): theta(4, 4)}
 
     def test_profiles_match_brute_force(self):
-        # independent recount via explicit containment tests
+        # independent recount via explicit containment tests; all but the
+        # first case have holes, and GF(9) has odd characteristic
         from spreadlab.linalg import contains, hyperplanes
 
-        part = pt.partition_from_spread(build_lower_bound_spread(P(3, 4, 2)))
-        prof = pt.hyperplane_profile(part)
-        f = field_for_order(3)
-        for h, b in zip(hyperplanes(4, f), prof.b_vectors):
-            for d, k in zip(prof.dims, b):
-                truth = sum(
-                    1 for s in part.parts if s.dim == d and contains(h, s)
-                )
-                assert truth == k
+        for q, n, t in [(3, 4, 2), (4, 5, 2), (8, 3, 2), (9, 3, 2)]:
+            part = pt.partition_from_spread(build_lower_bound_spread(P(q, n, t)))
+            assert (1 in part.dim_counts) == (q != 3)
+            prof = pt.hyperplane_profile(part)
+            hs = list(hyperplanes(n, field_for_order(q)))
+            assert len(hs) == len(prof.b_vectors)
+            for h, b in zip(hs, prof.b_vectors):
+                for d, k in zip(prof.dims, b):
+                    truth = sum(
+                        1 for s in part.parts if s.dim == d and contains(h, s)
+                    )
+                    assert truth == k, (q, n, t, h.dual, d)
 
     def test_non_partition_rejected(self):
         part = singles_partition(2, 3)
@@ -207,12 +220,21 @@ class TestHeden:
         # and two lines with a 2-point tail: case (iv) demands 4 singletons.
         assert not pt.heden_case(2, 1, 2, 2).satisfied
         f = field_for_order(2)
-        all_pts = set(normalized_point_encodings(4, 2))
+        all_pts = set(normalized_point_encodings(4, 2).tolist())
         lines = list(enumerate_subspaces(4, 2, f))
-        line_pts = {s: frozenset(subspace_point_encodings(s)) for s in lines}
+        solids = list(enumerate_subspaces(4, 3, f))
+
+        def points(subspaces):
+            return [
+                frozenset(row)
+                for _, block in point_encodings(subspaces)
+                for row in block.tolist()
+            ]
+
+        line_pts = dict(zip(lines, points(lines)))
         found = 0
-        for solid in enumerate_subspaces(4, 3, f):
-            rest = all_pts - set(subspace_point_encodings(solid))
+        for solid, solid_pts in zip(solids, points(solids)):
+            rest = all_pts - solid_pts
             inside = [s for s in lines if line_pts[s] <= rest]
             for i, s1 in enumerate(inside):
                 for s2 in inside[i + 1 :]:

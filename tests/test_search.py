@@ -3,7 +3,6 @@ import pytest
 from spreadlab import search
 from spreadlab.bounds import SpreadParams, lower_bound
 from spreadlab.construct import verify_partial_spread
-from spreadlab.errors import InvalidParamsError
 
 
 def P(q, n, t):
@@ -54,16 +53,6 @@ class TestExact:
         assert a.witness.members == b.witness.members
         assert a.nodes_explored == b.nodes_explored
 
-    def test_thread_count_invariant(self):
-        one = search.max_partial_spread(P(2, 6, 3), warm_start=False)
-        two = search.max_partial_spread(P(2, 6, 3), warm_start=False, threads=2)
-        assert one.best_size == two.best_size
-        assert one.status == two.status == search.EXACT
-        assert verify_partial_spread(two.witness).ok
-
-    def test_bad_thread_count(self):
-        with pytest.raises(InvalidParamsError):
-            search.max_partial_spread(P(2, 4, 2), threads=0)
 
 
 class TestBudgets:
@@ -74,6 +63,17 @@ class TestBudgets:
         # incumbent still carries the warm-start witness
         assert res.best_size >= lower_bound(P(2, 5, 2))
         assert verify_partial_spread(res.witness).ok
+
+    def test_cold_budget_before_first_node(self):
+        # no warm start and no node left: the incumbent is the empty spread
+        res = search.max_partial_spread(P(2, 5, 2), max_nodes=1, warm_start=False)
+        assert res.status == search.BUDGET_EXHAUSTED
+        assert res.nodes_explored == 1
+        assert res.best_size == 0
+        assert res.witness.members == ()
+        assert res.witness.verified is True
+        assert verify_partial_spread(res.witness).ok
+        assert res.to_dict()["witness"]["members"] == []
 
     def test_time_budget(self):
         res = search.max_partial_spread(P(2, 5, 2), max_seconds=0.1)
