@@ -1,20 +1,28 @@
 """Exhaustive and greedy search for maximum partial t-spreads.
 
 The exact solver is a depth-first subset grower over the full candidate
-list of t-subspaces, in enumeration order.  Compatibility (trivial
-intersection) is precomputed as bitsets over candidate indices, and point
-coverage is tracked as a bitset over the theta_n projective points.  Two
-admissible prunes bound what a branch can still reach:
+list of t-subspaces, in enumeration order.  Point coverage is tracked as a
+bitset over the theta_n projective points, and compatibility (trivial
+intersection) as bitsets over candidate indices, built from point
+incidence: a candidate is compatible with every candidate through none of
+its points.  Two admissible prunes bound what a branch can still reach,
+and each is counted when it fires:
 
   * chosen + available candidates;
   * chosen + floor(uncovered points / theta_t).
 
-Because GL(n, q) is transitive on t-subspaces, some maximum partial spread
-contains the first candidate, so the root fixes it; and by default the
-incumbent is warm-started with the packing-bound construction, which the
-search then tries to beat.  Exhausting the tree proves optimality either
-way.  The search is deterministic: the same call gives the same witness
-and node count.
+GL(n, q) is transitive on ordered pairs of trivially intersecting
+t-subspaces, so when a partial spread of two members exists some maximum
+one contains the first candidate and the first candidate disjoint from it;
+the root fixes both.  Every other member disjoint from the first has a
+larger index than the second, so growing subsets in increasing index order
+from that pair still reaches every spread through it.  When n < 2t no two
+t-subspaces meet trivially and the root fixes the first candidate only
+(GL(n, q) is transitive on t-subspaces).  By default the incumbent is
+warm-started with the packing-bound construction, which the search then
+tries to beat.  Exhausting the tree proves optimality either way.  The
+search is deterministic: the same call gives the same witness and node
+count.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ class SearchResult:
     status: str
     nodes_explored: int
     wall_time: float
+    prunes: dict[str, int]
 
     def to_dict(self) -> dict:
         return {
@@ -57,6 +66,7 @@ class SearchResult:
             "status": self.status,
             "nodes_explored": self.nodes_explored,
             "wall_time": self.wall_time,
+            "prunes": dict(self.prunes),
             "witness": self.witness.to_dict(),
         }
 
@@ -76,7 +86,7 @@ def _candidates(params: SpreadParams):
 
 
 class _State:
-    """Incumbent, node count and budgets of one search."""
+    """Incumbent, node and prune counts and budgets of one search."""
 
     def __init__(self, best_size, node_cap, deadline):
         self.best_size = best_size
@@ -84,6 +94,7 @@ class _State:
         self.node_cap = node_cap
         self.deadline = deadline
         self.nodes = 0
+        self.prunes = {"available": 0, "points": 0}
         self.exhausted = True
 
     def out_of_budget(self) -> bool:
@@ -106,6 +117,27 @@ def _bits(a: int):
         a ^= low
 
 
+def _adjacency(masks, total_points):
+    """adj[i]: bitset of the candidates meeting candidate i trivially.
+
+    through[p] is the bitset of the candidates containing point p, so
+    candidate i meets exactly the candidates in the union of through[p]
+    over its points, itself included.
+    """
+    through = [0] * total_points
+    for i, m in enumerate(masks):
+        for p in _bits(m):
+            through[p] |= 1 << i
+    full = (1 << len(masks)) - 1
+    adj = []
+    for m in masks:
+        meet = 0
+        for p in _bits(m):
+            meet |= through[p]
+        adj.append(full & ~meet)
+    return adj
+
+
 def _grow(chosen, avail, covered, masks, adj, total_points, point_size, state):
     state.nodes += 1
     if state.out_of_budget():
@@ -114,9 +146,11 @@ def _grow(chosen, avail, covered, masks, adj, total_points, point_size, state):
     state.offer(chosen)
     k = len(chosen)
     if k + avail.bit_count() <= state.best_size:
+        state.prunes["available"] += 1
         return
     uncovered = total_points - covered.bit_count()
     if k + uncovered // point_size <= state.best_size:
+        state.prunes["points"] += 1
         return
     for c in _bits(avail):
         rest = avail >> (c + 1) << (c + 1)
@@ -151,15 +185,9 @@ def max_partial_spread(
     start = time.monotonic()
     q, n, t = params.q, params.n, params.t
     subs, masks = _candidates(params)
-    count = len(subs)
-    adj = []
-    for i in range(count):
-        row = 0
-        mi = masks[i]
-        for j in range(count):
-            if j != i and mi & masks[j] == 0:
-                row |= 1 << j
-        adj.append(row)
+    total_points = theta(n, q)
+    point_size = theta(t, q)
+    adj = _adjacency(masks, total_points)
 
     seed_spread = build_lower_bound_spread(params) if warm_start else None
     state = _State(
@@ -167,14 +195,15 @@ def max_partial_spread(
         node_cap=max_nodes,
         deadline=None if max_seconds is None else start + max_seconds,
     )
-    total_points = theta(n, q)
-    point_size = theta(t, q)
-
-    # every maximum partial spread can be moved onto the first candidate
-    _grow(
-        [0], (adj[0] >> 1) << 1, masks[0], masks, adj,
-        total_points, point_size, state,
-    )
+    if adj[0]:
+        # some maximum partial spread contains candidate 0 and c1, the
+        # first candidate disjoint from it; the rest all come after c1
+        c1 = next(_bits(adj[0]))
+        root = [0, c1], adj[0] & adj[c1], masks[0] | masks[c1]
+    else:
+        # n < 2t: every maximum partial spread is one candidate, any one
+        root = [0], 0, masks[0]
+    _grow(*root, masks, adj, total_points, point_size, state)
 
     if state.best_chosen is not None:
         witness = PartialSpread(
@@ -195,6 +224,7 @@ def max_partial_spread(
         status=status,
         nodes_explored=state.nodes,
         wall_time=time.monotonic() - start,
+        prunes=state.prunes,
     )
 
 
@@ -226,4 +256,5 @@ def greedy_result(params: SpreadParams, seed: int = 0) -> SearchResult:
         status=LOWER_WITNESS_ONLY,
         nodes_explored=0,
         wall_time=time.monotonic() - start,
+        prunes={"available": 0, "points": 0},
     )

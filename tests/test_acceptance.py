@@ -158,6 +158,14 @@ def test_criterion_6_stretch_case():
         assert res.best_size == 21
 
 
+def test_criterion_6_cold_start():
+    with criterion(6, 300.0, "cold starts (2,6,2) = 21 and (2,5,2) = 9"):
+        for (q, n, t), value in [((2, 6, 2), 21), ((2, 5, 2), 9)]:
+            res = max_partial_spread(SpreadParams(q, n, t), warm_start=False)
+            assert res.status == "EXACT", (q, n, t, res.status)
+            assert res.best_size == value, (q, n, t, res.best_size)
+
+
 def test_criterion_7_hyperplane_identities():
     with criterion(7, 60.0, "section-count identities on every grid spread"):
         for q, n, t in GRID:

@@ -1,8 +1,9 @@
 import pytest
 
 from spreadlab import search
-from spreadlab.bounds import SpreadParams, lower_bound
+from spreadlab.bounds import SpreadParams, lower_bound, theta
 from spreadlab.construct import verify_partial_spread
+from spreadlab.linalg import is_disjoint
 
 
 def P(q, n, t):
@@ -54,6 +55,84 @@ class TestExact:
         assert a.nodes_explored == b.nodes_explored
 
 
+class TestAdjacency:
+    # (2,5,3) has no disjoint pair: every row is empty
+    @pytest.mark.parametrize("q,n,t", [(2, 5, 2), (3, 4, 2), (2, 5, 3)])
+    def test_every_pair_matches_is_disjoint(self, q, n, t):
+        subs, masks = search._candidates(P(q, n, t))
+        adj = search._adjacency(masks, theta(n, q))
+        assert len(adj) == len(subs)
+        for i in range(len(subs)):
+            assert not adj[i] >> i & 1
+            for j in range(i + 1, len(subs)):
+                want = is_disjoint(subs[i], subs[j])
+                assert bool(adj[i] >> j & 1) == want, (i, j)
+                assert bool(adj[j] >> i & 1) == want, (j, i)
+
+    def test_gf4_rows(self):
+        subs, masks = search._candidates(P(4, 4, 2))
+        assert len(subs) == 357
+        adj = search._adjacency(masks, theta(4, 4))
+        for i in range(64):
+            want = sum(
+                1 << j
+                for j, b in enumerate(subs)
+                if j != i and is_disjoint(subs[i], b)
+            )
+            assert adj[i] == want, i
+
+
+class TestRoot:
+    def test_two_member_root_proves_v52(self):
+        res = search.max_partial_spread(P(2, 5, 2), warm_start=False)
+        assert res.status == search.EXACT
+        assert res.best_size == 9
+        assert res.nodes_explored < 300_000
+        assert verify_partial_spread(res.witness).ok
+
+    def test_cold_witness_holds_the_root_pair(self):
+        subs, masks = search._candidates(P(2, 6, 3))
+        adj = search._adjacency(masks, theta(6, 2))
+        c1 = next(search._bits(adj[0]))
+        res = search.max_partial_spread(P(2, 6, 3), warm_start=False)
+        assert res.witness.members[:2] == (subs[0], subs[c1])
+
+    # (2,5,3) has no disjoint pair, so its root fixes one member
+    @pytest.mark.parametrize(
+        "q,n,t,want", [(2, 5, 2, 9), (2, 5, 3, 1), (2, 6, 2, 21), (3, 4, 2, 10)]
+    )
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_repeats_are_identical(self, q, n, t, want, warm):
+        a, b = (
+            search.max_partial_spread(P(q, n, t), warm_start=warm).to_dict()
+            for _ in range(2)
+        )
+        assert a["status"] == search.EXACT
+        assert a["best_size"] == want
+        a["wall_time"] = b["wall_time"] = 0.0
+        assert a == b
+
+
+class TestPrunes:
+    def test_counts_by_reason(self):
+        res = search.max_partial_spread(P(2, 6, 3), warm_start=False)
+        prunes = res.to_dict()["prunes"]
+        assert set(prunes) == {"available", "points"}
+        assert prunes["available"] > 0 and prunes["points"] > 0
+        # a node is pruned at most once, and a node that branches is not
+        assert sum(prunes.values()) < res.nodes_explored
+
+    def test_warm_start_closes_at_root_by_points(self):
+        # the packing-bound spread of (2,6,2) is a full spread
+        res = search.max_partial_spread(P(2, 6, 2))
+        assert res.nodes_explored == 1
+        assert res.prunes == {"available": 0, "points": 1}
+
+    def test_greedy_reports_zeros(self):
+        res = search.greedy_result(P(2, 6, 3), seed=1)
+        assert res.to_dict()["prunes"] == {"available": 0, "points": 0}
+
+
 
 class TestBudgets:
     def test_node_budget(self):
@@ -76,7 +155,7 @@ class TestBudgets:
         assert res.to_dict()["witness"]["members"] == []
 
     def test_time_budget(self):
-        res = search.max_partial_spread(P(2, 5, 2), max_seconds=0.1)
+        res = search.max_partial_spread(P(2, 5, 2), max_seconds=0.02)
         assert res.status == search.BUDGET_EXHAUSTED
         assert res.wall_time < 5
 
