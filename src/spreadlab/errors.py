@@ -15,7 +15,7 @@ class NotPrimeError(SpreadLabError, ValueError):
 
 
 class OverflowLimitError(SpreadLabError, ValueError):
-    """Requested order exceeds the configured cap (see SPREADLAB_MAX_Q)."""
+    """Requested field order exceeds the cap ``gf.MAX_ORDER``."""
 
 
 class FieldMismatchError(SpreadLabError, ValueError):

@@ -23,14 +23,10 @@ base in the power basis (1, g, g^2, ...), so coord(1) == (1, 0, ..., 0).
 
 Multiplication uses log/antilog tables for extension orders up to 2^16 and
 polynomial reduction above; prime fields use native modular arithmetic.
-The order cap (default 2^20) can be overridden with the env var
-``SPREADLAB_MAX_Q``.
+Fields and towers of order above ``MAX_ORDER`` (2^20) are refused.
 """
 
 from __future__ import annotations
-
-import os
-from typing import Iterator
 
 from .errors import (
     FieldMismatchError,
@@ -39,22 +35,8 @@ from .errors import (
     OverflowLimitError,
 )
 
-DEFAULT_MAX_ORDER = 1 << 20
+MAX_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16
-
-
-def max_field_order() -> int:
-    """Configured field-order cap; SPREADLAB_MAX_Q overrides the default."""
-    raw = os.environ.get("SPREADLAB_MAX_Q")
-    if raw is None:
-        return DEFAULT_MAX_ORDER
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InvalidParamsError(f"SPREADLAB_MAX_Q is not an integer: {raw!r}") from exc
-    if cap < 2:
-        raise InvalidParamsError(f"SPREADLAB_MAX_Q must be >= 2, got {cap}")
-    return cap
 
 
 def is_prime(n: int) -> bool:
@@ -337,15 +319,6 @@ class _PolyCore:
             return self._exp[(self.order - 1) - self._log[a]]
         return self._pow_poly(a, self.order - 2)
 
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        if a == 0:
-            return 0 if k else 1
-        if self._exp is not None:
-            return self._exp[(self._log[a] * k) % (self.order - 1)]
-        return self._pow_poly(a, k)
-
 
 # ---------------------------------------------------------------------------
 # public field types
@@ -382,9 +355,6 @@ class Field:
             if not 0 <= a < self.q:
                 raise FieldMismatchError(f"{a} is not an element of {self!r}")
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.q))
-
     def add(self, a: int, b: int) -> int:
         self._check(a, b)
         if self.e == 1:
@@ -416,22 +386,6 @@ class Field:
             return pow(a, self.p - 2, self.p)
         return self._core.inv(a)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, k: int) -> int:
-        self._check(a)
-        if self.e == 1:
-            if k < 0:
-                return pow(self.inv(a), -k, self.p)
-            if a == 0:
-                return 0 if k else 1
-            return pow(a, k, self.p)
-        return self._core.pow(a, k)
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
-
 
 _FIELD_CACHE: dict[tuple[int, int], Field] = {}
 
@@ -445,9 +399,8 @@ def field_new(p: int, e: int = 1) -> Field:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     q = p ** e
-    cap = max_field_order()
-    if q > cap:
-        raise OverflowLimitError(f"field order {q} exceeds cap {cap}")
+    if q > MAX_ORDER:
+        raise OverflowLimitError(f"field order {q} exceeds cap {MAX_ORDER}")
     key = (p, e)
     cached = _FIELD_CACHE.get(key)
     if cached is not None:
@@ -468,17 +421,6 @@ def field_for_order(q: int) -> Field:
     if pe is None:
         raise InvalidParamsError(f"{q} is not a prime power")
     return field_new(*pe)
-
-
-def field_from_dict(d: dict) -> Field:
-    field = field_new(int(d["p"]), int(d["e"]))
-    modulus = tuple(int(c) for c in d["modulus"])
-    if modulus != field.modulus:
-        raise InvalidParamsError(
-            f"modulus {list(modulus)} is not the canonical modulus for "
-            f"GF({field.q}); expected {list(field.modulus)}"
-        )
-    return field
 
 
 class ExtField:
@@ -512,9 +454,6 @@ class ExtField:
             if not 0 <= a < self.order:
                 raise FieldMismatchError(f"{a} is not an element of {self!r}")
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
-
     def add(self, a: int, b: int) -> int:
         self._check(a, b)
         return self._core.add(a, b)
@@ -534,24 +473,10 @@ class ExtField:
         self._check(a)
         return self._core.inv(a)
 
-    def pow(self, a: int, k: int) -> int:
-        self._check(a)
-        return self._core.pow(a, k)
-
     def coord(self, a: int) -> tuple[int, ...]:
         """Power-basis coordinate vector over the base field, length m."""
         self._check(a)
         return tuple(self._core.digits(a))
-
-    def from_coords(self, coords) -> int:
-        coords = list(coords)
-        if len(coords) != self.m:
-            raise InvalidParamsError(
-                f"expected {self.m} coordinates, got {len(coords)}"
-            )
-        for c in coords:
-            self.base._check(c)
-        return self._core.undigits(coords)
 
 
 _EXT_CACHE: dict[tuple[Field, int], ExtField] = {}
@@ -564,9 +489,8 @@ def ext_field(base: Field, m: int) -> ExtField:
     if not isinstance(m, int) or m < 1:
         raise InvalidParamsError(f"extension degree must be >= 1, got {m}")
     order = base.q ** m
-    cap = max_field_order()
-    if order > cap:
-        raise OverflowLimitError(f"extension order {order} exceeds cap {cap}")
+    if order > MAX_ORDER:
+        raise OverflowLimitError(f"extension order {order} exceeds cap {MAX_ORDER}")
     key = (base, m)
     cached = _EXT_CACHE.get(key)
     if cached is not None:

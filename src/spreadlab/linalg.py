@@ -1,10 +1,12 @@
-"""Exact linear algebra over finite fields: RREF, subspaces, hyperplanes.
+"""Exact linear algebra over finite fields: RREF, subspaces, points.
 
-Matrices are tuples of row tuples of field-element encodings.  A Subspace
-stores its reduced-row-echelon basis with zero rows dropped, so structural
-equality is subspace equality and instances are hashable. GF(2) elimination
-is bit-packed (rows become Python ints, elimination is word-parallel XOR);
-every other field takes the generic path.
+Rows are tuples of field-element encodings.  A Subspace stores its
+reduced-row-echelon basis with zero rows dropped, so structural equality is
+subspace equality and instances are hashable. GF(2) elimination is
+bit-packed (rows become Python ints, elimination is word-parallel XOR);
+every other field takes the generic path.  A hyperplane is named by its
+normalized dual vector, so hyperplanes are numbered like points; the
+hyperplanes containing a subspace are the points of its ``annihilator``.
 
 Vectors of V(n, q) are also handled as single integers via base-q positional
 encoding (digit i = coordinate i).  ``point_encodings`` is the one place
@@ -31,32 +33,6 @@ from .errors import (
 from .gf import Field, field_for_order
 
 DEFAULT_ENUM_BUDGET = 1_000_000
-
-
-@dataclass(frozen=True)
-class MatrixFq:
-    """Dense matrix over a finite field; rows of encodings."""
-
-    field: Field
-    ncols: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-
-def matrix(field: Field, rows, ncols: int | None = None) -> MatrixFq:
-    rows = tuple(tuple(r) for r in rows)
-    if ncols is None:
-        if not rows:
-            raise InvalidParamsError("ncols required for a matrix with no rows")
-        ncols = len(rows[0])
-    for r in rows:
-        if len(r) != ncols:
-            raise InvalidParamsError("ragged rows")
-        field._check(*r)
-    return MatrixFq(field, ncols, rows)
 
 
 def _rref_gf2(rows, ncols):
@@ -124,14 +100,6 @@ def rref_rows(field: Field, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_rref_generic(field, rows, ncols))
 
 
-def rref(m: MatrixFq) -> MatrixFq:
-    return MatrixFq(m.field, m.ncols, rref_rows(m.field, m.rows, m.ncols))
-
-
-def rank(m: MatrixFq) -> int:
-    return len(rref_rows(m.field, m.rows, m.ncols))
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of V(ambient, q), basis in RREF with zero rows dropped.
@@ -196,10 +164,6 @@ def intersect_dim(a: Subspace, b: Subspace) -> int:
     return a.dim + b.dim - len(stacked)
 
 
-def is_disjoint(a: Subspace, b: Subspace) -> bool:
-    return intersect_dim(a, b) == 0
-
-
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-subspaces of V(n, q); exact big-integer arithmetic.
 
@@ -256,63 +220,12 @@ def enumerate_subspaces(
             yield Subspace(field, n, tuple(tuple(r) for r in grid))
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Hyperplane of V(ambient, q) as a normalized dual vector.
-
-    The dual vector's first nonzero coordinate is 1; there are exactly
-    theta_n = (q^n - 1)/(q - 1) hyperplanes.
-    """
-
-    field: Field
-    ambient: int
-    dual: tuple[int, ...]
-
-
 def decode_vector(enc: int, n: int, q: int) -> tuple[int, ...]:
     out = []
     for _ in range(n):
         enc, d = divmod(enc, q)
         out.append(d)
     return tuple(out)
-
-
-def hyperplanes(n: int, field: Field) -> Iterator[Hyperplane]:
-    """All hyperplanes of V(n, q), ascending by dual-vector encoding."""
-    if n < 1:
-        raise InvalidParamsError("ambient dimension must be >= 1")
-    for enc in normalized_point_encodings(n, field.q).tolist():
-        yield Hyperplane(field, n, decode_vector(enc, n, field.q))
-
-
-def contains(h: Hyperplane, s: Subspace) -> bool:
-    """True iff the subspace lies inside the hyperplane."""
-    if h.field != s.field:
-        raise FieldMismatchError("hyperplane and subspace fields differ")
-    if h.ambient != s.ambient:
-        raise AmbientMismatchError("hyperplane and subspace ambients differ")
-    field = h.field
-    if field.q == 2:
-        mask = 0
-        for j, v in enumerate(h.dual):
-            if v:
-                mask |= 1 << j
-        for row in s.rows:
-            acc = 0
-            for j, v in enumerate(row):
-                if v:
-                    acc |= 1 << j
-            if (mask & acc).bit_count() & 1:
-                return False
-        return True
-    for row in s.rows:
-        acc = 0
-        for dj, rj in zip(h.dual, row):
-            if dj and rj:
-                acc = field.add(acc, field.mul(dj, rj))
-        if acc:
-            return False
-    return True
 
 
 def annihilator(s: Subspace) -> Subspace:

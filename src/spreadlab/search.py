@@ -39,12 +39,21 @@ from .construct import (
     build_lower_bound_spread,
     verify_partial_spread,
 )
+from .errors import BudgetExceededError
 from .gf import field_for_order
-from .linalg import enumerate_subspaces, point_encodings, point_ordinals
+from .linalg import (
+    enumerate_subspaces,
+    gaussian_binomial,
+    point_encodings,
+    point_ordinals,
+)
 
 EXACT = "EXACT"
 BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
 LOWER_WITNESS_ONLY = "LOWER_WITNESS_ONLY"
+
+# most adjacency bits (candidates squared) the exact search builds
+ADJACENCY_BIT_CAP = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -180,10 +189,18 @@ def max_partial_spread(
     Status EXACT means the tree was exhausted and best_size is the true
     maximum; BUDGET_EXHAUSTED reports the best incumbent when max_nodes or
     max_seconds cut the run short.  That incumbent is the empty spread when
-    the budget ends before the first node of a cold start.
+    the budget ends before the first node of a cold start.  Raises
+    BudgetExceededError when the adjacency bitsets would exceed
+    ADJACENCY_BIT_CAP bits.
     """
     start = time.monotonic()
     q, n, t = params.q, params.n, params.t
+    count = gaussian_binomial(n, t, q)
+    if count * count > ADJACENCY_BIT_CAP:
+        raise BudgetExceededError(
+            f"{count} candidates need {count * count} adjacency bits, "
+            f"cap is {ADJACENCY_BIT_CAP}"
+        )
     subs, masks = _candidates(params)
     total_points = theta(n, q)
     point_size = theta(t, q)

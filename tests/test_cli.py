@@ -297,11 +297,19 @@ def test_verify_reads_file(tmp_path):
     assert json.loads(out)["ok"] is True
 
 
-def test_env_cap_exits_two(monkeypatch):
-    monkeypatch.setenv("SPREADLAB_MAX_Q", "3")
-    rc, _, err = go(["construct", "--q", "5", "--n", "4", "--t", "2"])
+def test_tower_cap_exits_two():
+    # the construction's first tower is GF(2^42), above the field-order cap
+    rc, _, err = go(["construct", "--q", "2", "--n", "44", "--t", "2"])
     assert rc == 2
     assert "cap" in err
+
+
+def test_search_adjacency_cap_exits_two():
+    rc, out, err = go(["search", "--q", "2", "--n", "8", "--t", "3",
+                       "--budget", "10"])
+    assert rc == 2
+    assert out == ""
+    assert "adjacency" in err
 
 
 def test_nonprime_q_exits_two():

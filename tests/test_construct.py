@@ -43,7 +43,7 @@ class TestMultMap:
         mats = [mult_map_matrix(ext, a, t) for a in range(ext.order)]
         for c in range(1, ext.order):
             diff = mats[c]  # M_a - M_b = M_{a-b}, so checking M_c suffices
-            assert linalg.rank(linalg.matrix(base, list(diff), m)) == t
+            assert len(linalg.rref_rows(base, diff, m)) == t
         # and subtraction really does land back in the family
         a, b = ext.order - 1, 1
         sub = tuple(

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import contains, encode, hyperplane_duals
 from spreadlab import gf, linalg
 from spreadlab.errors import (
     AmbientMismatchError,
@@ -18,39 +19,25 @@ GF3 = gf.field_new(3)
 GF4 = gf.field_new(2, 2)
 
 
-def _mat(field, rows):
-    return linalg.matrix(field, rows)
-
-
-def _encode(vec, q):
-    """Base-q encoding of a vector, coordinate i as digit i."""
-    return sum(v * q ** i for i, v in enumerate(vec))
-
-
 # -- rref ---------------------------------------------------------------------
 
 
 def test_rref_identity_fixed_point():
-    m = _mat(GF2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert linalg.rref(m).rows == m.rows
+    rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    assert linalg.rref_rows(GF2, rows, 3) == rows
 
 
 def test_rref_swaps_and_reduces():
-    m = _mat(GF2, [[0, 1], [1, 1]])
-    assert linalg.rref(m).rows == ((1, 0), (0, 1))
+    assert linalg.rref_rows(GF2, [(0, 1), (1, 1)], 2) == ((1, 0), (0, 1))
 
 
 def test_rref_zero_matrix_drops_rows():
-    m = _mat(GF3, [[0, 0, 0], [0, 0, 0]])
-    out = linalg.rref(m)
-    assert out.rows == ()
-    assert linalg.rank(m) == 0
+    assert linalg.rref_rows(GF3, [(0, 0, 0), (0, 0, 0)], 3) == ()
 
 
 def test_rref_normalizes_pivot_to_one():
-    m = _mat(GF3, [[2, 1, 0], [0, 0, 2]])
-    out = linalg.rref(m)
-    assert out.rows == ((1, 2, 0), (0, 0, 1))
+    out = linalg.rref_rows(GF3, [(2, 1, 0), (0, 0, 2)], 3)
+    assert out == ((1, 2, 0), (0, 0, 1))
 
 
 def _random_matrix_strategy(q):
@@ -66,8 +53,8 @@ def _random_matrix_strategy(q):
 @given(data=st.data())
 def test_rref_idempotent(field, data):
     rows = data.draw(_random_matrix_strategy(field.q))
-    first = linalg.rref(linalg.matrix(field, rows, 4))
-    assert linalg.rref(first).rows == first.rows
+    first = linalg.rref_rows(field, rows, 4)
+    assert linalg.rref_rows(field, first, 4) == first
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=["GF2", "GF3", "GF4"])
@@ -112,14 +99,12 @@ def test_intersect_planes_in_v3():
     xz = linalg.Subspace.from_rows(GF2, 3, [(1, 0, 0), (0, 0, 1)])
     yz = linalg.Subspace.from_rows(GF2, 3, [(0, 1, 0), (0, 0, 1)])
     assert linalg.intersect_dim(xz, yz) == 1
-    assert not linalg.is_disjoint(xz, yz)
 
 
 def test_distinct_lines_are_disjoint():
     a = linalg.Subspace.from_rows(GF3, 2, [(1, 0)])
     b = linalg.Subspace.from_rows(GF3, 2, [(0, 1)])
     assert linalg.intersect_dim(a, b) == 0
-    assert linalg.is_disjoint(a, b)
 
 
 def test_self_intersection_is_dim():
@@ -220,55 +205,67 @@ def test_enumeration_dim_zero():
 
 
 # -- hyperplanes ---------------------------------------------------------------
+#
+# Hyperplanes are numbered by the normalized encodings of their dual vectors,
+# and the hyperplanes containing a subspace are the points of its
+# annihilator; the oracles list both by brute force.
+
+
+def _points(s):
+    """Normalized point encodings of one subspace, from the kernel."""
+    ((_, block),) = linalg.point_encodings([s])
+    return block[0].tolist()
 
 
 def test_hyperplane_count_v4():
-    hs = list(linalg.hyperplanes(4, GF2))
-    assert len(hs) == 15
-    assert len({h.dual for h in hs}) == 15
-    for h in hs:
-        first = next(v for v in h.dual if v)
-        assert first == 1
+    duals = [
+        linalg.decode_vector(int(e), 4, 2)
+        for e in linalg.normalized_point_encodings(4, 2)
+    ]
+    assert len(duals) == 15
+    assert duals == hyperplane_duals(4, GF2)
 
 
 def test_hyperplane_count_matches_theta():
     for field, n in ((GF3, 3), (GF4, 2)):
-        count = sum(1 for _ in linalg.hyperplanes(n, field))
+        count = len(linalg.normalized_point_encodings(n, field.q))
         assert count == (field.q ** n - 1) // (field.q - 1)
+        assert count == len(hyperplane_duals(n, field))
 
 
 def test_hyperplanes_ascending_encoding():
-    encs = [
-        _encode(h.dual, 3) for h in linalg.hyperplanes(3, GF3)
-    ]
-    assert encs == sorted(encs)
+    encs = [encode(h, 3) for h in hyperplane_duals(3, GF3)]
+    assert linalg.normalized_point_encodings(3, 3).tolist() == encs
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_subspace_lies_in_theta_n_minus_d_hyperplanes(d):
-    hs = list(linalg.hyperplanes(4, GF2))
+    duals = hyperplane_duals(4, GF2)
     want = (2 ** (4 - d) - 1) // (2 - 1)
     for s in linalg.enumerate_subspaces(4, d, GF2):
-        assert sum(1 for h in hs if linalg.contains(h, s)) == want
+        inside = {encode(h, 2) for h in duals if contains(GF2, h, s)}
+        assert len(inside) == want
+        assert set(_points(linalg.annihilator(s))) == inside
 
 
 def test_contains_dim_zero_in_all():
     zero = linalg.Subspace(GF2, 3, ())
-    assert all(linalg.contains(h, zero) for h in linalg.hyperplanes(3, GF2))
+    duals = hyperplane_duals(3, GF2)
+    assert all(contains(GF2, h, zero) for h in duals)
+    assert sorted(_points(linalg.annihilator(zero))) == [
+        encode(h, 2) for h in duals
+    ]
 
 
 def test_contains_generic_field():
-    h = next(linalg.hyperplanes(2, GF4))
-    inside = linalg.Subspace.from_rows(GF4, 2, [h.dual])  # not generally inside
-    total = sum(
-        1
-        for hh in linalg.hyperplanes(2, GF4)
-        for s in linalg.enumerate_subspaces(2, 1, GF4)
-        if linalg.contains(hh, s)
-    )
-    # each of the 5 lines of V(2,4) is itself a hyperplane; containment is equality
-    assert total == 5
-    assert inside is not None
+    # each of the 5 lines of V(2,4) is itself a hyperplane: the one
+    # hyperplane containing it is the one point of its annihilator
+    duals = hyperplane_duals(2, GF4)
+    lines = list(linalg.enumerate_subspaces(2, 1, GF4))
+    assert len(lines) == len(duals) == 5
+    for s in lines:
+        inside = [encode(h, 4) for h in duals if contains(GF4, h, s)]
+        assert _points(linalg.annihilator(s)) == inside
 
 
 # -- annihilator ---------------------------------------------------------------
@@ -280,11 +277,7 @@ def test_annihilator_dims_and_orthogonality(field):
         ann = linalg.annihilator(s)
         assert ann.dim == 2
         for w in ann.rows:
-            for row in s.rows:
-                acc = 0
-                for a, b in zip(w, row):
-                    acc = field.add(acc, field.mul(a, b))
-                assert acc == 0
+            assert contains(field, w, s)
         assert linalg.annihilator(ann) == s
 
 
@@ -313,7 +306,7 @@ def _brute_span(field, s):
         span = {
             tuple(field.add(v, field.mul(c, r)) for v, r in zip(vec, row))
             for vec in span
-            for c in field.elements()
+            for c in range(field.q)
         }
     return span
 
@@ -341,7 +334,7 @@ def test_normalized_span_matches_bruteforce(field):
             # one normalized representative per projective point
             assert len(pts) == len(set(pts)) == (q ** d - 1) // (q - 1)
             want = {
-                _encode(v, q)
+                encode(v, q)
                 for v in nonzero
                 if next(x for x in v if x) == 1
             }

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oracles import contains, hyperplane_duals
 from spreadlab import partition as pt
 from spreadlab.bounds import SpreadParams, theta
 from spreadlab.construct import (
@@ -139,20 +140,20 @@ class TestProfile:
     def test_profiles_match_brute_force(self):
         # independent recount via explicit containment tests; all but the
         # first case have holes, and GF(9) has odd characteristic
-        from spreadlab.linalg import contains, hyperplanes
-
         for q, n, t in [(3, 4, 2), (4, 5, 2), (8, 3, 2), (9, 3, 2)]:
+            field = field_for_order(q)
             part = pt.partition_from_spread(build_lower_bound_spread(P(q, n, t)))
             assert (1 in part.dim_counts) == (q != 3)
             prof = pt.hyperplane_profile(part)
-            hs = list(hyperplanes(n, field_for_order(q)))
-            assert len(hs) == len(prof.b_vectors)
-            for h, b in zip(hs, prof.b_vectors):
+            duals = hyperplane_duals(n, field)
+            assert len(duals) == len(prof.b_vectors)
+            for h, b in zip(duals, prof.b_vectors):
                 for d, k in zip(prof.dims, b):
                     truth = sum(
-                        1 for s in part.parts if s.dim == d and contains(h, s)
+                        1 for s in part.parts
+                        if s.dim == d and contains(field, h, s)
                     )
-                    assert truth == k, (q, n, t, h.dual, d)
+                    assert truth == k, (q, n, t, h, d)
 
     def test_non_partition_rejected(self):
         part = singles_partition(2, 3)

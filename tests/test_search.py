@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
 from spreadlab import search
 from spreadlab.bounds import SpreadParams, lower_bound, theta
 from spreadlab.construct import verify_partial_spread
-from spreadlab.linalg import is_disjoint
+from spreadlab.errors import BudgetExceededError
+from spreadlab.linalg import gaussian_binomial, intersect_dim
 
 
 def P(q, n, t):
@@ -65,7 +68,7 @@ class TestAdjacency:
         for i in range(len(subs)):
             assert not adj[i] >> i & 1
             for j in range(i + 1, len(subs)):
-                want = is_disjoint(subs[i], subs[j])
+                want = intersect_dim(subs[i], subs[j]) == 0
                 assert bool(adj[i] >> j & 1) == want, (i, j)
                 assert bool(adj[j] >> i & 1) == want, (j, i)
 
@@ -77,7 +80,7 @@ class TestAdjacency:
             want = sum(
                 1 << j
                 for j, b in enumerate(subs)
-                if j != i and is_disjoint(subs[i], b)
+                if j != i and intersect_dim(subs[i], b) == 0
             )
             assert adj[i] == want, i
 
@@ -153,6 +156,22 @@ class TestBudgets:
         assert res.witness.verified is True
         assert verify_partial_spread(res.witness).ok
         assert res.to_dict()["witness"]["members"] == []
+
+    @pytest.mark.parametrize("q,n,t", [(2, 8, 3), (4, 6, 3)])
+    def test_adjacency_cap(self, q, n, t):
+        # about 1.2 GB and 18 GB of adjacency bits: refused before any build
+        count = gaussian_binomial(n, t, q)
+        assert count * count > search.ADJACENCY_BIT_CAP
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError, match=str(count * count)):
+            search.max_partial_spread(P(q, n, t), max_nodes=10)
+        assert time.monotonic() - start < 1.0
+
+    def test_node_budget_under_adjacency_cap(self):
+        res = search.max_partial_spread(P(2, 7, 3), max_nodes=1000)
+        assert res.status == search.BUDGET_EXHAUSTED
+        assert res.nodes_explored == 1000
+        assert verify_partial_spread(res.witness).ok
 
     def test_time_budget(self):
         res = search.max_partial_spread(P(2, 5, 2), max_seconds=0.02)
