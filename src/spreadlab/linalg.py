@@ -2,11 +2,8 @@
 
 Rows are tuples of field-element encodings.  A Subspace stores its
 reduced-row-echelon basis with zero rows dropped, so structural equality is
-subspace equality and instances are hashable. GF(2) elimination is
-bit-packed (rows become Python ints, elimination is word-parallel XOR);
-every other field takes the generic path.  A hyperplane is named by its
-normalized dual vector, so hyperplanes are numbered like points; the
-hyperplanes containing a subspace are the points of its ``annihilator``.
+subspace equality and instances are hashable.  A hyperplane is named by
+its normalized dual vector, so hyperplanes are numbered like points.
 
 Vectors of V(n, q) are also handled as single integers via base-q positional
 encoding (digit i = coordinate i).  ``point_encodings`` is the one place
@@ -35,69 +32,32 @@ from .gf import Field, field_for_order
 DEFAULT_ENUM_BUDGET = 1_000_000
 
 
-def _rref_gf2(rows, ncols):
-    packed = []
-    for r in rows:
-        acc = 0
-        for j, v in enumerate(r):
-            if v:
-                acc |= 1 << j
-        packed.append(acc)
-    k = 0
-    for col in range(ncols):
-        bit = 1 << col
-        piv = None
-        for i in range(k, len(packed)):
-            if packed[i] & bit:
-                piv = i
-                break
-        if piv is None:
-            continue
-        packed[k], packed[piv] = packed[piv], packed[k]
-        pr = packed[k]
-        for i in range(len(packed)):
-            if i != k and packed[i] & bit:
-                packed[i] ^= pr
-        k += 1
-        if k == len(packed):
-            break
-    return [
-        tuple((row >> j) & 1 for j in range(ncols)) for row in packed[:k]
-    ]
-
-
-def _rref_generic(field, rows, ncols):
+def rref_rows(field: Field, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced row echelon form; zero rows dropped, pivot order."""
+    p = field.p if field.e == 1 else 0  # prime fields work on plain integers
     work = [list(r) for r in rows]
     k = 0
     for col in range(ncols):
-        piv = None
-        for i in range(k, len(work)):
-            if work[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(k, len(work)) if work[i][col]), None)
         if piv is None:
             continue
         work[k], work[piv] = work[piv], work[k]
         lead = work[k][col]
         if lead != 1:
             inv = field.inv(lead)
-            work[k] = [field.mul(inv, x) for x in work[k]]
+            work[k] = [inv * x % p if p else field.mul(inv, x) for x in work[k]]
         pr = work[k]
         for i in range(len(work)):
             if i != k and work[i][col]:
                 c = work[i][col]
-                work[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(work[i], pr)]
+                work[i] = [
+                    (x - c * y) % p if p else field.sub(x, field.mul(c, y))
+                    for x, y in zip(work[i], pr)
+                ]
         k += 1
         if k == len(work):
             break
-    return [tuple(r) for r in work[:k]]
-
-
-def rref_rows(field: Field, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced row echelon form; zero rows dropped, pivot order."""
-    if field.q == 2:
-        return tuple(_rref_gf2(rows, ncols))
-    return tuple(_rref_generic(field, rows, ncols))
+    return tuple(tuple(r) for r in work[:k])
 
 
 @dataclass(frozen=True)
@@ -124,10 +84,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(next(j for j, v in enumerate(r) if v) for r in self.rows)
 
     def to_dict(self) -> dict:
         return {
@@ -228,27 +184,6 @@ def decode_vector(enc: int, n: int, q: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def annihilator(s: Subspace) -> Subspace:
-    """Orthogonal complement under the standard dot product.
-
-    For an RREF basis with pivot set P the complement has one generator per
-    free column f: entry 1 at f and -B[i, f] at pivot column p_i.
-    """
-    field, n = s.field, s.ambient
-    pivots = s.pivots
-    pivot_set = set(pivots)
-    gens = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
-        w = [0] * n
-        w[f] = 1
-        for i, p in enumerate(pivots):
-            w[p] = field.neg(s.rows[i][f])
-        gens.append(tuple(w))
-    return Subspace(field, n, rref_rows(field, gens, n))
-
-
 # ---------------------------------------------------------------------------
 # the point kernel
 
@@ -285,20 +220,26 @@ def _add_mod(a, b, p: int):
     return np.minimum(s, s - p)  # s - p wraps around where s < p
 
 
-def point_encodings(subspaces) -> Iterator[tuple[int, np.ndarray]]:
+def point_encodings(
+    subspaces, lines: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
     """Normalized point encodings of subspaces of one dimension, in blocks.
 
     Yields (i, encs) with encs an int64 array whose row k lists the theta_d
     normalized point encodings of subspaces[i + k].  A block holds about
     _POINT_BLOCK points, or one subspace if that has more.  The subspaces
-    must share field, ambient space and dimension.
+    must share field, ambient space and dimension.  Given ``lines``, an
+    e x e matrix M over GF(p), q = p^e, a row lists one vector of each
+    GF(p)-line instead, (q^d - 1)/(p - 1) of them, with the e digits of each
+    coordinate mapped by M (the listing is GF(p)-linear: M maps the rows).
 
-    One code path serves every q = p^e.  Row i of an RREF basis leads the
-    points b_i + v, v in span(b_(i+1), ...): a combination whose first
-    nonzero coefficient is 1 has first nonzero coordinate 1.  Those spans
-    are listed as GF(p)-digit vectors by adding each x^k * b_j in turn
-    (see _expanded_rows), and the digits are then read as base-p integers.
-    The caller keeps q^n below 2^63 so that encodings fit an int64.
+    One code path serves every q.  The x^k * b_i (see _expanded_rows) are
+    GF(p)-rows R_0, ..., R_(de-1), from the last basis row up; lead R_j gives
+    R_j + span(R_0, ..., R_(j-1)).  Every R_j leads for lines, the x^0 * b_i
+    for points (a combination whose first nonzero coefficient is 1 has first
+    nonzero coordinate 1 in RREF).  Spans are listed as GF(p)-digit vectors,
+    one row at a time, then read as base-p integers; the caller keeps q^n
+    below 2^63 so that encodings fit an int64.
     """
     subspaces = list(subspaces)
     if not subspaces:
@@ -311,9 +252,10 @@ def point_encodings(subspaces) -> Iterator[tuple[int, np.ndarray]]:
             )
     if d == 0:
         return  # the zero subspace has no points
-    p, q, width = field.p, field.q, n * field.e
-    span = q ** (d - 1)  # vectors in span(b_1, ..., b_(d-1))
-    count = (q ** d - 1) // (q - 1)
+    p, e, width = field.p, field.e, n * field.e
+    top = (d - 1) * e if lines is None else d * e - 1
+    leads = range(top, -1, -e if lines is None else -1)
+    count = sum(p ** j for j in leads)
     dtype = np.min_scalar_type(2 * p - 2)  # holds a digit sum before reduction
     scalars = np.arange(p)[:, None, None]
     per = max(1, _POINT_BLOCK // count)
@@ -321,21 +263,24 @@ def point_encodings(subspaces) -> Iterator[tuple[int, np.ndarray]]:
         block = subspaces[start:start + per]
         m = len(block)
         basis = _expanded_rows(field, np.array([s.rows for s in block]))
-        # vecs[:, :size] lists span(b_(i+1), ...) once rows above i are added;
-        # adding x^0 b_i leaves b_i + that span in vecs[:, size:2 * size]
-        vecs = np.zeros((width, span, m), dtype)
+        if lines is not None:
+            split = basis.reshape(d, e, n, e, m)  # digit l of coordinate j
+            basis = np.einsum("kl,abjlm->abjkm", lines, split).reshape(basis.shape) % p
+        order = [w for rows in basis[::-1] for w in rows]  # R_0, ..., R_(de-1)
+        # vecs[:, :p^j] lists span(R_0, ..., R_(j-1)) once R_j is added, and
+        # vecs[:, p^j:2 p^j] is then R_j + that span
+        vecs = np.zeros((width, p ** top, m), dtype)
         size = 1
-        for i in range(d - 1, 0, -1):
-            for w in basis[i]:
-                multiples = (scalars * w % p).astype(dtype).transpose(1, 0, 2)
-                grown = _add_mod(vecs[:, None, :size], multiples[:, :, None], p)
-                vecs[:, :p * size] = grown.reshape(width, p * size, m)
-                size *= p
+        for w in order[:top]:
+            multiples = (scalars * w % p).astype(dtype).transpose(1, 0, 2)
+            grown = _add_mod(vecs[:, None, :size], multiples[:, :, None], p)
+            vecs[:, :p * size] = grown.reshape(width, p * size, m)
+            size *= p
         digits = np.empty((width, count, m), dtype)
-        digits[:, :span] = _add_mod(vecs, basis[0, 0][:, None, :].astype(dtype), p)
-        at = span
-        for i in range(1, d):
-            size = q ** (d - 1 - i)
+        digits[:, :size] = _add_mod(vecs, order[top][:, None, :].astype(dtype), p)
+        at = size
+        for j in leads[1:]:
+            size = p ** j
             digits[:, at:at + size] = vecs[:, size:2 * size]
             at += size
         encs = np.zeros((count, m), dtype=np.int64)

@@ -25,20 +25,12 @@ recomputes every field independently.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import (
-    SpreadParams,
-    c1_c2,
-    ceil_div,
-    delta,
-    descent_x,
-    h_of,
-    lemma_main_bound,
-    theta,
-)
+from .bounds import SpreadParams, delta, descent_x, h_of, lemma_main_bound, theta
 from .construct import VERIFY_POINT_BUDGET, PartialSpread
 from .errors import (
     AmbientMismatchError,
@@ -52,7 +44,6 @@ from .errors import (
 from .gf import field_for_order
 from .linalg import (
     Subspace,
-    annihilator,
     decode_vector,
     least_shared_pair,
     normalized_point_encodings,
@@ -74,10 +65,7 @@ class SubspacePartition:
     @property
     def dim_counts(self) -> dict[int, int]:
         """dimension -> multiplicity, largest dimension first."""
-        out: dict[int, int] = {}
-        for s in self.parts:
-            out[s.dim] = out.get(s.dim, 0) + 1
-        return dict(sorted(out.items(), reverse=True))
+        return dict(sorted(Counter(s.dim for s in self.parts).items(), reverse=True))
 
     def to_dict(self) -> dict:
         return {
@@ -118,11 +106,9 @@ def partition_from_spread(spread: PartialSpread) -> SubspacePartition:
     field = field_for_order(q)
     covered = _covered(spread.members, n, q)
     holes = normalized_point_encodings(n, q)[~covered].tolist()
-    parts = list(spread.members)
-    parts.extend(
-        Subspace.from_rows(field, n, [decode_vector(enc, n, q)]) for enc in holes
-    )
-    return SubspacePartition(q, n, tuple(parts))
+    # a normalized vector is already the RREF basis of its point
+    singles = tuple(Subspace(field, n, (decode_vector(e, n, q),)) for e in holes)
+    return SubspacePartition(q, n, spread.members + singles)
 
 
 @dataclass(frozen=True)
@@ -208,40 +194,110 @@ class HyperplaneProfile:
         }
 
 
+def _line_counts(parts, n: int, field, dtype) -> np.ndarray:
+    """How often each vector of V(n, q) is listed as a GF(p)-line of the
+    parts, q = p^e, with the digits of each coordinate mapped by the trace
+    pairing M[k, l] = Tr(x^(k+l)): digit k of the image of a is Tr(x^k a).
+    Tr(x^m) is the trace of X^m, X the matrix of multiplication by x."""
+    p, e, size = field.p, field.e, field.q ** n
+    x = np.eye(e, k=-1, dtype=np.int64)
+    x[:, -1] = np.negative(field.modulus[:e]) % p
+    power, traces = np.eye(e, dtype=np.int64), []
+    for _ in range(2 * e - 1):
+        traces.append(int(np.trace(power)) % p)
+        power = power @ x % p
+    pairing = np.array([traces[k:k + e] for k in range(e)])
+    counts = np.zeros(size, dtype)
+    per = max(1, size // 4 // theta(parts[0].dim * e, p))  # a bincount costs q^n
+    for i in range(0, len(parts), per):
+        encs = [b.ravel() for _, b in point_encodings(parts[i:i + per], lines=pairing)]
+        counts += np.bincount(np.concatenate(encs), minlength=size)
+    return counts
+
+
+def _orthogonal_counts(counts: np.ndarray, p: int, at: np.ndarray) -> np.ndarray:
+    """S(y) = sum of counts[w] over w in GF(p)^N with y.w = 0, at encodings
+    ``at`` whose lowest nonzero digit is 1.  p = 2: Walsh-Hadamard in place,
+    S = (sum + W) / 2.  Odd p, for each lowest nonzero digit i of y: sum out
+    the digits of w below i, use digit i as residue s, and turn each higher
+    digit w_j into y_j by G'(y_j, s) = sum_(w_j) G(w_j, s - y_j w_j); then
+    S(e_i + y) is G at s = 0."""
+    size = counts.size
+    if p == 2:
+        total = int(counts.sum())
+        for k in range(size.bit_length() - 1):
+            low, high = counts.reshape(-1, 2, 1 << k).transpose(1, 0, 2)
+            low += high
+            high *= -2
+            high += low
+        return (total + counts[at].astype(np.int64)) // 2
+    out = np.zeros(size, counts.dtype)
+    r, lead = np.arange(p), 1
+    while lead < size:
+        # g[s, rest, y]: rest = the digits above i still to turn, y = the
+        # turned ones; the highest digit of rest turns first
+        g = counts.reshape(-1, p).T.reshape(p, -1, 1)
+        while g.shape[1] > p:
+            g = g.reshape(p, p, -1, g.shape[2]).transpose(1, 0, 2, 3)
+            twice = np.concatenate([g, g], axis=1)  # [w, p + s - t] = g[w, s - t]
+            step = np.zeros((p,) + g.shape[1:], g.dtype)
+            for y, w in np.ndindex(p, p):
+                step[y] += twice[w, p - y * w % p:2 * p - y * w % p]
+            g = step.transpose(1, 2, 3, 0).reshape(p, step.shape[2], -1)
+        if g.shape[1] == p:  # the last digit, at s = 0 only
+            g = g[-np.outer(r, r) % p, r].sum(axis=1).T
+        out[lead::lead * p] = g[0] if g.shape[1] == 1 else g.ravel()
+        counts = counts.reshape(-1, p).sum(axis=1)
+        lead *= p
+    return out[at].astype(np.int64)
+
+
 def hyperplane_profile(partition: SubspacePartition) -> HyperplaneProfile:
     """Count, for every hyperplane, the parts of each dimension inside it,
     then verify both counting identities.
 
-    The hyperplanes containing a part are the points of its annihilator,
-    so the point kernel lists the annihilators of each dimension's parts
-    and the hyperplane ordinals are counted with one bincount per block.
-    """
+    Over GF(p), q = p^e, the hyperplane u.v = 0 gives Tr(u.v) = 0 with the
+    same parts inside.  A d-part lies in that or meets it in theta_(de-1) of
+    its GF(p)-lines, so if the n_d d-parts have Z(u) GF(p)-lines in it (with
+    multiplicity), b_(u,d) = (Z(u) - n_d theta_(de-1)) / p^(de-1), exactly."""
     q, n = partition.q, partition.n
     if q ** n > PROFILE_POINT_CAP:
         raise BudgetExceededError(f"q^n = {q ** n} exceeds {PROFILE_POINT_CAP}")
     if not partition.parts:
         raise InvalidParamsError("empty partition has no profile")
+    field = field_for_order(q)
+    p, e = field.p, field.e
     dim_counts = partition.dim_counts
     dims = tuple(dim_counts)
-    total = theta(n, q)
+    duals = normalized_point_encodings(n, q)
     per_dim = []
-    for d in dims:
-        row = np.zeros(total, dtype=np.int64)
-        duals = [annihilator(s) for s in partition.parts if s.dim == d]
-        for _, block in point_encodings(duals):
-            row += np.bincount(point_ordinals(block, n, q).ravel(), minlength=total)
-        per_dim.append(row)
+    for d, n_d in dim_counts.items():
+        if d == 0:  # the zero subspace lies in every hyperplane
+            per_dim.append(np.full(len(duals), n_d, dtype=np.int64))
+            continue
+        # the Walsh-Hadamard pass stays within twice the lines listed
+        dtype = np.int32 if 2 * n_d * theta(d * e, p) < 2 ** 31 else np.int64
+        parts = [s for s in partition.parts if s.dim == d]
+        lines = _orthogonal_counts(_line_counts(parts, n, field, dtype), p, duals)
+        extra, unit = lines - n_d * theta(d * e - 1, p), p ** (d * e - 1)
+        bad = np.flatnonzero(extra % unit)
+        if bad.size:
+            h = int(bad[0])
+            raise IdentityViolationError(
+                f"hyperplane {decode_vector(int(duals[h]), n, q)}: {int(lines[h])} "
+                f"lines of {d}-dimensional parts give b_(H,{d}) a remainder mod {unit}"
+            )
+        per_dim.append(extra // unit)
 
     n_parts = len(partition.parts)
-    weights = np.array([q ** d for d in dims], dtype=np.int64)
     stacked = np.stack(per_dim)  # len(dims) x theta_n
-    totals = 1 + weights @ stacked
+    totals = 1 + np.array([q ** d for d in dims], dtype=np.int64) @ stacked
     bad = np.nonzero(totals != n_parts)[0]
     if bad.size:
         h = int(bad[0])
         raise IdentityViolationError(
-            f"hyperplane {h}: 1 + sum b_d q^d = {int(totals[h])}, "
-            f"but the partition has {n_parts} parts"
+            f"hyperplane {decode_vector(int(duals[h]), n, q)}: 1 + sum b_d q^d = "
+            f"{int(totals[h])}, but the partition has {n_parts} parts"
         )
     for d, row in zip(dims, per_dim):
         want = dim_counts[d] * theta(n - d, q)
@@ -252,18 +308,15 @@ def hyperplane_profile(partition: SubspacePartition) -> HyperplaneProfile:
                 f"want n_d * theta_(n-d) = {want}"
             )
 
-    interned: dict[tuple[int, ...], tuple[int, ...]] = {}
-    s_b: dict[tuple[int, ...], int] = {}
-    b_vectors = []
-    for col in stacked.T:
-        b = tuple(int(v) for v in col)
-        b = interned.setdefault(b, b)
-        b_vectors.append(b)
-        s_b[b] = s_b.get(b, 0) + 1
-    assert sum(s_b.values()) == theta(n, q)
-    return HyperplaneProfile(
-        q, n, dims, dim_counts, tuple(b_vectors), s_b
+    # one tuple per distinct b-vector; s_b in order of first occurrence
+    rows, first, inverse, counts = np.unique(
+        stacked.T, axis=0, return_index=True, return_inverse=True, return_counts=True
     )
+    distinct = [tuple(b) for b in rows.tolist()]
+    s_b = {distinct[k]: int(counts[k]) for k in np.argsort(first)}
+    b_vectors = tuple(map(distinct.__getitem__, inverse.ravel().tolist()))
+    assert sum(s_b.values()) == theta(n, q)
+    return HyperplaneProfile(q, n, dims, dim_counts, b_vectors, s_b)
 
 
 # ---------------------------------------------------------------------------

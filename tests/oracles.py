@@ -1,12 +1,14 @@
 """Brute-force hyperplane oracles for the tests.
 
 They list hyperplanes and test containment from the field's add and mul
-alone, without the package's point numbering, so a test that compares them
-with ``hyperplane_profile`` or ``annihilator`` checks one against the other.
+alone, without the package's point numbering or its transform, so a test
+that compares them with ``hyperplane_profile`` or
+``normalized_point_encodings`` checks one against the other.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 
@@ -25,12 +27,33 @@ def hyperplane_duals(n: int, field) -> list[tuple[int, ...]]:
     return sorted(duals, key=lambda v: encode(v, field.q))
 
 
+@lru_cache(maxsize=None)
+def _tables(field):
+    """Addition and multiplication tables read from field.add and field.mul."""
+    elems = range(field.q)
+    add = [[field.add(a, b) for b in elems] for a in elems]
+    mul = [[field.mul(a, b) for b in elems] for a in elems]
+    return add, mul
+
+
 def contains(field, dual, subspace) -> bool:
     """True iff every basis row of the subspace is orthogonal to dual."""
+    add, mul = _tables(field)
     for row in subspace.rows:
         acc = 0
         for a, b in zip(dual, row):
-            acc = field.add(acc, field.mul(a, b))
+            acc = add[acc][mul[a][b]]
         if acc:
             return False
     return True
+
+
+def profile_b_vectors(field, n: int, parts) -> list[tuple[int, ...]]:
+    """For every hyperplane, in hyperplane_duals order, the number of parts
+    of each dimension inside it, dimensions largest first."""
+    dims = sorted({s.dim for s in parts}, reverse=True)
+    out = []
+    for h in hyperplane_duals(n, field):
+        inside = [s.dim for s in parts if contains(field, h, s)]
+        out.append(tuple(inside.count(d) for d in dims))
+    return out

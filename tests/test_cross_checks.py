@@ -140,7 +140,10 @@ class TestSearchPartitionPipeline:
         spread = greedy_spread(SpreadParams(2, 6, 3), seed=0)
         part = partition_from_spread(spread)
         broken = SubspacePartition(part.q, part.n, part.parts[:-1])
-        with pytest.raises(IdentityViolationError):
+        # the first hyperplane in dual encoding order already breaks identity (1)
+        with pytest.raises(
+            IdentityViolationError, match=r"hyperplane \(1, 0, 0, 0, 0, 0\): 1 \+ sum b_d"
+        ):
             hyperplane_profile(broken)
 
     def test_profile_detects_doubled_part(self):

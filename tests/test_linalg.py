@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import contains, encode, hyperplane_duals
 from spreadlab import gf, linalg
+from spreadlab import partition as pt
 from spreadlab.errors import (
     AmbientMismatchError,
     BudgetExceededError,
@@ -206,15 +207,37 @@ def test_enumeration_dim_zero():
 
 # -- hyperplanes ---------------------------------------------------------------
 #
-# Hyperplanes are numbered by the normalized encodings of their dual vectors,
-# and the hyperplanes containing a subspace are the points of its
-# annihilator; the oracles list both by brute force.
+# Hyperplanes are numbered by the normalized encodings of their dual vectors.
+# The hyperplanes containing a subspace (the points of its annihilator) are
+# read from hyperplane_profile, on a partition in which the subspace is the
+# only part of its dimension; the oracles list both by brute force.
 
 
 def _points(s):
     """Normalized point encodings of one subspace, from the kernel."""
-    ((_, block),) = linalg.point_encodings([s])
-    return block[0].tolist()
+    return [e for _, block in linalg.point_encodings([s]) for e in block[0].tolist()]
+
+
+def _with_singles(s):
+    """Partition of the ambient space into s and the points outside it."""
+    field, n = s.field, s.ambient
+    inside = set(_points(s))
+    singles = tuple(
+        linalg.Subspace.from_rows(field, n, [linalg.decode_vector(e, n, field.q)])
+        for e in linalg.normalized_point_encodings(n, field.q).tolist()
+        if e not in inside
+    )
+    return pt.SubspacePartition(field.q, n, (s,) + singles)
+
+
+def _profile_containing(s):
+    """Dual encodings of the hyperplanes that hyperplane_profile counts s in,
+    for s of dimension 0 or at least 2."""
+    prof = pt.hyperplane_profile(_with_singles(s))
+    assert prof.dim_counts[s.dim] == 1
+    k = prof.dims.index(s.dim)
+    duals = linalg.normalized_point_encodings(s.ambient, s.field.q).tolist()
+    return [h for h, b in zip(duals, prof.b_vectors) if b[k]]
 
 
 def test_hyperplane_count_v4():
@@ -243,29 +266,32 @@ def test_subspace_lies_in_theta_n_minus_d_hyperplanes(d):
     duals = hyperplane_duals(4, GF2)
     want = (2 ** (4 - d) - 1) // (2 - 1)
     for s in linalg.enumerate_subspaces(4, d, GF2):
-        inside = {encode(h, 2) for h in duals if contains(GF2, h, s)}
+        inside = [encode(h, 2) for h in duals if contains(GF2, h, s)]
         assert len(inside) == want
-        assert set(_points(linalg.annihilator(s))) == inside
+        if d == 1:  # a point shares its dimension with the other singles
+            prof = pt.hyperplane_profile(_with_singles(s))
+            assert prof.s_b == {(want,): len(duals)}
+        else:
+            assert _profile_containing(s) == inside
 
 
 def test_contains_dim_zero_in_all():
     zero = linalg.Subspace(GF2, 3, ())
     duals = hyperplane_duals(3, GF2)
     assert all(contains(GF2, h, zero) for h in duals)
-    assert sorted(_points(linalg.annihilator(zero))) == [
-        encode(h, 2) for h in duals
-    ]
+    assert _profile_containing(zero) == [encode(h, 2) for h in duals]
 
 
 def test_contains_generic_field():
-    # each of the 5 lines of V(2,4) is itself a hyperplane: the one
-    # hyperplane containing it is the one point of its annihilator
-    duals = hyperplane_duals(2, GF4)
-    lines = list(linalg.enumerate_subspaces(2, 1, GF4))
-    assert len(lines) == len(duals) == 5
+    # each of the 21 lines of V(3,4) is itself a hyperplane: the one
+    # hyperplane containing it is its own dual
+    duals = hyperplane_duals(3, GF4)
+    lines = list(linalg.enumerate_subspaces(3, 2, GF4))
+    assert len(lines) == len(duals) == 21
     for s in lines:
         inside = [encode(h, 4) for h in duals if contains(GF4, h, s)]
-        assert _points(linalg.annihilator(s)) == inside
+        assert len(inside) == 1
+        assert _profile_containing(s) == inside
 
 
 # -- annihilator ---------------------------------------------------------------
@@ -273,12 +299,23 @@ def test_contains_generic_field():
 
 @pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=["GF2", "GF3", "GF4"])
 def test_annihilator_dims_and_orthogonality(field):
+    # the hyperplanes containing a plane of V(4, q) form a plane of the dual
+    # space, and the vectors orthogonal to all of them are the plane again
+    q = field.q
+    points = [
+        linalg.decode_vector(e, 4, q)
+        for e in linalg.normalized_point_encodings(4, q).tolist()
+    ]
     for s in linalg.enumerate_subspaces(4, 2, field):
-        ann = linalg.annihilator(s)
-        assert ann.dim == 2
-        for w in ann.rows:
+        ann = [linalg.decode_vector(h, 4, q) for h in _profile_containing(s)]
+        assert len(ann) == q + 1
+        for w in ann:
             assert contains(field, w, s)
-        assert linalg.annihilator(ann) == s
+        back = [
+            encode(v, q) for v in points
+            if all(contains(field, w, linalg.Subspace(field, 4, (v,))) for w in ann)
+        ]
+        assert back == sorted(_points(s))
 
 
 # -- point encodings -----------------------------------------------------------

@@ -2,14 +2,10 @@ import json
 
 import pytest
 
-from oracles import contains, hyperplane_duals
+from oracles import profile_b_vectors
 from spreadlab import partition as pt
 from spreadlab.bounds import SpreadParams, theta
-from spreadlab.construct import (
-    PartialSpread,
-    build_lower_bound_spread,
-    spread_from_dict,
-)
+from spreadlab.construct import PartialSpread, build_lower_bound_spread
 from spreadlab.errors import (
     BudgetExceededError,
     IdentityViolationError,
@@ -31,12 +27,20 @@ def P(q, n, t):
 
 
 def singles_partition(q, n):
+    return with_singles(q, n, ())
+
+
+def with_singles(q, n, big):
+    """Partition of V(n, q) into the parts ``big`` and one single for each
+    point they leave uncovered."""
     f = field_for_order(q)
-    parts = tuple(
+    covered = {e for s in big for _, b in point_encodings([s]) for e in b[0].tolist()}
+    singles = tuple(
         Subspace.from_rows(f, n, [decode_vector(e, n, q)])
         for e in normalized_point_encodings(n, q).tolist()
+        if e not in covered
     )
-    return pt.SubspacePartition(q, n, parts)
+    return pt.SubspacePartition(q, n, tuple(big) + singles)
 
 
 class TestFromSpread:
@@ -138,28 +142,57 @@ class TestProfile:
         assert prof.s_b == {(1,): theta(4, 4)}
 
     def test_profiles_match_brute_force(self):
-        # independent recount via explicit containment tests; all but the
-        # first case have holes, and GF(9) has odd characteristic
-        for q, n, t in [(3, 4, 2), (4, 5, 2), (8, 3, 2), (9, 3, 2)]:
-            field = field_for_order(q)
+        # independent recount via explicit containment tests; all spread
+        # cases but the first have holes, and GF(9) and GF(25) have odd
+        # characteristic
+        cases = [(3, 4, 2), (4, 5, 2), (8, 3, 2), (9, 3, 2), (16, 3, 2), (25, 3, 2)]
+        parts = []
+        for q, n, t in cases:
             part = pt.partition_from_spread(build_lower_bound_spread(P(q, n, t)))
             assert (1 in part.dim_counts) == (q != 3)
+            parts.append(part)
+        # three part dimensions: a plane, a disjoint line and 21 singles
+        f = field_for_order(2)
+        eye = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+        plane = Subspace.from_rows(f, 5, eye[:3])
+        line = Subspace.from_rows(f, 5, eye[3:])
+        parts.append(with_singles(2, 5, (plane, line)))
+        assert parts[-1].dim_counts == {3: 1, 2: 1, 1: 21}
+        # a line off the coordinate axes, over fields whose trace pairing on
+        # the polynomial basis is no field multiplication
+        for q in (8, 9):
+            line = Subspace.from_rows(field_for_order(q), 3, [(1, 0, 2), (0, 1, 3)])
+            parts.append(with_singles(q, 3, (line,)))
+        for part in parts:
+            assert pt.verify_partition(part).ok
             prof = pt.hyperplane_profile(part)
-            duals = hyperplane_duals(n, field)
-            assert len(duals) == len(prof.b_vectors)
-            for h, b in zip(duals, prof.b_vectors):
-                for d, k in zip(prof.dims, b):
-                    truth = sum(
-                        1 for s in part.parts
-                        if s.dim == d and contains(field, h, s)
-                    )
-                    assert truth == k, (q, n, t, h, d)
+            field = field_for_order(part.q)
+            want = profile_b_vectors(field, part.n, part.parts)
+            assert list(prof.b_vectors) == want, (part.q, part.n, part.dim_counts)
 
     def test_non_partition_rejected(self):
         part = singles_partition(2, 3)
         broken = pt.SubspacePartition(2, 3, part.parts[1:])
-        with pytest.raises(IdentityViolationError):
+        # every hyperplane breaks 1 + 2 b_1 = 6; the first is (1, 0, 0)
+        with pytest.raises(IdentityViolationError, match=r"hyperplane \(1, 0, 0\):"):
             pt.hyperplane_profile(broken)
+
+    def test_inexact_division_names_hyperplane(self, monkeypatch):
+        # lines of parts in a hyperplane past n_d theta_(de-1) come in
+        # multiples of p^(de-1); a miscount must not round away
+        real = pt._orthogonal_counts
+
+        def off_by_one(counts, p, at):
+            out = real(counts, p, at)
+            out[3] += 1
+            return out
+
+        monkeypatch.setattr(pt, "_orthogonal_counts", off_by_one)
+        part = pt.partition_from_spread(build_lower_bound_spread(P(2, 4, 2)))
+        with pytest.raises(
+            IdentityViolationError, match=r"hyperplane \(0, 0, 1, 0\):.* remainder mod 2"
+        ):
+            pt.hyperplane_profile(part)
 
     def test_point_cap(self):
         with pytest.raises(BudgetExceededError):
