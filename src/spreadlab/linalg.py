@@ -5,16 +5,27 @@ reduced-row-echelon basis with zero rows dropped, so structural equality is
 subspace equality and instances are hashable.  A hyperplane is named by
 its normalized dual vector, so hyperplanes are numbered like points.
 
+The d-subspaces of V(n, q) have one canonical order, defined once by
+``_row_options``: RREF pivot sets in combinations order, then, per pivot
+set, the product of the rows' options (each row's free-cell fillings,
+listed once and shared), row 0 most significant.  ``enumerate_subspaces``
+yields Subspace objects in that order; ``subspace_bases`` stacks the same
+options into one numpy array of bases for bulk work such as the search,
+and ``point_encodings_of_bases`` lists the points of such an array.
+
 Vectors of V(n, q) are also handled as single integers via base-q positional
 encoding (digit i = coordinate i).  ``point_encodings`` is the one place
 that lists the points of subspaces: it works on GF(p) digits with numpy, the
 same way for prime and extension fields, and spread verification, partition
-fill, hyperplane profiles and search candidates all run on it.
+fill, hyperplane profiles and search candidates all run on it (the search
+through its array entry point, ``point_encodings_of_bases``, on stacked
+bases).
 ``point_ordinals`` numbers the points of V(n, q) for all of them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterator
@@ -138,42 +149,77 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
+def _row_options(n: int, d: int, q: int):
+    """Each RREF pivot-column set of d columns, in itertools.combinations
+    order, with the options of every row: row i has 1 at pivots[i] and
+    takes every filling of its free cells (the columns after pivots[i] that
+    are no pivot), ascending, first cell most significant.  The rows'
+    options are shared by every subspace of the pivot set."""
+    for pivots in combinations(range(n), d):
+        options = []
+        for pivot in pivots:
+            free = [c for c in range(pivot + 1, n) if c not in pivots]
+            row = [0] * n
+            row[pivot] = 1
+            filled = []
+            for values in product(range(q), repeat=len(free)):
+                for c, v in zip(free, values):
+                    row[c] = v
+                filled.append(tuple(row))
+            options.append(filled)
+        yield options
+
+
+def _check_enum_budget(n: int, d: int, q: int, budget: int | None) -> int:
+    if not 0 <= d <= n:
+        raise InvalidParamsError(f"need 0 <= d <= n, got d={d} n={n}")
+    total = gaussian_binomial(n, d, q)
+    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
+    if total > limit:
+        raise BudgetExceededError(
+            f"{total} subspaces exceed enumeration budget {limit}"
+        )
+    return total
+
+
 def enumerate_subspaces(
     n: int, d: int, field: Field, budget: int | None = None
 ) -> Iterator[Subspace]:
     """All d-subspaces of V(n, q) in canonical order.
 
     Order: RREF pivot-column sets ascending (itertools.combinations order),
-    then free entries ascending lexicographically, first free cell most
-    significant.  Free cells are read row-major.
+    then the rows' options (see _row_options) as itertools.product does,
+    row 0 most significant.  This is the free entries ascending
+    lexicographically, read row-major, first free cell most significant.
     """
-    if not 0 <= d <= n:
-        raise InvalidParamsError(f"need 0 <= d <= n, got d={d} n={n}")
-    total = gaussian_binomial(n, d, field.q)
-    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
-    if total > limit:
-        raise BudgetExceededError(
-            f"{total} subspaces exceed enumeration budget {limit}"
-        )
-    if d == 0:
-        yield Subspace(field, n, ())
-        return
+    _check_enum_budget(n, d, field.q, budget)
+    for options in _row_options(n, d, field.q):
+        for rows in product(*options):
+            yield Subspace(field, n, rows)
+
+
+def subspace_bases(
+    n: int, d: int, field: Field, budget: int | None = None
+) -> np.ndarray:
+    """The bases enumerate_subspaces yields, in its order, as one array of
+    shape (count, d, n) and dtype np.min_scalar_type(q - 1).
+
+    Each pivot set's block is the product of its rows' options, spread by
+    broadcasting; the budget is checked before anything is allocated."""
     q = field.q
-    for pivots in combinations(range(n), d):
-        pivot_set = set(pivots)
-        cells = [
-            (i, c)
-            for i in range(d)
-            for c in range(pivots[i] + 1, n)
-            if c not in pivot_set
-        ]
-        for values in product(range(q), repeat=len(cells)):
-            grid = [[0] * n for _ in range(d)]
-            for i in range(d):
-                grid[i][pivots[i]] = 1
-            for (i, c), v in zip(cells, values):
-                grid[i][c] = v
-            yield Subspace(field, n, tuple(tuple(r) for r in grid))
+    total = _check_enum_budget(n, d, q, budget)
+    bases = np.zeros((total, d, n), np.min_scalar_type(q - 1))
+    at = 0
+    for options in _row_options(n, d, q):
+        sizes = [len(o) for o in options]
+        count = math.prod(sizes)
+        block = bases[at:at + count].reshape(*sizes, d, n)
+        for i, rows in enumerate(options):
+            shape = [1] * d
+            shape[i] = sizes[i]
+            block[..., i, :] = np.reshape(rows, (*shape, n))
+        at += count
+    return bases
 
 
 def decode_vector(enc: int, n: int, q: int) -> tuple[int, ...]:
@@ -232,14 +278,6 @@ def point_encodings(
     e x e matrix M over GF(p), q = p^e, a row lists one vector of each
     GF(p)-line instead, (q^d - 1)/(p - 1) of them, with the e digits of each
     coordinate mapped by M (the listing is GF(p)-linear: M maps the rows).
-
-    One code path serves every q.  The x^k * b_i (see _expanded_rows) are
-    GF(p)-rows R_0, ..., R_(de-1), from the last basis row up; lead R_j gives
-    R_j + span(R_0, ..., R_(j-1)).  Every R_j leads for lines, the x^0 * b_i
-    for points (a combination whose first nonzero coefficient is 1 has first
-    nonzero coordinate 1 in RREF).  Spans are listed as GF(p)-digit vectors,
-    one row at a time, then read as base-p integers; the caller keeps q^n
-    below 2^63 so that encodings fit an int64.
     """
     subspaces = list(subspaces)
     if not subspaces:
@@ -250,6 +288,28 @@ def point_encodings(
             raise InvalidParamsError(
                 "point_encodings needs one field, ambient space and dimension"
             )
+    rows = np.array([s.rows for s in subspaces], np.min_scalar_type(field.q - 1))
+    yield from point_encodings_of_bases(
+        field, rows.reshape(len(subspaces), d, n), lines
+    )
+
+
+def point_encodings_of_bases(
+    field: Field, rows: np.ndarray, lines: np.ndarray | None = None
+) -> Iterator[tuple[int, np.ndarray]]:
+    """point_encodings of the subspaces whose RREF bases are rows[i], an
+    array of shape (m, d, n) over GF(q) such as subspace_bases returns.
+    The rows are not checked: they must be RREF bases over ``field``.
+
+    One code path serves every q.  The x^k * b_i (see _expanded_rows) are
+    GF(p)-rows R_0, ..., R_(de-1), from the last basis row up; lead R_j gives
+    R_j + span(R_0, ..., R_(j-1)).  Every R_j leads for lines, the x^0 * b_i
+    for points (a combination whose first nonzero coefficient is 1 has first
+    nonzero coordinate 1 in RREF).  Spans are listed as GF(p)-digit vectors,
+    one row at a time, then read as base-p integers; the caller keeps q^n
+    below 2^63 so that encodings fit an int64.
+    """
+    _, d, n = rows.shape
     if d == 0:
         return  # the zero subspace has no points
     p, e, width = field.p, field.e, n * field.e
@@ -259,14 +319,13 @@ def point_encodings(
     dtype = np.min_scalar_type(2 * p - 2)  # holds a digit sum before reduction
     scalars = np.arange(p)[:, None, None]
     per = max(1, _POINT_BLOCK // count)
-    for start in range(0, len(subspaces), per):
-        block = subspaces[start:start + per]
-        m = len(block)
-        basis = _expanded_rows(field, np.array([s.rows for s in block]))
+    for start in range(0, len(rows), per):
+        basis = _expanded_rows(field, rows[start:start + per])
+        m = basis.shape[-1]
         if lines is not None:
             split = basis.reshape(d, e, n, e, m)  # digit l of coordinate j
             basis = np.einsum("kl,abjlm->abjkm", lines, split).reshape(basis.shape) % p
-        order = [w for rows in basis[::-1] for w in rows]  # R_0, ..., R_(de-1)
+        order = [w for row in basis[::-1] for w in row]  # R_0, ..., R_(de-1)
         # vecs[:, :p^j] lists span(R_0, ..., R_(j-1)) once R_j is added, and
         # vecs[:, p^j:2 p^j] is then R_j + that span
         vecs = np.zeros((width, p ** top, m), dtype)

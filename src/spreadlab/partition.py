@@ -111,6 +111,20 @@ def partition_from_spread(spread: PartialSpread) -> SubspacePartition:
     return SubspacePartition(q, n, spread.members + singles)
 
 
+def _check_parts(partition: SubspacePartition) -> None:
+    """Raise unless every part lies in the partition's V(n, q)."""
+    field = field_for_order(partition.q)
+    for i, s in enumerate(partition.parts):
+        if s.field != field:
+            raise FieldMismatchError(
+                f"part {i} over {s.field}, partition has q = {partition.q}"
+            )
+        if s.ambient != partition.n:
+            raise AmbientMismatchError(
+                f"part {i} in ambient {s.ambient}, partition has n = {partition.n}"
+            )
+
+
 @dataclass(frozen=True)
 class PartitionCheck:
     ok: bool
@@ -133,19 +147,14 @@ def verify_partition(
     Reports the lexicographically least pair of parts sharing a point, else
     the least point no part covers."""
     q, n = partition.q, partition.n
-    field = field_for_order(q)
     total = theta(n, q)
     if total > point_budget:
         raise BudgetExceededError(
             f"partition has {total} points, budget is {point_budget}"
         )
-    for s in partition.parts:
-        if s.field != field:
-            raise FieldMismatchError(f"part over {s.field}, partition has q = {q}")
-        if s.ambient != n:
-            raise AmbientMismatchError(f"part in ambient {s.ambient}, want {n}")
-        if s.dim == 0:
-            return PartitionCheck(False, "zero-dimensional part")
+    _check_parts(partition)
+    if any(s.dim == 0 for s in partition.parts):
+        return PartitionCheck(False, "zero-dimensional part")
 
     shared = least_shared_pair(partition.parts)
     if shared is not None:
@@ -265,6 +274,7 @@ def hyperplane_profile(partition: SubspacePartition) -> HyperplaneProfile:
         raise BudgetExceededError(f"q^n = {q ** n} exceeds {PROFILE_POINT_CAP}")
     if not partition.parts:
         raise InvalidParamsError("empty partition has no profile")
+    _check_parts(partition)
     field = field_for_order(q)
     p, e = field.p, field.e
     dim_counts = partition.dim_counts

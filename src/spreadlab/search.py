@@ -1,7 +1,10 @@
 """Exhaustive and greedy search for maximum partial t-spreads.
 
 The exact solver is a depth-first subset grower over the full candidate
-list of t-subspaces, in enumeration order.  Point coverage is tracked as a
+list of t-subspaces, in enumeration order.  Candidates are kept as one
+numpy array of RREF bases (linalg.subspace_bases) with a point bitset
+each; Subspace objects are built only for the members of the spread that
+is returned, and that spread is verified.  Point coverage is tracked as a
 bitset over the theta_n projective points, and compatibility (trivial
 intersection) as bitsets over candidate indices, built from point
 incidence: a candidate is compatible with every candidate through none of
@@ -39,13 +42,14 @@ from .construct import (
     build_lower_bound_spread,
     verify_partial_spread,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidParamsError
 from .gf import field_for_order
 from .linalg import (
-    enumerate_subspaces,
+    Subspace,
     gaussian_binomial,
-    point_encodings,
+    point_encodings_of_bases,
     point_ordinals,
+    subspace_bases,
 )
 
 EXACT = "EXACT"
@@ -81,17 +85,31 @@ class SearchResult:
 
 
 def _candidates(params: SpreadParams):
-    """All t-subspaces in enumeration order, each with its point bitset."""
+    """The bases of all t-subspaces in enumeration order, as one
+    (count, t, n) array, and the point bitset of each."""
     q, n, t = params.q, params.n, params.t
-    subs = list(enumerate_subspaces(n, t, field_for_order(q)))
+    field = field_for_order(q)
+    bases = subspace_bases(n, t, field)
     total = theta(n, q)
     masks = []
-    for _, block in point_encodings(subs):
+    for _, block in point_encodings_of_bases(field, bases):
         bits = np.zeros((len(block), total), dtype=bool)
         bits[np.arange(len(block))[:, None], point_ordinals(block, n, q)] = True
         packed = np.packbits(bits, axis=1, bitorder="little")
         masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return subs, masks
+    return bases, masks
+
+
+def _members(params: SpreadParams, bases, chosen) -> PartialSpread:
+    """The verified partial spread of the candidates ``chosen``."""
+    field = field_for_order(params.q)
+    spread = PartialSpread(params, tuple(
+        Subspace(field, params.n, tuple(map(tuple, bases[c].tolist())))
+        for c in chosen
+    ))
+    res = verify_partial_spread(spread)
+    assert res.ok, res.reason
+    return PartialSpread(params, spread.members, verified=True)
 
 
 class _State:
@@ -190,10 +208,15 @@ def max_partial_spread(
     maximum; BUDGET_EXHAUSTED reports the best incumbent when max_nodes or
     max_seconds cut the run short.  That incumbent is the empty spread when
     the budget ends before the first node of a cold start.  Raises
+    InvalidParamsError when max_nodes < 1 or max_seconds <= 0, and
     BudgetExceededError when the adjacency bitsets would exceed
     ADJACENCY_BIT_CAP bits.
     """
     start = time.monotonic()
+    if max_nodes is not None and max_nodes < 1:
+        raise InvalidParamsError(f"node budget must be at least 1, got {max_nodes}")
+    if max_seconds is not None and not max_seconds > 0:
+        raise InvalidParamsError(f"time budget must be positive, got {max_seconds}")
     q, n, t = params.q, params.n, params.t
     count = gaussian_binomial(n, t, q)
     if count * count > ADJACENCY_BIT_CAP:
@@ -201,7 +224,7 @@ def max_partial_spread(
             f"{count} candidates need {count * count} adjacency bits, "
             f"cap is {ADJACENCY_BIT_CAP}"
         )
-    subs, masks = _candidates(params)
+    bases, masks = _candidates(params)
     total_points = theta(n, q)
     point_size = theta(t, q)
     adj = _adjacency(masks, total_points)
@@ -223,12 +246,7 @@ def max_partial_spread(
     _grow(*root, masks, adj, total_points, point_size, state)
 
     if state.best_chosen is not None:
-        witness = PartialSpread(
-            params, tuple(subs[c] for c in state.best_chosen)
-        )
-        res = verify_partial_spread(witness)
-        assert res.ok, res.reason
-        witness = PartialSpread(params, witness.members, verified=True)
+        witness = _members(params, bases, state.best_chosen)
     elif seed_spread is not None:
         witness = seed_spread
     else:
@@ -247,8 +265,8 @@ def max_partial_spread(
 
 def greedy_spread(params: SpreadParams, seed: int = 0) -> PartialSpread:
     """Single greedy pass over a seeded shuffle of all candidates."""
-    subs, masks = _candidates(params)
-    order = list(range(len(subs)))
+    bases, masks = _candidates(params)
+    order = list(range(len(masks)))
     random.Random(seed).shuffle(order)
     covered = 0
     picked = []
@@ -256,10 +274,7 @@ def greedy_spread(params: SpreadParams, seed: int = 0) -> PartialSpread:
         if covered & masks[c] == 0:
             picked.append(c)
             covered |= masks[c]
-    spread = PartialSpread(params, tuple(subs[c] for c in picked))
-    res = verify_partial_spread(spread)
-    assert res.ok, res.reason
-    return PartialSpread(params, spread.members, verified=True)
+    return _members(params, bases, picked)
 
 
 def greedy_result(params: SpreadParams, seed: int = 0) -> SearchResult:

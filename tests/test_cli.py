@@ -312,6 +312,24 @@ def test_search_adjacency_cap_exits_two():
     assert "adjacency" in err
 
 
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_search_budget_below_one_exits_two(budget):
+    rc, out, err = go(["search", "--q", "2", "--n", "5", "--t", "2",
+                       "--budget", budget])
+    assert rc == 2
+    assert out == ""
+    assert "node budget must be at least 1" in err
+
+
+def test_search_budget_one_is_valid():
+    rc, out, _ = go(["search", "--q", "2", "--n", "5", "--t", "2",
+                     "--budget", "1"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["status"] == "BUDGET_EXHAUSTED"
+    assert doc["nodes_explored"] == 1
+
+
 def test_nonprime_q_exits_two():
     rc, _, err = go(["bounds", "--q", "6", "--n", "8", "--t", "3"])
     assert rc == 2

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import random
+import time
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +21,11 @@ from spreadlab.errors import (
 GF2 = gf.field_new(2)
 GF3 = gf.field_new(3)
 GF4 = gf.field_new(2, 2)
+GF5 = gf.field_new(5)
+GF8 = gf.field_new(2, 3)
+GF9 = gf.field_new(3, 2)
+KERNEL_FIELDS = [GF2, GF3, GF4, GF5, GF8, GF9]
+KERNEL_IDS = ["GF2", "GF3", "GF4", "GF5", "GF8", "GF9"]
 
 
 # -- rref ---------------------------------------------------------------------
@@ -205,6 +213,47 @@ def test_enumeration_dim_zero():
     assert subs[0].dim == 0
 
 
+def _grid_order(n, d, q):
+    """RREF bases by pivot set, then free cells read row-major, first cell
+    most significant, each filled into a fresh grid."""
+    out = []
+    for pivots in combinations(range(n), d):
+        cells = [
+            (i, c) for i in range(d) for c in range(pivots[i] + 1, n)
+            if c not in pivots
+        ]
+        for values in product(range(q), repeat=len(cells)):
+            grid = [[0] * n for _ in range(d)]
+            for i in range(d):
+                grid[i][pivots[i]] = 1
+            for (i, c), v in zip(cells, values):
+                grid[i][c] = v
+            out.append(tuple(map(tuple, grid)))
+    return out
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_subspace_bases_follow_enumeration(field):
+    for n in range(1, 5):
+        for d in range(n + 1):
+            subs = [s.rows for s in linalg.enumerate_subspaces(n, d, field)]
+            assert subs == _grid_order(n, d, field.q)
+            bases = linalg.subspace_bases(n, d, field)
+            assert bases.shape == (len(subs), d, n)
+            assert bases.dtype == np.min_scalar_type(field.q - 1)
+            assert [tuple(map(tuple, b)) for b in bases.tolist()] == subs
+
+
+def test_subspace_bases_budget_before_allocation():
+    # 376,805 planes of V(6, 4) against a budget of 10
+    start = time.monotonic()
+    with pytest.raises(BudgetExceededError, match="376805"):
+        linalg.subspace_bases(6, 3, GF4, budget=10)
+    assert time.monotonic() - start < 1.0
+    with pytest.raises(InvalidParamsError):
+        linalg.subspace_bases(3, 4, GF2)
+
+
 # -- hyperplanes ---------------------------------------------------------------
 #
 # Hyperplanes are numbered by the normalized encodings of their dual vectors.
@@ -319,13 +368,6 @@ def test_annihilator_dims_and_orthogonality(field):
 
 
 # -- point encodings -----------------------------------------------------------
-
-
-GF5 = gf.field_new(5)
-GF8 = gf.field_new(2, 3)
-GF9 = gf.field_new(3, 2)
-KERNEL_FIELDS = [GF2, GF3, GF4, GF5, GF8, GF9]
-KERNEL_IDS = ["GF2", "GF3", "GF4", "GF5", "GF8", "GF9"]
 
 
 def _kernel_points(subspaces):

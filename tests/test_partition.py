@@ -7,7 +7,9 @@ from spreadlab import partition as pt
 from spreadlab.bounds import SpreadParams, theta
 from spreadlab.construct import PartialSpread, build_lower_bound_spread
 from spreadlab.errors import (
+    AmbientMismatchError,
     BudgetExceededError,
+    FieldMismatchError,
     IdentityViolationError,
     InvalidParamsError,
     UnverifiedSpreadError,
@@ -197,6 +199,24 @@ class TestProfile:
     def test_point_cap(self):
         with pytest.raises(BudgetExceededError):
             pt.hyperplane_profile(pt.SubspacePartition(2, 30, ()))
+
+    # parts outside the declared V(3, 2): seven points of V(4, 2) or V(2, 2),
+    # or a point of V(3, 4); verify_partition and the profile share the check
+    @pytest.mark.parametrize("check", [pt.hyperplane_profile, pt.verify_partition])
+    @pytest.mark.parametrize("ambient", [4, 2])
+    def test_part_in_other_ambient_rejected(self, check, ambient):
+        point = Subspace(field_for_order(2), ambient, ((1,) + (0,) * (ambient - 1),))
+        part = pt.SubspacePartition(2, 3, (point,) * 7)
+        with pytest.raises(AmbientMismatchError, match=f"part 0 in ambient {ambient}"):
+            check(part)
+
+    @pytest.mark.parametrize("check", [pt.hyperplane_profile, pt.verify_partition])
+    def test_part_over_other_field_rejected(self, check):
+        singles = singles_partition(2, 3).parts
+        point = Subspace(field_for_order(4), 3, ((1, 0, 0),))
+        part = pt.SubspacePartition(2, 3, singles[:6] + (point,))
+        with pytest.raises(FieldMismatchError, match=r"part 6 over GF\(4\)"):
+            check(part)
 
     def test_to_dict_shape(self):
         part = pt.partition_from_spread(build_lower_bound_spread(P(2, 5, 2)))

@@ -1,8 +1,12 @@
 """Smoke tests for the experiment scripts in scripts/."""
 
+import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -34,3 +38,179 @@ def test_search_cases_agree():
     assert proc.returncode == 0, proc.stderr
     assert "MISMATCH" not in proc.stderr
     assert proc.stdout.count("EXACT") == 3
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+METRICS = [
+    {"name": "run_s", "better": "lower", "bound": 0.25},
+    {"name": "peak_rss_mib", "better": "lower", "bound": 0.1},
+]
+
+
+def runs(run_s, rss, failed=0, correct=True):
+    return [
+        {"run_s": r, "peak_rss_mib": m, "correct": correct, "attempted": 10,
+         "failed": failed}
+        for r, m in zip(run_s, rss)
+    ]
+
+
+def test_bench_pairs_summary_gain_and_bounds():
+    bench = load_script("bench_pairs")
+    parent = runs([1.60, 1.62, 1.58, 1.65, 1.61, 1.63, 1.59, 1.64, 1.60, 1.62],
+                  [90.0] * 10)
+    # run_s faster in every pair but one; rss 10 % worse in the median
+    change = runs([0.95, 0.97, 0.93, 1.70, 0.96, 0.94, 0.92, 0.98, 0.95, 0.96],
+                  [99.0] * 5 + [99.1] * 5)
+    out = bench.summarize(parent, change, METRICS)
+    assert out["parent"]["median"] == {"run_s": 1.615, "peak_rss_mib": 90.0}
+    assert out["change"]["median"]["run_s"] == 0.955
+    # inclusive quartiles: positions 3.25 and 7.75 of the ten sorted runs
+    assert out["parent"]["quartiles"]["run_s"] == [1.6, 1.6275]
+    assert out["parent_iqr"]["run_s"] == 0.0275
+    assert out["pairs_won_by_change"] == {"run_s": 9, "peak_rss_mib": 0}
+    assert out["change_vs_parent_pct"]["run_s"] == -40.9
+    assert out["verdict"]["run_s"] == {
+        "gain": True, "within_bound": True, "unresolved": False,
+    }
+    assert out["verdict"]["peak_rss_mib"] == {
+        "gain": False, "within_bound": False, "unresolved": False,
+    }
+    assert out["attempted"] == {"parent": 100, "change": 100}
+    assert out["failed"] == {"parent": 0, "change": 0}
+    assert out["change"]["runs"][3]["run_s"] == 1.70
+
+
+def test_bench_pairs_gain_needs_pairs_and_gap():
+    bench = load_script("bench_pairs")
+    parent = runs([1.0, 1.2, 1.0, 1.2, 1.0, 1.2, 1.0, 1.2, 1.0, 1.2], [50.0] * 10)
+    # wins 8 of 10 pairs: not a gain, however large the gap
+    change = runs([0.5] * 8 + [1.3, 1.3], [50.0] * 10)
+    out = bench.summarize(parent, change, METRICS)
+    assert out["pairs_won_by_change"]["run_s"] == 8
+    assert out["verdict"]["run_s"]["gain"] is False
+    # wins every pair, but the median gap (0.02) is inside the IQR (0.2)
+    change = runs([0.99, 1.18] * 5, [50.0] * 10)
+    out = bench.summarize(parent, change, METRICS)
+    assert out["pairs_won_by_change"]["run_s"] == 10
+    assert out["verdict"]["run_s"]["gain"] is False
+    assert out["verdict"]["run_s"]["within_bound"] is True
+    # a tie is no win, and a median no worse is within bound
+    assert out["pairs_won_by_change"]["peak_rss_mib"] == 0
+    assert out["verdict"]["peak_rss_mib"]["gain"] is False
+    assert out["verdict"]["peak_rss_mib"]["within_bound"] is True
+
+
+def test_bench_pairs_bound_is_a_fraction_of_the_parent():
+    bench = load_script("bench_pairs")
+    parent = runs([0.10] * 10, [50.0] * 10)
+    # run_s 20 % worse is inside its 0.25 bound, 40 % worse is not
+    out = bench.summarize(parent, runs([0.12] * 10, [50.0] * 10), METRICS)
+    assert out["verdict"]["run_s"]["within_bound"] is True
+    out = bench.summarize(parent, runs([0.14] * 10, [50.0] * 10), METRICS)
+    assert out["verdict"]["run_s"]["within_bound"] is False
+
+
+def test_bench_pairs_rejects_unpaired_runs():
+    bench = load_script("bench_pairs")
+    with pytest.raises(ValueError):
+        bench.summarize(runs([1.0, 1.1], [1, 1]), runs([1.0], [1]), METRICS)
+
+
+def test_bench_pairs_gain_needs_no_more_failures_and_correct_runs():
+    bench = load_script("bench_pairs")
+    parent = runs([1.0] * 10, [50.0] * 10)
+    fast = [0.5] * 10
+    assert bench.summarize(parent, runs(fast, [50.0] * 10), METRICS)[
+        "verdict"]["run_s"]["gain"] is True
+    # more failed operations cancel the gain
+    out = bench.summarize(parent, runs(fast, [50.0] * 10, failed=1), METRICS)
+    assert out["failed"] == {"parent": 0, "change": 10}
+    assert out["verdict"]["run_s"]["gain"] is False
+    # as many as the parent's do not
+    out = bench.summarize(runs([1.0] * 10, [50.0] * 10, failed=1),
+                          runs(fast, [50.0] * 10, failed=1), METRICS)
+    assert out["verdict"]["run_s"]["gain"] is True
+    # nor is a gain counted on runs whose output failed its checks
+    out = bench.summarize(parent, runs(fast, [50.0] * 10, correct=False), METRICS)
+    assert out["verdict"]["run_s"]["gain"] is False
+    assert out["change"]["runs"][0]["correct"] is False
+
+
+def test_bench_pairs_unresolved_when_the_parent_spreads_past_the_bound():
+    bench = load_script("bench_pairs")
+    # parent IQR 0.5 against a bound of 0.25 * median 1.0
+    parent = runs([0.5, 1.5] * 5, [50.0] * 10)
+    out = bench.summarize(parent, runs([1.0] * 10, [50.0] * 10), METRICS)
+    assert out["parent_iqr"]["run_s"] == 1.0
+    assert out["verdict"]["run_s"]["unresolved"] is True
+    assert out["verdict"]["peak_rss_mib"]["unresolved"] is False
+    # unless every change run beats every parent run
+    out = bench.summarize(parent, runs([0.4] * 10, [50.0] * 10), METRICS)
+    assert out["verdict"]["run_s"]["unresolved"] is False
+
+
+def test_bench_pairs_commit_only_for_a_clean_work_tree(tmp_path):
+    bench = load_script("bench_pairs")
+    assert bench._commit(tmp_path) is None  # not a git work tree
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], cwd=tmp_path, check=True, capture_output=True)
+
+    git("init", "-q")
+    (tmp_path / "f").write_text("a\n")
+    git("add", "f")
+    git("commit", "-q", "-m", "a")
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tmp_path,
+                          capture_output=True, text=True).stdout.strip()
+    assert bench._commit(tmp_path) == head
+    (tmp_path / "f").write_text("b\n")
+    assert bench._commit(tmp_path) is None
+
+
+def test_bench_pairs_takes_workloads_and_run_length_from_the_benchmark(
+        tmp_path, monkeypatch):
+    bench = load_script("bench_pairs")
+    spec = {
+        "run_seconds": 7,
+        "workloads": [{"name": "only"}],
+        "end_to_end": METRICS,
+    }
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((workload, seconds, trace))
+        return runs([1.0], [50.0])[0]
+
+    monkeypatch.setattr(bench, "_run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                       "--out", str(out), "--seeds", "2"]) == 0
+    assert calls == [("only", 7, 0)] * 4
+    doc = json.loads(out.read_text())
+    assert list(doc["workloads"]) == ["only"]
+    assert doc["parent_commit"] is None
+    with pytest.raises(SystemExit):
+        bench.main(["--parent", str(tmp_path), "--change", str(tmp_path),
+                    "--out", str(out), "--seconds", "5"])
+
+
+def test_bench_pairs_run_keeps_values_and_correctness(tmp_path):
+    bench = load_script("bench_pairs")
+    doc = {"correct": False, "attempted": 3, "failed": 1,
+           "metrics": {"run_s": {"value": 0.5, "unit": "s"}}}
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        f"print('warm-up')\nprint({json.dumps(json.dumps(doc))})\n"
+    )
+    assert bench._run(tmp_path, "only", 1, 7, trace=0) == {
+        "run_s": 0.5, "correct": False, "attempted": 3, "failed": 1,
+    }

@@ -5,12 +5,23 @@ import pytest
 from spreadlab import search
 from spreadlab.bounds import SpreadParams, lower_bound, theta
 from spreadlab.construct import verify_partial_spread
-from spreadlab.errors import BudgetExceededError
-from spreadlab.linalg import gaussian_binomial, intersect_dim
+from spreadlab.errors import BudgetExceededError, InvalidParamsError
+from spreadlab.gf import field_for_order
+from spreadlab.linalg import (
+    enumerate_subspaces,
+    gaussian_binomial,
+    intersect_dim,
+    point_encodings,
+    point_ordinals,
+)
 
 
 def P(q, n, t):
     return SpreadParams(q, n, t)
+
+
+def subspaces(q, n, t):
+    return list(enumerate_subspaces(n, t, field_for_order(q)))
 
 
 EXACT_GOLDEN = [
@@ -62,7 +73,8 @@ class TestAdjacency:
     # (2,5,3) has no disjoint pair: every row is empty
     @pytest.mark.parametrize("q,n,t", [(2, 5, 2), (3, 4, 2), (2, 5, 3)])
     def test_every_pair_matches_is_disjoint(self, q, n, t):
-        subs, masks = search._candidates(P(q, n, t))
+        _, masks = search._candidates(P(q, n, t))
+        subs = subspaces(q, n, t)
         adj = search._adjacency(masks, theta(n, q))
         assert len(adj) == len(subs)
         for i in range(len(subs)):
@@ -73,7 +85,8 @@ class TestAdjacency:
                 assert bool(adj[j] >> i & 1) == want, (j, i)
 
     def test_gf4_rows(self):
-        subs, masks = search._candidates(P(4, 4, 2))
+        _, masks = search._candidates(P(4, 4, 2))
+        subs = subspaces(4, 4, 2)
         assert len(subs) == 357
         adj = search._adjacency(masks, theta(4, 4))
         for i in range(64):
@@ -85,6 +98,22 @@ class TestAdjacency:
             assert adj[i] == want, i
 
 
+class TestCandidates:
+    @pytest.mark.parametrize(
+        "q,n,t",
+        [(2, 5, 2), (2, 6, 3), (3, 4, 2), (4, 4, 2), (5, 3, 2), (8, 3, 2), (9, 3, 2)],
+    )
+    def test_bulk_matches_subspaces(self, q, n, t):
+        bases, masks = search._candidates(P(q, n, t))
+        subs = subspaces(q, n, t)
+        assert [tuple(map(tuple, b)) for b in bases.tolist()] == [s.rows for s in subs]
+        want = []
+        for _, block in point_encodings(subs):
+            for row in point_ordinals(block, n, q).tolist():
+                want.append(sum(1 << p for p in row))
+        assert masks == want
+
+
 class TestRoot:
     def test_two_member_root_proves_v52(self):
         res = search.max_partial_spread(P(2, 5, 2), warm_start=False)
@@ -94,7 +123,8 @@ class TestRoot:
         assert verify_partial_spread(res.witness).ok
 
     def test_cold_witness_holds_the_root_pair(self):
-        subs, masks = search._candidates(P(2, 6, 3))
+        _, masks = search._candidates(P(2, 6, 3))
+        subs = subspaces(2, 6, 3)
         adj = search._adjacency(masks, theta(6, 2))
         c1 = next(search._bits(adj[0]))
         res = search.max_partial_spread(P(2, 6, 3), warm_start=False)
@@ -173,13 +203,65 @@ class TestBudgets:
         assert res.nodes_explored == 1000
         assert verify_partial_spread(res.witness).ok
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_node_budget_below_one_rejected(self, budget):
+        with pytest.raises(InvalidParamsError, match="node budget"):
+            search.max_partial_spread(P(2, 5, 2), max_nodes=budget)
+
+    @pytest.mark.parametrize("seconds", [0, -1.0, float("nan")])
+    def test_time_budget_not_positive_rejected(self, seconds):
+        with pytest.raises(InvalidParamsError, match="time budget"):
+            search.max_partial_spread(P(2, 5, 2), max_seconds=seconds)
+
     def test_time_budget(self):
         res = search.max_partial_spread(P(2, 5, 2), max_seconds=0.02)
         assert res.status == search.BUDGET_EXHAUSTED
         assert res.wall_time < 5
 
 
+# greedy_spread(P(2, 8, 3), seed=1), member rows as bit strings
+GREEDY_283_SEED1 = [
+    ("01001100", "00100110", "00010110"),
+    ("10001100", "01100100", "00000010"),
+    ("10001001", "01000100", "00101100"),
+    ("10000111", "01001101", "00111100"),
+    ("10000000", "01010110", "00000001"),
+    ("10011010", "01010001", "00100100"),
+    ("10111000", "01111010", "00000111"),
+    ("10101010", "01101001", "00011110"),
+    ("11001001", "00100111", "00010011"),
+    ("10001101", "01000011", "00011010"),
+    ("10000100", "01000101", "00101010"),
+    ("10000011", "01110010", "00001011"),
+    ("10010011", "01000001", "00110010"),
+    ("10011101", "01001110", "00100000"),
+    ("11100011", "00011000", "00000101"),
+    ("10001111", "00100010", "00010001"),
+    ("10000110", "01001010", "00100001"),
+    ("01000111", "00100101", "00001110"),
+    ("00110001", "00001000", "00000100"),
+    ("10010100", "01011100", "00111111"),
+    ("11001111", "00101101", "00010111"),
+    ("10000101", "01010100", "00001111"),
+    ("10101100", "01001011", "00011011"),
+    ("10001011", "00101111", "00010100"),
+    ("10100110", "01110110", "00001001"),
+    ("10010101", "01010011", "00110110"),
+    ("01100001", "00011001", "00000110"),
+    ("10011000", "01011000", "00111000"),
+]
+
+
 class TestGreedy:
+    def test_pinned_witness_v83(self):
+        sp = search.greedy_spread(P(2, 8, 3), seed=1)
+        assert sp.size == 28
+        got = [tuple("".join(map(str, r)) for r in m.rows) for m in sp.members]
+        assert got == GREEDY_283_SEED1
+        for m in sp.members:
+            assert all(type(x) is int for r in m.rows for x in r)
+        assert sp.verified is True
+
     def test_deterministic(self):
         a = search.greedy_spread(P(2, 6, 3), seed=7)
         b = search.greedy_spread(P(2, 6, 3), seed=7)
