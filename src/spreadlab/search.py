@@ -8,11 +8,22 @@ is returned, and that spread is verified.  Point coverage is tracked as a
 bitset over the theta_n projective points, and compatibility (trivial
 intersection) as bitsets over candidate indices, built from point
 incidence: a candidate is compatible with every candidate through none of
-its points.  Two admissible prunes bound what a branch can still reach,
-and each is counted when it fires:
+its points.  Three admissible prunes bound what a branch can still reach,
+tried in this order, and each is counted when it fires:
 
   * chosen + available candidates;
-  * chosen + floor(uncovered points / theta_t).
+  * chosen + floor(uncovered points / theta_t);
+  * chosen + the number of points in a greedy cover of the available
+    candidates.  The candidates through one point pairwise meet, so at
+    most one of them joins the spread, and a branch whose available
+    candidates all pass through k points adds at most k members.
+
+A prune fires only when the bound is at most the incumbent, so it cuts
+only subtrees that hold no larger spread: the incumbent changes at the
+same nodes in the same order with or without it, and so do the witness
+and the status.  No prune reads the upper bounds of bounds.py, which the
+search is meant to check independently; it takes only SpreadParams and
+theta from there.
 
 GL(n, q) is transitive on ordered pairs of trivially intersecting
 t-subspaces, so when a partial spread of two members exists some maximum
@@ -25,7 +36,9 @@ t-subspaces meet trivially and the root fixes the first candidate only
 warm-started with the packing-bound construction, which the search then
 tries to beat.  Exhausting the tree proves optimality either way.  The
 search is deterministic: the same call gives the same witness and node
-count.
+count.  A search whose tree has at most max_nodes nodes ends EXACT; a node
+that would branch once the budget or the deadline is spent ends it before
+that node becomes the incumbent.
 """
 
 from __future__ import annotations
@@ -121,20 +134,8 @@ class _State:
         self.node_cap = node_cap
         self.deadline = deadline
         self.nodes = 0
-        self.prunes = {"available": 0, "points": 0}
+        self.prunes = {"available": 0, "points": 0, "cover": 0}
         self.exhausted = True
-
-    def out_of_budget(self) -> bool:
-        if self.node_cap is not None and self.nodes >= self.node_cap:
-            return True
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            return True
-        return False
-
-    def offer(self, chosen: list[int]) -> None:
-        if len(chosen) > self.best_size:
-            self.best_size = len(chosen)
-            self.best_chosen = tuple(chosen)
 
 
 def _bits(a: int):
@@ -145,55 +146,98 @@ def _bits(a: int):
 
 
 def _adjacency(masks, total_points):
-    """adj[i]: bitset of the candidates meeting candidate i trivially.
+    """adj[i]: bitset of the candidates meeting candidate i trivially, and
+    stars[i]: for each point of candidate i, the bitset of the candidates
+    through that point.
 
-    through[p] is the bitset of the candidates containing point p, so
-    candidate i meets exactly the candidates in the union of through[p]
-    over its points, itself included.
+    Candidate i meets exactly the candidates in the union of its stars,
+    itself included.
     """
     through = [0] * total_points
     for i, m in enumerate(masks):
         for p in _bits(m):
             through[p] |= 1 << i
     full = (1 << len(masks)) - 1
+    stars = [[through[p] for p in _bits(m)] for m in masks]
     adj = []
-    for m in masks:
+    for star in stars:
         meet = 0
-        for p in _bits(m):
-            meet |= through[p]
+        for s in star:
+            meet |= s
         adj.append(full & ~meet)
-    return adj
+    return adj, stars
 
 
-def _grow(chosen, avail, covered, masks, adj, total_points, point_size, state):
-    state.nodes += 1
-    if state.out_of_budget():
+def _covered_within(avail, slack, stars) -> bool:
+    """True when the stars of at most slack points cover avail.
+
+    The candidates through one point pairwise meet, so a branch whose
+    available candidates lie on k points adds at most k members.  Greedy
+    cover: the lowest candidate left lies in one of its own stars; take
+    the one holding most of what is left.
+    """
+    steps = 0
+    while avail:
+        if steps == slack:
+            return False
+        steps += 1
+        top = -1
+        for star in stars[(avail & -avail).bit_length() - 1]:
+            hit = star & avail
+            size = hit.bit_count()
+            if size > top:
+                top, cover = size, hit
+        avail ^= cover
+    return True
+
+
+def _grow(chosen, avail, covered, masks, adj, stars, total_points, point_size, state):
+    """Explore the node ``chosen`` (a list this call restores on return)
+    whose remaining candidates are ``avail`` and covered points ``covered``.
+
+    A pruned node is finished.  A node that would branch once max_nodes
+    nodes are counted or the deadline has passed ends the search before it
+    becomes the incumbent.
+    """
+    if state.nodes == state.node_cap:
         state.exhausted = False
         return
-    state.offer(chosen)
+    state.nodes += 1
     k = len(chosen)
-    if k + avail.bit_count() <= state.best_size:
-        state.prunes["available"] += 1
+    incumbent = state.best_size
+    best = max(incumbent, k)
+    if k + avail.bit_count() <= best:
+        reason = "available"
+    elif k + (total_points - covered.bit_count()) // point_size <= best:
+        reason = "points"
+    elif _covered_within(avail, best - k, stars):
+        reason = "cover"
+    else:
+        reason = None
+    if reason is None and (
+        state.nodes == state.node_cap
+        or (state.deadline is not None and time.monotonic() > state.deadline)
+    ):
+        state.exhausted = False
         return
-    uncovered = total_points - covered.bit_count()
-    if k + uncovered // point_size <= state.best_size:
-        state.prunes["points"] += 1
+    if k > incumbent:
+        state.best_size = k
+        state.best_chosen = tuple(chosen)
+    if reason is not None:
+        state.prunes[reason] += 1
         return
-    for c in _bits(avail):
-        rest = avail >> (c + 1) << (c + 1)
-        _grow(
-            chosen + [c],
-            rest & adj[c],
-            covered | masks[c],
-            masks,
-            adj,
-            total_points,
-            point_size,
-            state,
-        )
-        if state.out_of_budget():
-            state.exhausted = False
-            return
+    chosen.append(-1)
+    while avail:
+        low = avail & -avail
+        avail ^= low
+        c = low.bit_length() - 1
+        chosen[-1] = c
+        # avail now holds the candidates after c
+        _grow(chosen, avail & adj[c], covered | masks[c], masks, adj, stars,
+              total_points, point_size, state)
+        if not state.exhausted:
+            break
+    chosen.pop()
 
 
 def max_partial_spread(
@@ -207,7 +251,7 @@ def max_partial_spread(
     Status EXACT means the tree was exhausted and best_size is the true
     maximum; BUDGET_EXHAUSTED reports the best incumbent when max_nodes or
     max_seconds cut the run short.  That incumbent is the empty spread when
-    the budget ends before the first node of a cold start.  Raises
+    the budget ends at the root of a cold start.  Raises
     InvalidParamsError when max_nodes < 1 or max_seconds <= 0, and
     BudgetExceededError when the adjacency bitsets would exceed
     ADJACENCY_BIT_CAP bits.
@@ -227,7 +271,7 @@ def max_partial_spread(
     bases, masks = _candidates(params)
     total_points = theta(n, q)
     point_size = theta(t, q)
-    adj = _adjacency(masks, total_points)
+    adj, stars = _adjacency(masks, total_points)
 
     seed_spread = build_lower_bound_spread(params) if warm_start else None
     state = _State(
@@ -243,7 +287,7 @@ def max_partial_spread(
     else:
         # n < 2t: every maximum partial spread is one candidate, any one
         root = [0], 0, masks[0]
-    _grow(*root, masks, adj, total_points, point_size, state)
+    _grow(*root, masks, adj, stars, total_points, point_size, state)
 
     if state.best_chosen is not None:
         witness = _members(params, bases, state.best_chosen)
@@ -288,5 +332,5 @@ def greedy_result(params: SpreadParams, seed: int = 0) -> SearchResult:
         status=LOWER_WITNESS_ONLY,
         nodes_explored=0,
         wall_time=time.monotonic() - start,
-        prunes={"available": 0, "points": 0},
+        prunes={"available": 0, "points": 0, "cover": 0},
     )

@@ -1,15 +1,19 @@
-"""Brute-force hyperplane oracles for the tests.
+"""Brute-force oracles for the tests.
 
-They list hyperplanes and test containment from the field's add and mul
-alone, without the package's point numbering or its transform, so a test
-that compares them with ``hyperplane_profile`` or
+The hyperplane oracles list hyperplanes and test containment from the
+field's add and mul alone, without the package's point numbering or its
+transform, so a test that compares them with ``hyperplane_profile`` or
 ``normalized_point_encodings`` checks one against the other.
+``max_disjoint`` sizes a partial spread from ``intersect_dim`` alone,
+without the search's point bitsets.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
+
+from spreadlab.linalg import intersect_dim
 
 
 def encode(vec, q: int) -> int:
@@ -57,3 +61,18 @@ def profile_b_vectors(field, n: int, parts) -> list[tuple[int, ...]]:
         inside = [s.dim for s in parts if contains(field, h, s)]
         out.append(tuple(inside.count(d) for d in dims))
     return out
+
+
+def max_disjoint(subspaces) -> int:
+    """Most of the given subspaces that pairwise meet trivially, by trying
+    every such subset."""
+    meets = [[intersect_dim(a, b) > 0 for b in subspaces] for a in subspaces]
+
+    def grow(rest):
+        return max(
+            (1 + grow([j for j in rest[k + 1:] if not meets[i][j]])
+             for k, i in enumerate(rest)),
+            default=0,
+        )
+
+    return grow(list(range(len(subspaces))))

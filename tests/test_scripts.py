@@ -38,6 +38,16 @@ def test_search_cases_agree():
     assert proc.returncode == 0, proc.stderr
     assert "MISMATCH" not in proc.stderr
     assert proc.stdout.count("EXACT") == 3
+    lines = proc.stdout.splitlines()
+    assert lines[0].split()[-1] == "prunes"
+    # the warm starts close at the root: (2,4,2) and (3,4,2) by the point
+    # count, (2,5,3) by the available count
+    prunes = [line.split()[-3:] for line in lines[1:]]
+    assert prunes == [
+        ["available=0", "points=1", "cover=0"],
+        ["available=1", "points=0", "cover=0"],
+        ["available=0", "points=1", "cover=0"],
+    ]
 
 
 def load_script(name):

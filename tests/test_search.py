@@ -1,6 +1,8 @@
 import time
 
 import pytest
+from hypothesis import given, strategies as st
+from oracles import max_disjoint
 
 from spreadlab import search
 from spreadlab.bounds import SpreadParams, lower_bound, theta
@@ -22,6 +24,11 @@ def P(q, n, t):
 
 def subspaces(q, n, t):
     return list(enumerate_subspaces(n, t, field_for_order(q)))
+
+
+def rows(spread):
+    """Member rows as bit strings."""
+    return [tuple("".join(map(str, r)) for r in m.rows) for m in spread.members]
 
 
 EXACT_GOLDEN = [
@@ -75,7 +82,7 @@ class TestAdjacency:
     def test_every_pair_matches_is_disjoint(self, q, n, t):
         _, masks = search._candidates(P(q, n, t))
         subs = subspaces(q, n, t)
-        adj = search._adjacency(masks, theta(n, q))
+        adj, _ = search._adjacency(masks, theta(n, q))
         assert len(adj) == len(subs)
         for i in range(len(subs)):
             assert not adj[i] >> i & 1
@@ -88,7 +95,7 @@ class TestAdjacency:
         _, masks = search._candidates(P(4, 4, 2))
         subs = subspaces(4, 4, 2)
         assert len(subs) == 357
-        adj = search._adjacency(masks, theta(4, 4))
+        adj, _ = search._adjacency(masks, theta(4, 4))
         for i in range(64):
             want = sum(
                 1 << j
@@ -96,6 +103,15 @@ class TestAdjacency:
                 if j != i and intersect_dim(subs[i], b) == 0
             )
             assert adj[i] == want, i
+
+    @pytest.mark.parametrize("q,n,t", [(2, 5, 2), (3, 4, 2)])
+    def test_stars_hold_the_candidates_through_each_point(self, q, n, t):
+        _, masks = search._candidates(P(q, n, t))
+        _, stars = search._adjacency(masks, theta(n, q))
+        for i, m in enumerate(masks):
+            assert len(stars[i]) == theta(t, q)
+            for p, star in zip(search._bits(m), stars[i]):
+                assert star == sum(1 << j for j, b in enumerate(masks) if b >> p & 1)
 
 
 class TestCandidates:
@@ -119,13 +135,14 @@ class TestRoot:
         res = search.max_partial_spread(P(2, 5, 2), warm_start=False)
         assert res.status == search.EXACT
         assert res.best_size == 9
-        assert res.nodes_explored < 300_000
+        assert res.nodes_explored < 60_000
+        assert res.prunes["cover"] > 0
         assert verify_partial_spread(res.witness).ok
 
     def test_cold_witness_holds_the_root_pair(self):
         _, masks = search._candidates(P(2, 6, 3))
         subs = subspaces(2, 6, 3)
-        adj = search._adjacency(masks, theta(6, 2))
+        adj, _ = search._adjacency(masks, theta(6, 2))
         c1 = next(search._bits(adj[0]))
         res = search.max_partial_spread(P(2, 6, 3), warm_start=False)
         assert res.witness.members[:2] == (subs[0], subs[c1])
@@ -150,7 +167,7 @@ class TestPrunes:
     def test_counts_by_reason(self):
         res = search.max_partial_spread(P(2, 6, 3), warm_start=False)
         prunes = res.to_dict()["prunes"]
-        assert set(prunes) == {"available", "points"}
+        assert set(prunes) == {"available", "points", "cover"}
         assert prunes["available"] > 0 and prunes["points"] > 0
         # a node is pruned at most once, and a node that branches is not
         assert sum(prunes.values()) < res.nodes_explored
@@ -159,13 +176,89 @@ class TestPrunes:
         # the packing-bound spread of (2,6,2) is a full spread
         res = search.max_partial_spread(P(2, 6, 2))
         assert res.nodes_explored == 1
-        assert res.prunes == {"available": 0, "points": 1}
+        assert res.prunes == {"available": 0, "points": 1, "cover": 0}
 
     def test_greedy_reports_zeros(self):
         res = search.greedy_result(P(2, 6, 3), seed=1)
-        assert res.to_dict()["prunes"] == {"available": 0, "points": 0}
+        assert res.to_dict()["prunes"] == {"available": 0, "points": 0, "cover": 0}
 
 
+
+class TestCover:
+    @pytest.mark.parametrize("q,n,t", [(2, 5, 2), (3, 4, 2)])
+    @given(data=st.data())
+    def test_prune_is_admissible(self, q, n, t, data):
+        # a cover within slack points means at most slack members fit
+        _, masks = search._candidates(P(q, n, t))
+        _, stars = search._adjacency(masks, theta(n, q))
+        subs = subspaces(q, n, t)
+        # candidates through a few points, where small covers exist, and a
+        # few arbitrary ones
+        points = data.draw(st.lists(st.integers(0, theta(n, q) - 1), max_size=3))
+        pool = sorted({j for p in points for j, m in enumerate(masks) if m >> p & 1})
+        picked = data.draw(st.sets(st.sampled_from(pool), max_size=9)) if pool else set()
+        picked |= data.draw(st.sets(st.integers(0, len(subs) - 1), max_size=4))
+        slack = data.draw(st.integers(0, 6))
+        avail = sum(1 << j for j in picked)
+        if search._covered_within(avail, slack, stars):
+            assert max_disjoint([subs[j] for j in sorted(picked)]) <= slack
+
+    def test_prunes_a_star_and_keeps_a_disjoint_pair(self):
+        _, masks = search._candidates(P(2, 5, 2))
+        adj, stars = search._adjacency(masks, theta(5, 2))
+        star = stars[0][0]
+        assert star.bit_count() == theta(4, 2)
+        assert search._covered_within(star, 1, stars)
+        assert not search._covered_within(star, 0, stars)
+        pair = 1 | 1 << next(search._bits(adj[0]))
+        assert not search._covered_within(pair, 1, stars)
+        assert search._covered_within(pair, 2, stars)
+        assert search._covered_within(0, 0, stars)
+
+
+# cold witnesses, member rows as bit strings.  The cover prune cuts only
+# subtrees that hold no spread larger than the incumbent, so the search
+# returns the same rows with and without it.
+COLD_252 = [
+    ("10000", "01000"),
+    ("10001", "01010"),
+    ("10010", "01011"),
+    ("10011", "01100"),
+    ("10100", "01001"),
+    ("10101", "01111"),
+    ("11100", "00010"),
+    ("10110", "00001"),
+    ("01101", "00011"),
+]
+COLD_263 = [
+    ("100000", "010000", "001000"),
+    ("100001", "010010", "001100"),
+    ("100010", "010100", "001011"),
+    ("100011", "010110", "001111"),
+    ("100100", "010011", "001110"),
+    ("100101", "010001", "001010"),
+    ("100110", "010111", "001101"),
+    ("100111", "010101", "001001"),
+    ("000100", "000010", "000001"),
+]
+
+
+class TestIncumbents:
+    @pytest.mark.parametrize("q,n,t,want", [(2, 5, 2, COLD_252), (2, 6, 3, COLD_263)])
+    def test_cold_witness_unchanged(self, q, n, t, want):
+        res = search.max_partial_spread(P(q, n, t), warm_start=False)
+        assert res.status == search.EXACT
+        assert rows(res.witness) == want
+
+    def test_node_counts_without_the_cover_prune(self, monkeypatch):
+        # without the cover prune the node loop walks the tree that the
+        # available-count and point-count prunes leave
+        monkeypatch.setattr(search, "_covered_within", lambda *args: False)
+        warm = search.max_partial_spread(P(2, 5, 2))
+        cold = search.max_partial_spread(P(2, 5, 2), warm_start=False)
+        assert (warm.nodes_explored, cold.nodes_explored) == (276_999, 277_119)
+        assert warm.prunes["cover"] == cold.prunes["cover"] == 0
+        assert rows(cold.witness) == COLD_252
 
 class TestBudgets:
     def test_node_budget(self):
@@ -186,6 +279,18 @@ class TestBudgets:
         assert res.witness.verified is True
         assert verify_partial_spread(res.witness).ok
         assert res.to_dict()["witness"]["members"] == []
+
+    def test_node_budget_boundary(self):
+        # a tree of N nodes closes EXACT under max_nodes=N and stops after
+        # exactly N - 1 under max_nodes=N - 1
+        full = search.max_partial_spread(P(2, 5, 2), warm_start=False)
+        n = full.nodes_explored
+        res = search.max_partial_spread(P(2, 5, 2), max_nodes=n, warm_start=False)
+        assert (res.status, res.nodes_explored, res.best_size) == (search.EXACT, n, 9)
+        assert rows(res.witness) == rows(full.witness)
+        res = search.max_partial_spread(P(2, 5, 2), max_nodes=n - 1, warm_start=False)
+        assert (res.status, res.nodes_explored) == (search.BUDGET_EXHAUSTED, n - 1)
+        assert verify_partial_spread(res.witness).ok
 
     @pytest.mark.parametrize("q,n,t", [(2, 8, 3), (4, 6, 3)])
     def test_adjacency_cap(self, q, n, t):
@@ -217,6 +322,14 @@ class TestBudgets:
         res = search.max_partial_spread(P(2, 5, 2), max_seconds=0.02)
         assert res.status == search.BUDGET_EXHAUSTED
         assert res.wall_time < 5
+
+    def test_time_budget_stops_the_tree(self):
+        # cold (2,7,3) does not close; the deadline ends it inside the tree
+        res = search.max_partial_spread(P(2, 7, 3), max_seconds=1.0, warm_start=False)
+        assert res.status == search.BUDGET_EXHAUSTED
+        assert res.nodes_explored > 1
+        assert res.wall_time < 3
+        assert verify_partial_spread(res.witness).ok
 
 
 # greedy_spread(P(2, 8, 3), seed=1), member rows as bit strings
@@ -256,8 +369,7 @@ class TestGreedy:
     def test_pinned_witness_v83(self):
         sp = search.greedy_spread(P(2, 8, 3), seed=1)
         assert sp.size == 28
-        got = [tuple("".join(map(str, r)) for r in m.rows) for m in sp.members]
-        assert got == GREEDY_283_SEED1
+        assert rows(sp) == GREEDY_283_SEED1
         for m in sp.members:
             assert all(type(x) is int for r in m.rows for x in r)
         assert sp.verified is True
