@@ -19,14 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .bounds import SpreadParams, lower_bound, theta
-from .errors import (
-    AmbientMismatchError,
-    ConstructionSizeMismatchError,
-    FieldMismatchError,
-    InvalidParamsError,
-)
-from .gf import ExtField, ext_field, field_for_order
-from .linalg import Subspace, intersect_dim, least_shared_pair
+from .errors import ConstructionSizeMismatchError, InvalidParamsError
+from .gf import Field, ext_field, field_for_order
+from .linalg import Subspace, check_in_space, intersect_dim, least_shared_pair
 
 # most points a spread or partition check lists; larger inputs are refused,
 # or verified by pairwise intersections
@@ -69,7 +64,7 @@ class VerificationResult:
         }
 
 
-def mult_map_matrix(ext: ExtField, a: int, t: int) -> tuple[tuple[int, ...], ...]:
+def mult_map_matrix(ext: Field, a: int, t: int) -> tuple[tuple[int, ...], ...]:
     """Rows i < t of the multiplication-by-a map on GF(q^m), in base-field
     coordinates: row i is the coordinate vector of a * g^i."""
     if not 1 <= t <= ext.m:
@@ -95,7 +90,7 @@ def build_lower_bound_spread(params: SpreadParams) -> PartialSpread:
     while n - offset >= 2 * t:
         m = n - offset - t
         ext = ext_field(field, m)
-        for a in range(ext.order):
+        for a in range(ext.q):
             mat = mult_map_matrix(ext, a, t)
             rows = []
             for i in range(t):
@@ -136,15 +131,7 @@ def verify_partial_spread(spread: PartialSpread) -> VerificationResult:
     q, n, t = params.q, params.n, params.t
     field = field_for_order(q)
     members = spread.members
-    for s in members:
-        if s.field != field:
-            raise FieldMismatchError(
-                f"member over {s.field} but spread declares q = {q}"
-            )
-        if s.ambient != n:
-            raise AmbientMismatchError(
-                f"member in ambient {s.ambient}, spread declares n = {n}"
-            )
+    check_in_space(members, field, n, "member", "spread")
     for i, s in enumerate(members):
         if s.dim != t:
             return VerificationResult(

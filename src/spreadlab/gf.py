@@ -1,32 +1,36 @@
-"""Arithmetic for finite fields GF(p^e) and extension towers GF(q^m).
+"""Finite fields as one type: GF(p^e) and the towers GF(q^m) over them.
 
-Field elements are plain integers in [0, order): the base-p digits of the
-integer (constant term first) are the coefficients of the residue
-polynomial.  0 and 1 are therefore always the additive and multiplicative
-identities, rows of matrices stay hashable tuples of ints, and elements
-serialize as themselves.
+A :class:`Field` is GF(base.q^m): the polynomials of degree < m over the
+field ``base``, reduced modulo a monic irreducible.  GF(p) has ``base``
+None.  ``field_new(p, e)`` is the degree-e tower over GF(p); ``ext_field``
+gives the towers GF(q^m) over GF(q) whose multiplication maps the packing
+construction uses.  Both share one cache keyed on (base, m), so
+``ext_field(field_new(p), e) is field_new(p, e)``.
 
-Moduli are chosen deterministically: the monic irreducible polynomial of the
-requested degree whose non-leading coefficient tuple, read low-to-high as a
-base-p integer, is smallest.  Every run on every machine agrees on the
-encoding.  The scan yields the usual small moduli, e.g.
+Elements are plain integers in [0, q), q = p^e: the base-``base.q`` digits
+(constant term first) are the coefficients of the residue polynomial, and
+``coord`` returns them as the length-m coordinate vector over the base in
+the power basis (1, x, x^2, ...).  So 0 and 1 are the identities, matrix
+rows stay hashable tuples of ints, and elements serialize as themselves.
 
-    GF(4)   x^2 + x + 1
-    GF(8)   x^3 + x + 1
-    GF(9)   x^2 + 1
-    GF(16)  x^4 + x + 1
-    GF(27)  x^3 + 2x + 1
+The modulus is the monic irreducible of degree m over ``base`` whose
+non-leading coefficients, read low-to-high as a base-``base.q`` integer,
+are smallest, so every machine agrees on the encoding:
 
-Extension towers GF(q^m) over a base GF(q) use the same scheme with digits
-in base q; ``ExtField.coord`` gives the length-m coordinate vector over the
-base in the power basis (1, g, g^2, ...), so coord(1) == (1, 0, ..., 0).
+    GF(4) x^2 + x + 1    GF(8) x^3 + x + 1     GF(9) x^2 + 1
+    GF(16) x^4 + x + 1   GF(27) x^3 + 2x + 1   GF(4^2) x^2 + x + 2 over GF(4)
 
-Multiplication uses log/antilog tables for extension orders up to 2^16 and
-polynomial reduction above; prime fields use native modular arithmetic.
-Fields and towers of order above ``MAX_ORDER`` (2^20) are refused.
+GF(p) uses native modular arithmetic and characteristic 2 adds by XOR;
+other fields multiply through log/antilog tables up to 2^16 elements and
+by polynomial reduction above.  Orders above ``MAX_ORDER`` (2^20) are
+refused.  Primality is decided exactly by Miller-Rabin with the first
+thirteen prime bases; a candidate prime of ``_MR_LIMIT`` (about 3.3 * 10^24)
+or more is refused with InvalidParamsError.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import (
     FieldMismatchError,
@@ -38,20 +42,68 @@ from .errors import (
 MAX_ORDER = 1 << 20
 _TABLE_LIMIT = 1 << 16
 
+# _MR_LIMIT is the least strong pseudoprime to all thirteen bases (Sorenson
+# and Webster, "Strong pseudoprimes to twelve prime bases", 2017), so
+# Miller-Rabin with them decides every n below it; twelve stop at 3.2 * 10^23
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; InvalidParamsError for an undecided n."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise InvalidParamsError(f"primality of {n} is undecided from {_MR_LIMIT} on")
+    s = ((n - 1) & -(n - 1)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1 by integer Newton steps down from a start
+    above the root; a float guess makes that start close, so few steps."""
+    bits = math.log2(n) / k
+    shift = max(int(bits) - 52, 0)
+    x = (int(2 ** (bits - shift) * (1 + 2 ** -30)) + 1) << shift
+    while x ** k <= n:  # the guess fell short, as it may for huge n
+        x <<= 1
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p^e and p prime, or None if q is not a prime power.
+
+    Peels exact roots of prime order k off q, then tests what is left."""
+    if q < 2:
+        return None
+    p, e, k = q, 1, 2
+    while k < p.bit_length():  # p = r^k with r >= 2 needs p >= 2^k
+        r = _iroot(p, k)
+        if r ** k == p:
+            p, e = r, e * k
+        else:
+            k += 1
+            while not is_prime(k):
+                k += 1
+    return (p, e) if is_prime(p) else None
 
 
 def _factor(n: int) -> dict[int, int]:
@@ -68,15 +120,19 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
-def prime_power(q: int) -> tuple[int, int] | None:
-    """(p, e) with q = p^e and p prime, or None if q is not a prime power."""
-    if q < 2:
-        return None
-    fac = _factor(q)
-    if len(fac) != 1:
-        return None
-    (p, e), = fac.items()
-    return p, e
+def _digits(a: int, radix: int, m: int) -> list[int]:
+    out = []
+    for _ in range(m):
+        a, d = divmod(a, radix)
+        out.append(d)
+    return out
+
+
+def _undigits(ds, radix: int) -> int:
+    acc = 0
+    for d in reversed(ds):
+        acc = acc * radix + d
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +173,7 @@ def _poly_mod(base, a, mod):
         for j in range(dm):
             if mod[j]:
                 a[i - dm + j] = base.sub(a[i - dm + j], base.mul(c, mod[j]))
-    del a[dm:]
-    while len(a) < dm:
-        a.append(0)
-    return a
+    return (a + [0] * dm)[:dm]
 
 
 def _poly_powmod(base, a, k, mod):
@@ -157,30 +210,17 @@ def _poly_gcd(base, a, b):
     return _poly_trim(a)
 
 
-def _poly_eval(base, coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = base.add(base.mul(acc, x), c)
-    return acc
-
-
 def _is_irreducible(base, coeffs) -> bool:
-    """Monic coeffs over base; deterministic test.
-
-    Degrees 2 and 3 are rootless iff irreducible; degree >= 4 uses the
+    """Monic coeffs over base; deterministic test (Rabin's): the
     x^(q^d) = x criterion with gcd checks at the maximal proper subfield
     degrees d/l for primes l | d.
     """
     d = len(coeffs) - 1
-    if d <= 0:
-        raise InvalidParamsError("degree must be positive")
     if d == 1:
         return True
     if coeffs[0] == 0:
         return False  # divisible by x
     q = base.q
-    if d <= 3:
-        return all(_poly_eval(base, coeffs, x) != 0 for x in range(q))
     x_poly = [0, 1]
     for ell in _factor(d):
         power = _poly_powmod(base, x_poly, q ** (d // ell), coeffs)
@@ -199,113 +239,86 @@ def _smallest_irreducible(base, degree: int) -> tuple[int, ...]:
     Candidates are ordered by the non-leading coefficient tuple read as a
     base-q integer, low digits = low-degree coefficients.
     """
-    q = base.q
-    for v in range(q ** degree):
-        coeffs = []
-        a = v
-        for _ in range(degree):
-            a, dig = divmod(a, q)
-            coeffs.append(dig)
-        coeffs.append(1)
+    for v in range(base.q ** degree):
+        coeffs = _digits(v, base.q, degree) + [1]
         if _is_irreducible(base, coeffs):
             return tuple(coeffs)
     raise RuntimeError("no irreducible polynomial found (unreachable)")
 
 
-# ---------------------------------------------------------------------------
-# arithmetic core shared by GF(p^e) with e >= 2 and extension towers
+class Field:
+    """GF(base.q^m) with integer-encoded elements; GF(p) when base is None.
 
+    Construct through :func:`field_new` or :func:`ext_field`; direct
+    instantiation skips the deterministic modulus scan, validation and the
+    cache.
+    """
 
-class _PolyCore:
-    """Digit-polynomial arithmetic modulo a monic irreducible over base."""
-
-    def __init__(self, base: "Field", m: int, modulus: tuple[int, ...]):
-        self.base = base
+    def __init__(self, p: int, m: int, modulus: tuple, base: Field | None = None):
+        self.p = p
         self.m = m
+        self.e = m * (base.e if base else 1)
+        self.q = p ** self.e
         self.modulus = modulus
-        self.order = base.q ** m
-        self._char2 = base.p == 2
+        self.base = base
+        self._radix = base.q if base else p
+        self._hash = hash((p, base, m, modulus))
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        if self.order <= _TABLE_LIMIT:
+        if base is not None and self.q <= _TABLE_LIMIT:
             self._build_tables()
 
-    def digits(self, a: int) -> list[int]:
-        q = self.base.q
-        out = []
-        for _ in range(self.m):
-            a, d = divmod(a, q)
-            out.append(d)
-        return out
+    def __repr__(self) -> str:
+        if self.base is None or (self.base.base is None and self.m > 1):
+            return f"GF({self.q})"
+        return f"GF({self.base.q}^{self.m})"
 
-    def undigits(self, ds) -> int:
-        q = self.base.q
-        acc = 0
-        for d in reversed(ds):
-            acc = acc * q + d
-        return acc
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Field) and (
+            (self.p, self.base, self.m, self.modulus)
+            == (other.p, other.base, other.m, other.modulus)
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def _check(self, *elems: int) -> None:
+        for a in elems:
+            if not 0 <= a < self.q:
+                raise FieldMismatchError(f"{a} is not an element of {self!r}")
+
+    def coord(self, a: int) -> tuple[int, ...]:
+        """Power-basis coordinate vector over the base field, length m."""
+        self._check(a)
+        return tuple(_digits(a, self._radix, self.m))
 
     def add(self, a: int, b: int) -> int:
-        if self._char2:
+        self._check(a, b)
+        if self.base is None:
+            return (a + b) % self.p
+        if self.p == 2:
             return a ^ b
-        base, q = self.base, self.base.q
-        acc, mult = 0, 1
-        while a or b:
-            a, da = divmod(a, q)
-            b, db = divmod(b, q)
-            acc += base.add(da, db) * mult
-            mult *= q
-        return acc
+        r, m, add = self._radix, self.m, self.base.add
+        return _undigits(
+            [add(x, y) for x, y in zip(_digits(a, r, m), _digits(b, r, m))], r
+        )
 
     def neg(self, a: int) -> int:
-        if self._char2:
+        self._check(a)
+        if self.base is None:
+            return (-a) % self.p
+        if self.p == 2:
             return a
-        base, q = self.base, self.base.q
-        acc, mult = 0, 1
-        while a:
-            a, da = divmod(a, q)
-            acc += base.neg(da) * mult
-            mult *= q
-        return acc
+        r = self._radix
+        return _undigits([self.base.neg(x) for x in _digits(a, r, self.m)], r)
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        prod = _poly_mul(self.base, self.digits(a), self.digits(b))
-        return self.undigits(_poly_mod(self.base, prod, list(self.modulus)))
-
-    def _pow_poly(self, a: int, k: int) -> int:
-        result, acc = 1, a
-        while k:
-            if k & 1:
-                result = self._mul_poly(result, acc)
-            acc = self._mul_poly(acc, acc)
-            k >>= 1
-        return result
-
-    def _find_generator(self) -> int:
-        size = self.order - 1
-        if size == 1:
-            return 1
-        prime_divisors = list(_factor(size))
-        for g in range(2, self.order):
-            if all(self._pow_poly(g, size // ell) != 1 for ell in prime_divisors):
-                return g
-        raise RuntimeError("no generator found (unreachable)")
-
-    def _build_tables(self) -> None:
-        g = self._find_generator()
-        size = self.order - 1
-        exp = [1] * (2 * size)
-        log = [0] * self.order
-        x = 1
-        for i in range(size):
-            exp[i] = x
-            log[x] = i
-            x = self._mul_poly(x, g)
-        for i in range(size, 2 * size):
-            exp[i] = exp[i - size]
-        self._exp, self._log = exp, log
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        self._check(a, b)
+        if self.base is None:
+            return (a * b) % self.p
         if a == 0 or b == 0:
             return 0
         if self._exp is not None:
@@ -313,85 +326,48 @@ class _PolyCore:
         return self._mul_poly(a, b)
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            return self._exp[(self.order - 1) - self._log[a]]
-        return self._pow_poly(a, self.order - 2)
-
-
-# ---------------------------------------------------------------------------
-# public field types
-
-
-class Field:
-    """GF(p^e) with integer-encoded elements.
-
-    Construct through :func:`field_new`; direct instantiation skips the
-    deterministic modulus scan and validation.
-    """
-
-    def __init__(self, p: int, e: int, modulus: tuple[int, ...], core: _PolyCore | None):
-        self.p = p
-        self.e = e
-        self.q = p ** e
-        self.modulus = modulus
-        self._core = core
-
-    def __repr__(self) -> str:
-        return f"GF({self.q})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Field)
-            and (self.p, self.e, self.modulus) == (other.p, other.e, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((Field, self.p, self.e, self.modulus))
-
-    def _check(self, *elems: int) -> None:
-        for a in elems:
-            if not 0 <= a < self.q:
-                raise FieldMismatchError(f"{a} is not an element of {self!r}")
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        if self.e == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self._core.add(a, b)
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        if self.e == 1:
-            return (-a) % self.p
-        return self._core.neg(a)
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a, b)
-        if self.e == 1:
-            return (a * b) % self.p
-        return self._core.mul(a, b)
-
-    def inv(self, a: int) -> int:
         self._check(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.e == 1:
+        if self.base is None:
             return pow(a, self.p - 2, self.p)
-        return self._core.inv(a)
+        if self._exp is not None:
+            return self._exp[(self.q - 1) - self._log[a]]
+        return self._pow_poly(a, self.q - 2)
+
+    def _mul_poly(self, a: int, b: int) -> int:
+        r, m = self._radix, self.m
+        prod = _poly_mul(self.base, _digits(a, r, m), _digits(b, r, m))
+        return _undigits(_poly_mod(self.base, prod, self.modulus), r)
+
+    def _pow_poly(self, a: int, k: int) -> int:
+        r = self._radix
+        power = _poly_powmod(self.base, _digits(a, r, self.m), k, self.modulus)
+        return _undigits(power, r)
+
+    def _build_tables(self) -> None:
+        size = self.q - 1
+        ells = list(_factor(size))
+        g = 1 if size == 1 else next(  # a generator of the unit group
+            g for g in range(2, self.q)
+            if all(self._pow_poly(g, size // ell) != 1 for ell in ells)
+        )
+        exp = [1] * (2 * size)
+        log = [0] * self.q
+        x = 1
+        for i in range(size):
+            exp[i] = exp[i + size] = x
+            log[x] = i
+            x = self._mul_poly(x, g)
+        self._exp, self._log = exp, log
 
 
-_FIELD_CACHE: dict[tuple[int, int], Field] = {}
+# GF(p) under (None, p); every other field under (base, m)
+_FIELDS: dict[tuple, Field] = {}
 
 
 def field_new(p: int, e: int = 1) -> Field:
-    """GF(p^e) with the deterministic smallest-modulus convention."""
+    """GF(p^e), the degree-e tower over GF(p), smallest-modulus convention."""
     if not isinstance(p, int) or not isinstance(e, int):
         raise InvalidParamsError("p and e must be integers")
     if e < 1:
@@ -401,19 +377,10 @@ def field_new(p: int, e: int = 1) -> Field:
     q = p ** e
     if q > MAX_ORDER:
         raise OverflowLimitError(f"field order {q} exceeds cap {MAX_ORDER}")
-    key = (p, e)
-    cached = _FIELD_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if e == 1:
-        field = Field(p, 1, (0, 1), None)
-    else:
-        prime = field_new(p, 1)
-        modulus = _smallest_irreducible(prime, e)
-        field = Field(p, e, modulus, None)
-        field._core = _PolyCore(prime, e, modulus)
-    _FIELD_CACHE[key] = field
-    return field
+    prime = _FIELDS.get((None, p))
+    if prime is None:
+        prime = _FIELDS[None, p] = Field(p, 1, (0, 1))
+    return prime if e == 1 else ext_field(prime, e)
 
 
 def field_for_order(q: int) -> Field:
@@ -423,67 +390,8 @@ def field_for_order(q: int) -> Field:
     return field_new(*pe)
 
 
-class ExtField:
-    """GF(q^m) as a tower over a base Field of order q.
-
-    Elements are integers in [0, q^m) whose base-q digits are the power-basis
-    coordinates over the base field.
-    """
-
-    def __init__(self, base: Field, m: int, modulus: tuple[int, ...], core: _PolyCore):
-        self.base = base
-        self.m = m
-        self.modulus = modulus
-        self.order = core.order
-        self._core = core
-
-    def __repr__(self) -> str:
-        return f"GF({self.base.q}^{self.m})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtField)
-            and (self.base, self.m, self.modulus) == (other.base, other.m, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((ExtField, self.base, self.m, self.modulus))
-
-    def _check(self, *elems: int) -> None:
-        for a in elems:
-            if not 0 <= a < self.order:
-                raise FieldMismatchError(f"{a} is not an element of {self!r}")
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return self._core.add(a, b)
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        return self._core.neg(a)
-
-    def sub(self, a: int, b: int) -> int:
-        return self._core.add(a, self._core.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return self._core.mul(a, b)
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        return self._core.inv(a)
-
-    def coord(self, a: int) -> tuple[int, ...]:
-        """Power-basis coordinate vector over the base field, length m."""
-        self._check(a)
-        return tuple(self._core.digits(a))
-
-
-_EXT_CACHE: dict[tuple[Field, int], ExtField] = {}
-
-
-def ext_field(base: Field, m: int) -> ExtField:
-    """GF(q^m) over base, deterministic modulus scan over GF(q)[x]."""
+def ext_field(base: Field, m: int) -> Field:
+    """GF(base.q^m) over base, deterministic modulus scan over base[x]."""
     if not isinstance(base, Field):
         raise InvalidParamsError("base must be a Field")
     if not isinstance(m, int) or m < 1:
@@ -491,11 +399,8 @@ def ext_field(base: Field, m: int) -> ExtField:
     order = base.q ** m
     if order > MAX_ORDER:
         raise OverflowLimitError(f"extension order {order} exceeds cap {MAX_ORDER}")
-    key = (base, m)
-    cached = _EXT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    modulus = _smallest_irreducible(base, m)
-    ext = ExtField(base, m, modulus, _PolyCore(base, m, modulus))
-    _EXT_CACHE[key] = ext
-    return ext
+    field = _FIELDS.get((base, m))
+    if field is None:
+        modulus = _smallest_irreducible(base, m)
+        field = _FIELDS[base, m] = Field(base.p, m, modulus, base)
+    return field

@@ -115,18 +115,23 @@ class Subspace:
         return sub
 
 
-def _require_same_space(a: Subspace, b: Subspace) -> None:
-    if a.field != b.field:
-        raise FieldMismatchError(f"fields differ: {a.field!r} vs {b.field!r}")
-    if a.ambient != b.ambient:
-        raise AmbientMismatchError(
-            f"ambient dimensions differ: {a.ambient} vs {b.ambient}"
-        )
+def check_in_space(subspaces, field: Field, n: int, item: str, owner: str) -> None:
+    """Raise unless every subspace lies in V(n, q) over ``field``; the error
+    names the first one outside, e.g. "member 3 over GF(4), spread has q = 2"."""
+    for i, s in enumerate(subspaces):
+        if s.field != field:
+            raise FieldMismatchError(
+                f"{item} {i} over {s.field}, {owner} has q = {field.q}"
+            )
+        if s.ambient != n:
+            raise AmbientMismatchError(
+                f"{item} {i} in ambient {s.ambient}, {owner} has n = {n}"
+            )
 
 
 def intersect_dim(a: Subspace, b: Subspace) -> int:
     """dim(A meet B) = dim A + dim B - rank of the stacked bases."""
-    _require_same_space(a, b)
+    check_in_space((a, b), a.field, a.ambient, "operand", "operand 0")
     stacked = rref_rows(a.field, a.rows + b.rows, a.ambient)
     return a.dim + b.dim - len(stacked)
 

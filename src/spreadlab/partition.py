@@ -33,9 +33,7 @@ import numpy as np
 from .bounds import SpreadParams, delta, descent_x, h_of, lemma_main_bound, theta
 from .construct import VERIFY_POINT_BUDGET, PartialSpread
 from .errors import (
-    AmbientMismatchError,
     BudgetExceededError,
-    FieldMismatchError,
     HypothesisViolatedError,
     IdentityViolationError,
     InvalidParamsError,
@@ -44,6 +42,7 @@ from .errors import (
 from .gf import field_for_order
 from .linalg import (
     Subspace,
+    check_in_space,
     decode_vector,
     least_shared_pair,
     normalized_point_encodings,
@@ -111,20 +110,6 @@ def partition_from_spread(spread: PartialSpread) -> SubspacePartition:
     return SubspacePartition(q, n, spread.members + singles)
 
 
-def _check_parts(partition: SubspacePartition) -> None:
-    """Raise unless every part lies in the partition's V(n, q)."""
-    field = field_for_order(partition.q)
-    for i, s in enumerate(partition.parts):
-        if s.field != field:
-            raise FieldMismatchError(
-                f"part {i} over {s.field}, partition has q = {partition.q}"
-            )
-        if s.ambient != partition.n:
-            raise AmbientMismatchError(
-                f"part {i} in ambient {s.ambient}, partition has n = {partition.n}"
-            )
-
-
 @dataclass(frozen=True)
 class PartitionCheck:
     ok: bool
@@ -152,7 +137,7 @@ def verify_partition(
         raise BudgetExceededError(
             f"partition has {total} points, budget is {point_budget}"
         )
-    _check_parts(partition)
+    check_in_space(partition.parts, field_for_order(q), n, "part", "partition")
     if any(s.dim == 0 for s in partition.parts):
         return PartitionCheck(False, "zero-dimensional part")
 
@@ -274,8 +259,8 @@ def hyperplane_profile(partition: SubspacePartition) -> HyperplaneProfile:
         raise BudgetExceededError(f"q^n = {q ** n} exceeds {PROFILE_POINT_CAP}")
     if not partition.parts:
         raise InvalidParamsError("empty partition has no profile")
-    _check_parts(partition)
     field = field_for_order(q)
+    check_in_space(partition.parts, field, n, "part", "partition")
     p, e = field.p, field.e
     dim_counts = partition.dim_counts
     dims = tuple(dim_counts)

@@ -336,6 +336,28 @@ def test_nonprime_q_exits_two():
     assert "prime power" in err
 
 
+@pytest.mark.parametrize("q", [2 ** 61 - 1, 2 ** 61, (2 ** 31 - 1) ** 2])
+def test_bounds_on_a_large_prime_power_is_fast(q):
+    start = time.perf_counter()
+    rc, out, _ = go(["bounds", "--q", str(q), "--n", "3", "--t", "2"])
+    assert time.perf_counter() - start < 2
+    assert rc == 0
+    assert f"mu_{q}(3, 2) = 1 [TRIVIAL_OVERLAP]" in out
+
+
+def test_large_non_prime_power_exits_two():
+    rc, _, err = go(["bounds", "--q", str(3 * 2 ** 61), "--n", "3", "--t", "2"])
+    assert rc == 2
+    assert "prime power" in err
+
+
+def test_prime_past_the_primality_range_exits_two():
+    rc, out, err = go(["bounds", "--q", str(2 ** 89 - 1), "--n", "3", "--t", "2"])
+    assert rc == 2
+    assert out == ""
+    assert "primality" in err
+
+
 def test_malformed_json_exits_two():
     rc, _, err = go(["verify"], inp="{oops")
     assert rc == 2

@@ -40,12 +40,12 @@ class TestMultMap:
         # difference of any two distinct matrices has full rank t
         base = field_for_order(q)
         ext = ext_field(base, m)
-        mats = [mult_map_matrix(ext, a, t) for a in range(ext.order)]
-        for c in range(1, ext.order):
+        mats = [mult_map_matrix(ext, a, t) for a in range(ext.q)]
+        for c in range(1, ext.q):
             diff = mats[c]  # M_a - M_b = M_{a-b}, so checking M_c suffices
             assert len(linalg.rref_rows(base, diff, m)) == t
         # and subtraction really does land back in the family
-        a, b = ext.order - 1, 1
+        a, b = ext.q - 1, 1
         sub = tuple(
             tuple(base.sub(x, y) for x, y in zip(ra, rb))
             for ra, rb in zip(mats[a], mats[b])
@@ -186,13 +186,15 @@ class TestVerify:
     def test_ambient_mismatch_raises(self):
         f = field_for_order(2)
         s = Subspace.from_rows(f, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
-        with pytest.raises(AmbientMismatchError):
+        msg = "^member 0 in ambient 5, spread has n = 6$"
+        with pytest.raises(AmbientMismatchError, match=msg):
             verify_partial_spread(PartialSpread(P(2, 6, 2), (s,)))
 
     def test_field_mismatch_raises(self):
         f3 = field_for_order(3)
         s = Subspace.from_rows(f3, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-        with pytest.raises(FieldMismatchError):
+        msg = r"^member 0 over GF\(3\), spread has q = 2$"
+        with pytest.raises(FieldMismatchError, match=msg):
             verify_partial_spread(PartialSpread(P(2, 4, 2), (s,)))
 
     def test_empty_ok(self):

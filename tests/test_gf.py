@@ -8,6 +8,7 @@ proportionate.
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -101,6 +102,57 @@ def test_prime_power():
     assert gf.prime_power(1) is None
 
 
+@pytest.mark.parametrize("q, pe", [
+    (2 ** 61 - 1, (2 ** 61 - 1, 1)),
+    (2 ** 61, (2, 61)),
+    ((2 ** 31 - 1) ** 2, (2 ** 31 - 1, 2)),
+    ((2 ** 61 - 1) ** 2, (2 ** 61 - 1, 2)),  # q past the test's range, p within
+    (3 * 2 ** 61, None),
+    (6 ** 5, None),
+])
+def test_prime_power_of_large_q(q, pe):
+    assert gf.prime_power(q) == pe
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 65537, 2 ** 31 - 1]), st.integers(1, 40))
+def test_prime_power_finds_every_power(p, e):
+    assert gf.prime_power(p ** e) == (p, e)
+
+
+def test_prime_power_of_a_4300_digit_q_is_fast():
+    # about the largest q the command line parses
+    start = time.perf_counter()
+    assert gf.prime_power(7 ** 5000) == (7, 5000)
+    assert gf.prime_power(7 ** 5000 - 1) is None
+    assert gf.prime_power(10 ** 4299 + 1) is None
+    assert time.perf_counter() - start < 10
+
+
+def _trial_division_is_prime(n):
+    return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(20_000) if gf.is_prime(n)] == [
+        n for n in range(20_000) if _trial_division_is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [
+    3_215_031_751,  # strong pseudoprime to bases 2, 3, 5, 7
+    3_825_123_056_546_413_051,  # ... to the first nine prime bases
+    318_665_857_834_031_151_167_461,  # ... to the first twelve
+])
+def test_strong_pseudoprimes_are_composite(n):
+    assert not gf.is_prime(n)
+
+
+def test_primality_past_the_limit_is_refused():
+    with pytest.raises(InvalidParamsError, match="primality"):
+        gf.is_prime(2 ** 89 - 1)  # a Mersenne prime
+    assert gf.is_prime(2 ** 89) is False  # a small prime factor still decides
+
+
 # -- arithmetic examples ----------------------------------------------------
 
 
@@ -182,10 +234,29 @@ def test_gf81_sub_add_roundtrip(a, b):
 # -- extension towers -------------------------------------------------------
 
 
+# the scan's moduli over non-prime and prime bases, pinned
+@pytest.mark.parametrize("q, m, modulus", [
+    (4, 2, (2, 1, 1)),
+    (4, 3, (2, 0, 0, 1)),
+    (4, 4, (1, 2, 1, 0, 1)),
+    (8, 2, (1, 1, 1)),
+    (9, 2, (4, 0, 1)),
+    (16, 2, (8, 1, 1)),
+    (5, 3, (1, 1, 0, 1)),
+])
+def test_tower_moduli(q, m, modulus):
+    assert gf.ext_field(gf.field_for_order(q), m).modulus == modulus
+
+
+@pytest.mark.parametrize("p, e", [(2, 4), (3, 3), (5, 2)])
+def test_field_new_is_the_tower_over_the_prime_field(p, e):
+    assert gf.ext_field(gf.field_new(p), e) is gf.field_new(p, e)
+
+
 def test_ext_field_over_gf4():
     F4 = gf.field_new(2, 2)
     E = gf.ext_field(F4, 2)
-    assert E.order == 16
+    assert E.q == 16
     assert E.coord(1) == (1, 0)
     assert E.coord(0) == (0, 0)
 
@@ -193,8 +264,8 @@ def test_ext_field_over_gf4():
 def test_coord_is_base_linear():
     F4 = gf.field_new(2, 2)
     E = gf.ext_field(F4, 2)
-    for a in range(E.order):
-        for b in range(E.order):
+    for a in range(E.q):
+        for b in range(E.q):
             ca, cb = E.coord(a), E.coord(b)
             summed = tuple(F4.add(x, y) for x, y in zip(ca, cb))
             assert E.coord(E.add(a, b)) == summed
@@ -204,13 +275,13 @@ def test_coord_roundtrip():
     F3 = gf.field_new(3)
     E = gf.ext_field(F3, 3)
     # the coordinates are the base-q digits of the encoding
-    for a in range(E.order):
+    for a in range(E.q):
         assert sum(c * 3 ** i for i, c in enumerate(E.coord(a))) == a
 
 
 def test_ext_field_axioms_sampled():
     E = gf.ext_field(gf.field_new(3), 2)  # GF(9) as a tower
-    elems = list(range(E.order))
+    elems = list(range(E.q))
     for a in elems:
         for b in elems:
             assert E.add(a, b) == E.add(b, a)
@@ -226,7 +297,7 @@ def test_ext_field_axioms_sampled():
 def test_ext_field_degree_one_is_identity_map():
     F5 = gf.field_new(5)
     E = gf.ext_field(F5, 1)
-    assert E.order == 5
+    assert E.q == 5
     for a in range(5):
         assert E.coord(a) == (a,)
         for b in range(5):
@@ -243,8 +314,8 @@ def test_large_degree_tower_arithmetic():
     # degree above the root-test cutoff exercises the exponentiation test
     F2 = gf.field_new(2)
     E = gf.ext_field(F2, 11)
-    assert E.order == 2048
+    assert E.q == 2048
     g = 2  # x
-    assert _power(E, g, E.order - 1) == 1
+    assert _power(E, g, E.q - 1) == 1
     assert E.mul(g, E.inv(g)) == 1
 

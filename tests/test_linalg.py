@@ -135,6 +135,22 @@ def test_field_mismatch():
         linalg.intersect_dim(a, b)
 
 
+def test_check_in_space_names_the_first_subspace_outside():
+    inside = linalg.Subspace.from_rows(GF2, 3, [(1, 0, 0)])
+    over_gf4 = linalg.Subspace.from_rows(GF4, 3, [(1, 0, 0)])
+    in_v4 = linalg.Subspace.from_rows(GF2, 4, [(1, 0, 0, 0)])
+    linalg.check_in_space([inside] * 3, GF2, 3, "member", "spread")
+    msg = r"^member 3 over GF\(4\), spread has q = 2$"
+    with pytest.raises(FieldMismatchError, match=msg):
+        linalg.check_in_space([inside] * 3 + [over_gf4], GF2, 3, "member", "spread")
+    msg = "^part 1 in ambient 4, partition has n = 3$"
+    with pytest.raises(AmbientMismatchError, match=msg):
+        linalg.check_in_space([inside, in_v4], GF2, 3, "part", "partition")
+    msg = r"^operand 1 over GF\(3\), operand 0 has q = 2$"
+    with pytest.raises(FieldMismatchError, match=msg):
+        linalg.intersect_dim(inside, linalg.Subspace.from_rows(GF3, 3, [(1, 0, 0)]))
+
+
 def test_subspace_json_roundtrip():
     s = linalg.Subspace.from_rows(GF4, 3, [(1, 2, 3), (2, 1, 1)])
     d = s.to_dict()
