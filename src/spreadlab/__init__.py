@@ -8,6 +8,8 @@ descent certificates for the refined upper bound, and runs exhaustive
 branch-and-bound search on desk-scale parameters as an independent oracle.
 """
 
+from types import ModuleType as _ModuleType
+
 from .bounds import (
     BHP_EXACT,
     DRAKE_FREEMAN,
@@ -83,74 +85,8 @@ from .search import SearchResult, greedy_result, greedy_spread, max_partial_spre
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbientMismatchError",
-    "BHP_EXACT",
-    "BoundReport",
-    "BudgetExceededError",
-    "CertificateCheck",
-    "ConstructionSizeMismatchError",
-    "DRAKE_FREEMAN",
-    "DescentCertificate",
-    "EJSSS_EXACT",
-    "Field",
-    "FieldMismatchError",
-    "HedenCase",
-    "HyperplaneProfile",
-    "HypothesisViolatedError",
-    "IdentityViolationError",
-    "InvalidParamsError",
-    "KURZ_EXACT",
-    "MAIN_THEOREM",
-    "NS_EXACT",
-    "NotPrimeError",
-    "OutOfRegimeError",
-    "OverflowLimitError",
-    "PartialSpread",
-    "SOURCES",
-    "SPREAD_EXACT",
-    "SearchResult",
-    "SpreadLabError",
-    "SpreadParams",
-    "SubspacePartition",
-    "Subspace",
-    "TRIVIAL_OVERLAP",
-    "UnverifiedSpreadError",
-    "UpperBound",
-    "VerificationResult",
-    "best_known",
-    "build_lower_bound_spread",
-    "c1_c2",
-    "certificate_from_dict",
-    "check_certificate",
-    "compare_bounds",
-    "delta",
-    "descent_certificate",
-    "descent_x",
-    "drake_freeman",
-    "enumerate_subspaces",
-    "ext_field",
-    "field_for_order",
-    "field_new",
-    "gaussian_binomial",
-    "greedy_result",
-    "greedy_spread",
-    "h_of",
-    "heden_case",
-    "hyperplane_profile",
-    "in_main_regime",
-    "intersect_dim",
-    "lemma_main_bound",
-    "lower_bound",
-    "main_bound",
-    "max_partial_spread",
-    "mult_map_matrix",
-    "omega_floor",
-    "partition_from_dict",
-    "partition_from_spread",
-    "prime_power",
-    "spread_from_dict",
-    "theta",
-    "verify_partial_spread",
-    "verify_partition",
-]
+# the public names are the ones imported above
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

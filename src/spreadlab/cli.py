@@ -25,6 +25,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import sys
 
 from . import partition as pt
@@ -169,7 +170,7 @@ class _Out:
                 fh.write(text)
 
     def write_json(self, doc):
-        self.write(json.dumps(doc, indent=2))
+        self.write(_printed(lambda: json.dumps(doc, indent=2), doc))
 
 
 _TABLE_FIELDS = [
@@ -190,6 +191,31 @@ def _report_row(rep) -> dict:
         "exact_source": rep.exact.source if rep.exact else "",
         "sources": " ".join(f"{u.source}={u.value}" for u in rep.uppers),
     }
+
+
+def _printed(make, doc) -> str:
+    """make(), the text of doc; a usage error that names the size of doc's
+    longest integer when that is too long for Python to print
+    (sys.get_int_max_str_digits)."""
+
+    def bits(x) -> int:
+        if isinstance(x, dict):
+            x = list(x.values())
+        if isinstance(x, (list, tuple)):
+            return max(map(bits, x), default=0)
+        return x.bit_length() if isinstance(x, int) else 0
+
+    try:
+        return make()
+    except ValueError:
+        digits = int(bits(doc) * math.log10(2)) + 1
+        limit = sys.get_int_max_str_digits()
+        if digits <= limit:
+            raise
+    raise _UsageError(
+        f"output too large: it holds an integer of about {digits} decimal "
+        f"digits, and at most {limit} can be printed"
+    )
 
 
 def _format_reports(reports, fmt: str) -> str:
@@ -215,13 +241,13 @@ def _format_reports(reports, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _cmd_bounds(args, out):
+def _cmd_bounds(args, out, stdin):
     rep = best_known(SpreadParams(args.q, args.n, args.t))
-    out.write(_format_reports([rep], args.format))
+    out.write(_printed(lambda: _format_reports([rep], args.format), rep.to_dict()))
     return 0
 
 
-def _cmd_table(args, out):
+def _cmd_table(args, out, stdin):
     reports = []
     for q in _parse_range(args.q):
         for n in _parse_range(args.n):
@@ -230,11 +256,12 @@ def _cmd_table(args, out):
                     reports.append(best_known(SpreadParams(q, n, t)))
                 except InvalidParamsError:
                     continue  # sweep cells like n <= t are just skipped
-    out.write(_format_reports(reports, args.format))
+    docs = [r.to_dict() for r in reports]
+    out.write(_printed(lambda: _format_reports(reports, args.format), docs))
     return 0
 
 
-def _cmd_construct(args, out):
+def _cmd_construct(args, out, stdin):
     spread = build_lower_bound_spread(SpreadParams(args.q, args.n, args.t))
     out.write_json(spread.to_dict())
     return 0
@@ -283,7 +310,7 @@ def _cmd_certify(args, out, stdin):
     return 0
 
 
-def _cmd_search(args, out):
+def _cmd_search(args, out, stdin):
     params = SpreadParams(args.q, args.n, args.t)
     if args.greedy:
         res = srch.greedy_result(params, seed=args.seed)
@@ -291,6 +318,17 @@ def _cmd_search(args, out):
         res = srch.max_partial_spread(params, max_nodes=args.budget)
     out.write_json(res.to_dict())
     return 0
+
+
+_COMMANDS = {
+    "bounds": _cmd_bounds,
+    "table": _cmd_table,
+    "construct": _cmd_construct,
+    "verify": _cmd_verify,
+    "analyze": _cmd_analyze,
+    "certify": _cmd_certify,
+    "search": _cmd_search,
+}
 
 
 def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
@@ -301,21 +339,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     try:
         args = parser.parse_args(argv)
         out = _Out(getattr(args, "out", "-"), stdout)
-        if args.command == "bounds":
-            return _cmd_bounds(args, out)
-        if args.command == "table":
-            return _cmd_table(args, out)
-        if args.command == "construct":
-            return _cmd_construct(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out, stdin)
-        if args.command == "analyze":
-            return _cmd_analyze(args, out, stdin)
-        if args.command == "certify":
-            return _cmd_certify(args, out, stdin)
-        if args.command == "search":
-            return _cmd_search(args, out)
-        raise _UsageError(f"unknown command {args.command}")
+        return _COMMANDS[args.command](args, out, stdin)
     except _UsageError as exc:
         print(f"error: {exc}", file=stderr)
         return 2

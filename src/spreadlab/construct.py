@@ -16,16 +16,27 @@ is exactly the packing lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+
+import numpy as np
 
 from .bounds import SpreadParams, lower_bound, theta
 from .errors import ConstructionSizeMismatchError, InvalidParamsError
 from .gf import Field, ext_field, field_for_order
-from .linalg import Subspace, check_in_space, intersect_dim, least_shared_pair
+from .linalg import (
+    Subspace,
+    check_in_space,
+    least_meeting_pair,
+    least_shared_pair,
+    subspaces_from_dicts,
+)
 
 # most points a spread or partition check lists; larger inputs are refused,
 # or verified by pairwise intersections
 VERIFY_POINT_BUDGET = 1 << 22
+
+# values of a per level block of the construction; bounds its scratch memory
+_BUILD_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -57,11 +68,7 @@ class VerificationResult:
     reason: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "clash": list(self.clash) if self.clash else None,
-            "reason": self.reason,
-        }
+        return {**asdict(self), "clash": list(self.clash) if self.clash else None}
 
 
 def mult_map_matrix(ext: Field, a: int, t: int) -> tuple[tuple[int, ...], ...]:
@@ -78,33 +85,51 @@ def mult_map_matrix(ext: Field, a: int, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def _mult_map_rows(ext: Field, a: np.ndarray, t: int) -> np.ndarray:
+    """mult_map_matrix(ext, x, t) of every x in the array a, as one array
+    of shape (len(a), t, m): row i holds the base-q digits of x * g^i.
+    Multiplication by g is GF(p)-linear on the base-p digits of x, so one
+    matrix product over all of a gives each next row."""
+    p, q, m = ext.p, ext.base.q, ext.m
+    place = p ** np.arange(ext.e)
+    g = q if m > 1 else 1
+    times_g = np.array([ext.mul(int(b), g) for b in place])[:, None] // place % p
+    digits = a[:, None] // place % p
+    rows = np.empty((len(a), t, m), dtype=np.int64)
+    for i in range(t):
+        rows[:, i] = (digits @ place)[:, None] // q ** np.arange(m) % q
+        digits = digits @ times_g % p
+    return rows
+
+
 def build_lower_bound_spread(params: SpreadParams) -> PartialSpread:
     """Construct and verify a partial t-spread of V(n, q) whose size equals
     the packing lower bound.  Raises OverflowLimitError if some level needs
-    an extension field beyond the configured order cap."""
+    an extension field beyond the configured order cap.
+
+    Each level's rows [0 | I_t | M_a] are built for a block of a at a time
+    and are already in RREF."""
     q, n, t = params.q, params.n, params.t
     field = field_for_order(q)
     members: list[Subspace] = []
 
     offset = 0
     while n - offset >= 2 * t:
-        m = n - offset - t
-        ext = ext_field(field, m)
-        for a in range(ext.q):
-            mat = mult_map_matrix(ext, a, t)
-            rows = []
-            for i in range(t):
-                row = [0] * offset
-                row.extend(1 if j == i else 0 for j in range(t))
-                row.extend(mat[i])
-                rows.append(tuple(row))
-            members.append(Subspace.from_rows(field, n, rows))
+        ext = ext_field(field, n - offset - t)
+        for start in range(0, ext.q, _BUILD_BLOCK):
+            a = np.arange(start, min(start + _BUILD_BLOCK, ext.q))
+            rows = np.zeros((len(a), t, n), dtype=np.int64)
+            rows[:, range(t), range(offset, offset + t)] = 1
+            rows[:, :, offset + t:] = _mult_map_rows(ext, a, t)
+            members.extend(
+                Subspace(field, n, tuple(map(tuple, basis))) for basis in rows.tolist()
+            )
         offset += t
 
-    tail = [
+    tail = tuple(
         tuple(1 if j == offset + i else 0 for j in range(n)) for i in range(t)
-    ]
-    members.append(Subspace.from_rows(field, n, tail))
+    )
+    members.append(Subspace(field, n, tail))
 
     want = lower_bound(params)
     if len(members) != want:
@@ -124,8 +149,8 @@ def verify_partial_spread(spread: PartialSpread) -> VerificationResult:
     The members' points are listed by the point kernel and sorted; a point
     listed twice reports the lexicographically least pair of members that
     share a point.  When those points would exceed VERIFY_POINT_BUDGET, or
-    q^n does not fit an int64, pairwise intersection tests take their place
-    and report the same pair.
+    q^n does not fit an int64, the ranks of stacked pairs of bases take
+    their place and report the same pair.
     """
     params = spread.params
     q, n, t = params.q, params.n, params.t
@@ -139,15 +164,7 @@ def verify_partial_spread(spread: PartialSpread) -> VerificationResult:
             )
 
     if len(members) * theta(t, q) > VERIFY_POINT_BUDGET or q ** n >= 1 << 63:
-        clash = next(
-            (
-                (i, j)
-                for i in range(len(members))
-                for j in range(i + 1, len(members))
-                if intersect_dim(members[i], members[j]) > 0
-            ),
-            None,
-        )
+        clash = least_meeting_pair(members)
     else:
         shared = least_shared_pair(members)
         clash = None if shared is None else shared[:2]
@@ -161,5 +178,4 @@ def verify_partial_spread(spread: PartialSpread) -> VerificationResult:
 def spread_from_dict(d: dict) -> PartialSpread:
     """Inverse of PartialSpread.to_dict; the result is unverified."""
     params = SpreadParams(d["q"], d["n"], d["t"])
-    members = tuple(Subspace.from_dict(m) for m in d["members"])
-    return PartialSpread(params, members)
+    return PartialSpread(params, subspaces_from_dicts(d["members"]))

@@ -5,6 +5,13 @@ reduced-row-echelon basis with zero rows dropped, so structural equality is
 subspace equality and instances are hashable.  A hyperplane is named by
 its normalized dual vector, so hyperplanes are numbered like points.
 
+``rref_blocks`` is the one elimination: it reduces a whole (m, k, n) array
+of bases at once, with numpy on GF(p) digits, q = p^e, so one arithmetic
+serves every q.  ``rref_rows`` is its one-block call, ``intersect_dim`` and
+the pairwise path of spread verification (``least_meeting_pair``) rank
+stacked bases with it, and ``subspaces_from_dicts`` parses the members of
+a document in bulk through it.
+
 The d-subspaces of V(n, q) have one canonical order, defined once by
 ``_row_options``: RREF pivot sets in combinations order, then, per pivot
 set, the product of the rows' options (each row's free-cell fillings,
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from typing import Iterator
 
 import numpy as np
@@ -43,32 +50,85 @@ from .gf import Field, field_for_order
 DEFAULT_ENUM_BUDGET = 1_000_000
 
 
+# digits of scratch per rref_blocks slice; bounds its memory
+_ELIM_BLOCK = 1 << 18
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x mod p; numpy divides by a scalar much faster than it takes %."""
+    return x - x // p * p
+
+
+def _x_powers(field: Field, y: np.ndarray) -> list[np.ndarray]:
+    """x^k y for k < e, q = p^e, of GF(p) digit arrays y of shape (e, ...):
+    each shifts the last up a digit and reduces its top digit by the
+    modulus f, as x^e = -(f_0 + f_1 x + ... + f_(e-1) x^(e-1))."""
+    p, e = field.p, field.e
+    powers = [y]
+    for _ in range(e - 1):
+        lower = np.reshape(field.modulus[:e], (e,) + (1,) * (y.ndim - 1))
+        y = _mod(np.concatenate([np.zeros_like(y[:1]), y[:-1]]) - y[-1:] * lower, p)
+        powers.append(y)
+    return powers
+
+
+def _mul(field: Field, c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """c * y over GF(q) for GF(p) digit arrays of shape (e, ...) that
+    broadcast, not yet reduced mod p: the sum of c_k x^k y."""
+    return sum(ck * w for ck, w in zip(c, _x_powers(field, y)))
+
+
+def rref_blocks(field: Field, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Every block of an (m, k, n) array over GF(q) in RREF, and its rank.
+
+    Block i of the result holds the RREF basis of the span of rows[i] in
+    its first ranks[i] rows, then zero rows.  Step r takes, in each block
+    of rank r so far, the first column nonzero in a row from r on, swaps
+    that row up, scales it by the inverse of its lead and clears the column
+    in the other rows: all blocks at once, on GF(p) digits as in
+    _expanded_rows.  So ``field`` is GF(p) or field_new(p, e), one
+    arithmetic serves every q, and only the distinct leads are inverted
+    through the field.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    m, k, n = rows.shape
+    per = max(1, _ELIM_BLOCK // max(1, k * n * field.e ** 2))
+    if m > per:
+        parts = [rref_blocks(field, rows[s:s + per]) for s in range(0, m, per)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
+    p, e = field.p, field.e
+    place = p ** np.arange(e, dtype=np.int64)
+    a = _mod(rows // place[:, None, None, None], p)  # (e, m, k, n): digits
+    ranks, s = np.zeros(m, dtype=np.int64), np.arange(m)
+    for r in range(k):
+        # a block without a pivot here has zero rows from r on: it swaps
+        # row r with itself, its lead 0 scales it to 0 and it clears nothing
+        nz = a[:, :, r:].any(axis=0)
+        has = nz.any(axis=(1, 2))
+        if not has.any():
+            break
+        ranks += has
+        col = nz.any(axis=1).argmax(axis=1)
+        piv = nz[s, :, col].argmax(axis=1) + r
+        a[:, s, r], a[:, s, piv] = a[:, s, piv], a[:, s, r]
+        leads = (place @ a[:, s, r, col]).tolist()
+        inverse = {x: field.inv(x) if x else 0 for x in set(leads)}
+        inv = np.array([inverse[x] for x in leads], dtype=np.int64)
+        inv = _mod(inv // place[:, None], p)[:, :, None]
+        prow = _mod(_mul(field, inv, a[:, :, r]), p)
+        c = a[:, s, :, col].transpose(1, 0, 2)  # (e, blocks, rows)
+        c[:, :, r] = 0
+        a = _mod(a - _mul(field, c[..., None], prow[:, :, None]), p)
+        a[:, :, r] = prow
+    return (place @ a.reshape(e, -1)).reshape(m, k, n), ranks
+
+
 def rref_rows(field: Field, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
     """Reduced row echelon form; zero rows dropped, pivot order."""
-    p = field.p if field.e == 1 else 0  # prime fields work on plain integers
-    work = [list(r) for r in rows]
-    k = 0
-    for col in range(ncols):
-        piv = next((i for i in range(k, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[k], work[piv] = work[piv], work[k]
-        lead = work[k][col]
-        if lead != 1:
-            inv = field.inv(lead)
-            work[k] = [inv * x % p if p else field.mul(inv, x) for x in work[k]]
-        pr = work[k]
-        for i in range(len(work)):
-            if i != k and work[i][col]:
-                c = work[i][col]
-                work[i] = [
-                    (x - c * y) % p if p else field.sub(x, field.mul(c, y))
-                    for x, y in zip(work[i], pr)
-                ]
-        k += 1
-        if k == len(work):
-            break
-    return tuple(tuple(r) for r in work[:k])
+    block = np.asarray(rows, dtype=np.int64)
+    block = block.reshape(1, len(block), ncols)
+    reduced, ranks = rref_blocks(field, block)
+    return tuple(map(tuple, reduced[0, :ranks[0]].tolist()))
 
 
 @dataclass(frozen=True)
@@ -86,10 +146,9 @@ class Subspace:
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows) -> "Subspace":
         rows = [tuple(r) for r in rows]
-        for r in rows:
-            if len(r) != ambient:
-                raise InvalidParamsError("row length differs from ambient dimension")
-            field._check(*r)
+        bad = _checked(field, ambient, [rows])[1]
+        if bad is not None:
+            raise bad
         return cls(field, ambient, rref_rows(field, rows, ambient))
 
     @property
@@ -106,13 +165,67 @@ class Subspace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Subspace":
-        field = field_for_order(int(d["q"]))
-        sub = cls.from_rows(field, int(d["n"]), d["rows"])
-        if sub.dim != int(d["dim"]):
-            raise InvalidParamsError(
-                f"declared dim {d['dim']} but basis has rank {sub.dim}"
-            )
-        return sub
+        return subspaces_from_dicts([d])[0]
+
+
+def _checked(field: Field, n: int, members: list) -> tuple[list, Exception | None]:
+    """The leading members (lists of rows) that are bases in V(n, q), and
+    the error the next one raises, None when none does: a row whose length
+    is not n, or an entry that is no element of the field, an integer in
+    [0, q).  Checked in bulk; only a failure is looked for member by member."""
+    rows = list(chain.from_iterable(members))
+    entries = list(chain.from_iterable(rows))
+    if set(map(len, rows)) <= {n} and set(map(type, entries)) <= {int} and (
+        not entries or 0 <= min(entries) and max(entries) < field.q
+    ):
+        return members, None
+    for j, member in enumerate(members):
+        for r in member:
+            if len(r) != n:
+                error = InvalidParamsError("row length differs from ambient dimension")
+                return members[:j], error
+            for x in r:
+                integer = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                if not (integer and 0 <= x < field.q):
+                    error = FieldMismatchError(f"{x} is not an element of {field!r}")
+                    return members[:j], error
+    return members, None
+
+
+def subspaces_from_dicts(docs) -> tuple[Subspace, ...]:
+    """Subspace.from_dict of every document, checked and reduced in bulk.
+
+    Documents are grouped by declared (q, n, dim) and row count; a group
+    resolves its field once, has its rows checked at once and reduced by
+    one rref_blocks call.  The error raised is the one Subspace.from_dict
+    raises for the first document that fails.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, d in enumerate(docs):
+        key = int(d["q"]), int(d["n"]), int(d["dim"]), len(d["rows"])
+        groups.setdefault(key, []).append(i)
+    subspaces, errors = [None] * len(docs), []  # errors: (document, exception)
+    for (q, n, dim, k), index in groups.items():
+        try:
+            field = field_for_order(q)
+        except InvalidParamsError as exc:
+            errors.append((index[0], exc))
+            continue
+        rows, bad = _checked(field, n, [docs[i]["rows"] for i in index])
+        if bad is not None:
+            errors.append((index[len(rows)], bad))
+        block = np.array(rows, dtype=np.int64).reshape(len(rows), k, n)
+        reduced, ranks = rref_blocks(field, block)
+        wrong = np.flatnonzero(ranks != dim)
+        if wrong.size:
+            i, rank = index[wrong[0]], ranks[wrong[0]]
+            error = f"declared dim {docs[i]['dim']} but basis has rank {rank}"
+            errors.append((i, InvalidParamsError(error)))
+        for i, basis in zip(index, reduced[:, :dim].tolist()):
+            subspaces[i] = Subspace(field, n, tuple(map(tuple, basis)))
+    if errors:
+        raise min(errors, key=lambda error: error[0])[1]
+    return tuple(subspaces)
 
 
 def check_in_space(subspaces, field: Field, n: int, item: str, owner: str) -> None:
@@ -253,16 +366,9 @@ def _expanded_rows(field: Field, rows: np.ndarray) -> np.ndarray:
     """
     p, e = field.p, field.e
     m, d, n = rows.shape
-    digits = rows[..., None] // p ** np.arange(e) % p
-    # x^e = -(f_0 + f_1 x + ... + f_(e-1) x^(e-1)) for the monic modulus f
-    lower = np.array(field.modulus[:e], dtype=np.int64)
-    powers = []
-    for _ in range(e):
-        powers.append(digits)
-        top = digits[..., -1:]
-        shifted = np.concatenate([np.zeros_like(top), digits[..., :-1]], axis=-1)
-        digits = (shifted - top * lower) % p
-    return np.stack(powers).reshape(e, m, d, n * e).transpose(2, 0, 3, 1)
+    digits = _mod(rows // p ** np.arange(e).reshape(e, 1, 1, 1), p)  # digit l at [l]
+    powers = np.stack(_x_powers(field, digits))  # (k, l, m, d, n)
+    return powers.transpose(3, 0, 4, 1, 2).reshape(d, e, n * e, m)
 
 
 def _add_mod(a, b, p: int):
@@ -329,14 +435,15 @@ def point_encodings_of_bases(
         m = basis.shape[-1]
         if lines is not None:
             split = basis.reshape(d, e, n, e, m)  # digit l of coordinate j
-            basis = np.einsum("kl,abjlm->abjkm", lines, split).reshape(basis.shape) % p
+            basis = np.einsum("kl,abjlm->abjkm", lines, split).reshape(basis.shape)
+            basis = _mod(basis, p)
         order = [w for row in basis[::-1] for w in row]  # R_0, ..., R_(de-1)
         # vecs[:, :p^j] lists span(R_0, ..., R_(j-1)) once R_j is added, and
         # vecs[:, p^j:2 p^j] is then R_j + that span
         vecs = np.zeros((width, p ** top, m), dtype)
         size = 1
         for w in order[:top]:
-            multiples = (scalars * w % p).astype(dtype).transpose(1, 0, 2)
+            multiples = _mod(scalars * w, p).astype(dtype).transpose(1, 0, 2)
             grown = _add_mod(vecs[:, None, :size], multiples[:, :, None], p)
             vecs[:, :p * size] = grown.reshape(width, p * size, m)
             size *= p
@@ -407,3 +514,29 @@ def least_shared_pair(subspaces) -> tuple[int, int, int] | None:
     a, b, shared = owners[first[repeat]], owners[repeat], encs[repeat]
     best = np.lexsort((shared, b, a))[0]
     return int(a[best]), int(b[best]), int(shared[best])
+
+
+# most pairs least_meeting_pair ranks per rref_blocks call
+_PAIR_BLOCK = 1 << 12
+
+
+def least_meeting_pair(subspaces) -> tuple[int, int] | None:
+    """Lexicographically least index pair (a, b), a < b, of subspaces that
+    meet nontrivially, by the ranks of their stacked bases: a against the
+    subspaces after it, up to _PAIR_BLOCK pairs per rref_blocks call; None
+    when there is none.  The subspaces share field, ambient space and
+    dimension."""
+    if not subspaces:
+        return None
+    field, n, d = subspaces[0].field, subspaces[0].ambient, subspaces[0].dim
+    bases = np.array([s.rows for s in subspaces], np.int64)
+    bases = bases.reshape(len(subspaces), d, n)
+    for a in range(len(bases) - 1):
+        for b in range(a + 1, len(bases), _PAIR_BLOCK):
+            others = bases[b:b + _PAIR_BLOCK]
+            first = np.broadcast_to(bases[a], others.shape)
+            stacked = np.concatenate([first, others], axis=1)
+            meet = np.flatnonzero(rref_blocks(field, stacked)[1] < 2 * d)
+            if meet.size:
+                return a, b + int(meet[0])
+    return None

@@ -26,7 +26,7 @@ recomputes every field independently.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .linalg import (
     normalized_point_encodings,
     point_encodings,
     point_ordinals,
+    subspaces_from_dicts,
 )
 
 PROFILE_POINT_CAP = 1 << 24
@@ -75,8 +76,7 @@ class SubspacePartition:
 
 
 def partition_from_dict(d: dict) -> SubspacePartition:
-    parts = tuple(Subspace.from_dict(p) for p in d["parts"])
-    return SubspacePartition(d["q"], d["n"], parts)
+    return SubspacePartition(d["q"], d["n"], subspaces_from_dicts(d["parts"]))
 
 
 def _covered(parts, n: int, q: int) -> np.ndarray:
@@ -117,11 +117,7 @@ class PartitionCheck:
     witness: tuple[int, ...] | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "reason": self.reason,
-            "witness": list(self.witness) if self.witness else None,
-        }
+        return {**asdict(self), "witness": list(self.witness) if self.witness else None}
 
 
 def verify_partition(
@@ -343,14 +339,7 @@ class HedenCase:
     exceptional: bool
 
     def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "divides": self.divides,
-            "wide": self.wide,
-            "required_min": self.required_min,
-            "satisfied": self.satisfied,
-            "exceptional": self.exceptional,
-        }
+        return asdict(self)
 
 
 def heden_case(n_d1: int, d1: int, d2: int, q: int) -> HedenCase:
@@ -408,14 +397,7 @@ class CertStep:
     next_delta: int
 
     def to_dict(self) -> dict:
-        return {
-            "j": self.j,
-            "i": self.i,
-            "delta": self.delta,
-            "cap": self.cap,
-            "n1_residue": self.n1_residue,
-            "next_delta": self.next_delta,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -432,14 +414,7 @@ class FinalCase:
     heden_satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "delta2": self.delta2,
-            "delta2_max": self.delta2_max,
-            "required_dim2": self.required_dim2,
-            "required_dim_ge3_min": self.required_dim_ge3_min,
-            "heden_case": self.heden_case,
-            "heden_satisfied": self.heden_satisfied,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -458,20 +433,7 @@ class DescentCertificate:
     final: FinalCase
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "t": self.t,
-            "r": self.r,
-            "x": self.x,
-            "h": self.h,
-            "ell": self.ell,
-            "claimed_bound": self.claimed_bound,
-            "n_t": self.n_t,
-            "n_1": self.n_1,
-            "steps": [s.to_dict() for s in self.steps],
-            "final": self.final.to_dict(),
-        }
+        return {**asdict(self), "steps": [s.to_dict() for s in self.steps]}
 
 
 def certificate_from_dict(d: dict) -> DescentCertificate:
@@ -543,7 +505,7 @@ class CertificateCheck:
     mismatch: str | None = None
 
     def to_dict(self) -> dict:
-        return {"ok": self.ok, "mismatch": self.mismatch}
+        return asdict(self)
 
 
 def check_certificate(cert: DescentCertificate) -> CertificateCheck:

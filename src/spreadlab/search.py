@@ -308,16 +308,23 @@ def max_partial_spread(
 
 
 def greedy_spread(params: SpreadParams, seed: int = 0) -> PartialSpread:
-    """Single greedy pass over a seeded shuffle of all candidates."""
-    bases, masks = _candidates(params)
-    order = list(range(len(masks)))
+    """Single greedy pass over a seeded shuffle of all candidates: each
+    joins when none of its points is covered yet.  The candidates' points
+    are listed a block at a time, in shuffled order, and a block's
+    candidates through a covered point are dropped at once."""
+    q, n = params.q, params.n
+    field = field_for_order(q)
+    bases = subspace_bases(n, params.t, field)
+    order = list(range(len(bases)))
     random.Random(seed).shuffle(order)
-    covered = 0
+    covered = np.zeros(theta(n, q), dtype=bool)
     picked = []
-    for c in order:
-        if covered & masks[c] == 0:
-            picked.append(c)
-            covered |= masks[c]
+    for start, block in point_encodings_of_bases(field, bases[order]):
+        points = point_ordinals(block, n, q)
+        for i in np.flatnonzero(~covered[points].any(axis=1)).tolist():
+            if not covered[points[i]].any():
+                covered[points[i]] = True
+                picked.append(order[start + i])
     return _members(params, bases, picked)
 
 

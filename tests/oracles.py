@@ -5,7 +5,9 @@ field's add and mul alone, without the package's point numbering or its
 transform, so a test that compares them with ``hyperplane_profile`` or
 ``normalized_point_encodings`` checks one against the other.
 ``max_disjoint`` sizes a partial spread from ``intersect_dim`` alone,
-without the search's point bitsets.
+without the search's point bitsets.  ``rref_rows`` reduces one matrix row
+by row with the field's own arithmetic, against the package's batched
+elimination over GF(p) digits.
 """
 
 from __future__ import annotations
@@ -76,3 +78,32 @@ def max_disjoint(subspaces) -> int:
         )
 
     return grow(list(range(len(subspaces))))
+
+
+def rref_rows(field, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
+    """Reduced row echelon form, zero rows dropped, by Gauss-Jordan one row
+    at a time with field.inv, field.mul and field.sub."""
+    p = field.p if field.e == 1 else 0  # prime fields work on plain integers
+    work = [list(r) for r in rows]
+    k = 0
+    for col in range(ncols):
+        piv = next((i for i in range(k, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[k], work[piv] = work[piv], work[k]
+        lead = work[k][col]
+        if lead != 1:
+            inv = field.inv(lead)
+            work[k] = [inv * x % p if p else field.mul(inv, x) for x in work[k]]
+        pr = work[k]
+        for i in range(len(work)):
+            if i != k and work[i][col]:
+                c = work[i][col]
+                work[i] = [
+                    (x - c * y) % p if p else field.sub(x, field.mul(c, y))
+                    for x, y in zip(work[i], pr)
+                ]
+        k += 1
+        if k == len(work):
+            break
+    return tuple(tuple(r) for r in work[:k])

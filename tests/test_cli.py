@@ -358,6 +358,34 @@ def test_prime_past_the_primality_range_exits_two():
     assert "primality" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--q", "2", "--n", "100000", "--t", "2"],
+        ["bounds", "--q", "2", "--n", "100000", "--t", "2", "--format", "csv"],
+        ["table", "--q", "2", "--n", "99999..100000", "--t", "2", "--format", "json"],
+        ["certify", "--q", "2", "--n", "100001", "--t", "3"],
+    ],
+)
+def test_output_past_the_integer_print_limit_exits_two(argv):
+    rc, out, err = go(argv)
+    assert rc == 2
+    assert out == ""
+    assert "output too large" in err and "30103 decimal digits" in err
+    assert "malformed" not in err
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0, True, "1"])
+def test_non_integer_entry_exits_two(entry):
+    doc = json.loads(go(["construct", "--q", "2", "--n", "4", "--t", "2"])[1])
+    doc["members"][2]["rows"][1][3] = entry
+    for command in ("verify", "analyze"):
+        rc, out, err = go([command], inp=json.dumps(doc))
+        assert rc == 2
+        assert out == ""
+        assert "is not an element of GF(2)" in err
+
+
 def test_malformed_json_exits_two():
     rc, _, err = go(["verify"], inp="{oops")
     assert rc == 2

@@ -1,9 +1,14 @@
 import json
+import random
+import sys
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spreadlab import construct, linalg
+from spreadlab import partition as pt
 from spreadlab.bounds import SpreadParams, lower_bound, theta
 from spreadlab.construct import (
     PartialSpread,
@@ -12,9 +17,17 @@ from spreadlab.construct import (
     spread_from_dict,
     verify_partial_spread,
 )
-from spreadlab.errors import AmbientMismatchError, FieldMismatchError
+from spreadlab.errors import (
+    AmbientMismatchError,
+    FieldMismatchError,
+    InvalidParamsError,
+)
 from spreadlab.gf import ext_field, field_for_order
 from spreadlab.linalg import Subspace, intersect_dim, point_encodings
+
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402
 
 
 def P(q, n, t):
@@ -65,6 +78,15 @@ class TestMultMap:
                     tuple(f.add(x, y) for x, y in zip(ra, rb))
                     for ra, rb in zip(ma, mb)
                 )
+
+    @pytest.mark.parametrize("q,n,t", [(2, 7, 3), (3, 7, 3), (4, 7, 2)])
+    def test_bulk_rows_match_every_level(self, q, n, t):
+        # the rows build_lower_bound_spread places right of I_t, per level
+        for offset in range(0, n - 2 * t + 1, t):
+            ext = ext_field(field_for_order(q), n - offset - t)
+            got = construct._mult_map_rows(ext, np.arange(ext.q), t).tolist()
+            want = [mult_map_matrix(ext, a, t) for a in range(ext.q)]
+            assert got == [list(map(list, rows)) for rows in want]
 
     def test_t_out_of_range(self):
         ext = ext_field(field_for_order(2), 2)
@@ -183,6 +205,21 @@ class TestVerify:
         assert got == want
         assert got.clash == (7, 40)
 
+    @pytest.mark.parametrize("pair_block", [1, 2, 7, 1 << 12])
+    def test_pairwise_path_names_the_least_pair(self, monkeypatch, pair_block):
+        # planted clashes over GF(4): (9, 17) has the smallest second index,
+        # (3, 18) is the lexicographically least pair and (3, 19) shares its
+        # first index; small blocks of pairs spread them over rank calls
+        sp = build_lower_bound_spread(P(4, 4, 2))
+        planted = (sp.members[9], sp.members[3], sp.members[3])
+        bad = PartialSpread(sp.params, sp.members + planted)
+        want = verify_partial_spread(bad)
+        monkeypatch.setattr(construct, "VERIFY_POINT_BUDGET", 0)
+        monkeypatch.setattr(linalg, "_PAIR_BLOCK", pair_block)
+        assert verify_partial_spread(bad) == want
+        assert want.clash == (3, 18)
+        assert verify_partial_spread(sp).ok
+
     def test_ambient_mismatch_raises(self):
         f = field_for_order(2)
         s = Subspace.from_rows(f, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
@@ -217,3 +254,79 @@ class TestSerialization:
         back = spread_from_dict(sp.to_dict())
         assert back.members == sp.members
         assert verify_partial_spread(back).ok
+
+
+def _doc_with(edit):
+    """The (2, 4, 2) spread's document with member 2 edited."""
+    doc = build_lower_bound_spread(P(2, 4, 2)).to_dict()
+    edit(doc["members"][2])
+    return doc
+
+
+def _widen(member):
+    member["n"] = 5
+    for row in member["rows"]:
+        row.append(0)
+
+
+class TestParse:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("q,n,t", [(2, 7, 3), (3, 5, 2), (4, 7, 2), (5, 5, 2)])
+    def test_rebased_documents_give_the_built_members(self, q, n, t, seed):
+        sp = build_lower_bound_spread(P(q, n, t))
+        moved = checks.rebase_spread_doc(sp.to_dict(), random.Random(seed))
+        back = spread_from_dict(json.loads(json.dumps(moved)))
+        assert sorted(back.members, key=lambda s: s.rows) == sorted(
+            sp.members, key=lambda s: s.rows
+        )
+
+    @pytest.mark.parametrize(
+        "edit,error,text",
+        [
+            (lambda m: m["rows"][1].append(0), InvalidParamsError,
+             "row length differs from ambient dimension"),
+            (lambda m: m["rows"][1].__setitem__(3, 2), FieldMismatchError,
+             r"2 is not an element of GF\(2\)"),
+            (lambda m: m["rows"][1].__setitem__(3, 1.5), FieldMismatchError,
+             r"1.5 is not an element of GF\(2\)"),
+            (lambda m: m["rows"][1].__setitem__(3, True), FieldMismatchError,
+             r"True is not an element of GF\(2\)"),
+            (lambda m: m.__setitem__("dim", 1), InvalidParamsError,
+             "declared dim 1 but basis has rank 2"),
+            (lambda m: m["rows"].__setitem__(1, m["rows"][0]), InvalidParamsError,
+             "declared dim 2 but basis has rank 1"),
+        ],
+    )
+    def test_member_errors(self, edit, error, text):
+        with pytest.raises(error, match=f"^{text}$"):
+            spread_from_dict(_doc_with(edit))
+
+    @pytest.mark.parametrize(
+        "edit,error,text",
+        [
+            (lambda m: m.__setitem__("q", 3), FieldMismatchError, r"over GF\(3\)"),
+            (_widen, AmbientMismatchError, "in ambient 5"),
+        ],
+    )
+    def test_members_outside_the_space_fail_on_use(self, edit, error, text):
+        doc = _doc_with(edit)
+        spread = spread_from_dict(doc)
+        with pytest.raises(error, match=rf"^member 2 {text}, spread has [qn] = \d$"):
+            verify_partial_spread(spread)
+        doc["parts"] = doc.pop("members")
+        with pytest.raises(error, match=rf"^part 2 {text}, partition has [qn] = \d$"):
+            pt.verify_partition(pt.partition_from_dict(doc))
+
+    def test_the_first_failing_member_is_reported(self):
+        # member 2 fails its rank, member 3 its field and member 4 a row
+        # length; the three sit in different groups of the bulk parse
+        doc = build_lower_bound_spread(P(2, 4, 2)).to_dict()
+        doc["members"][4]["rows"][0].append(0)
+        doc["members"][3]["q"] = 6
+        doc["members"][2]["dim"] = 1
+        rank = "^declared dim 1 but basis has rank 2$"
+        with pytest.raises(InvalidParamsError, match=rank):
+            spread_from_dict(doc)
+        doc["members"][2]["dim"] = 2
+        with pytest.raises(InvalidParamsError, match="^6 is not a prime power$"):
+            spread_from_dict(doc)

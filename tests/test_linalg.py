@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import contains, encode, hyperplane_duals
+from oracles import contains, encode, hyperplane_duals, rref_rows
 from spreadlab import gf, linalg
 from spreadlab import partition as pt
 from spreadlab.errors import (
@@ -64,6 +64,33 @@ def test_rref_idempotent(field, data):
     rows = data.draw(_random_matrix_strategy(field.q))
     first = linalg.rref_rows(field, rows, 4)
     assert linalg.rref_rows(field, first, 4) == first
+
+
+@pytest.mark.parametrize(
+    "field",
+    [GF2, GF3, GF4, GF5, GF8, GF9, gf.field_new(5, 2), gf.field_new(2, 17)],
+    ids=lambda f: f"GF{f.q}",
+)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rref_blocks_match_the_oracle(field, data):
+    # blocks drawn from a small pool of rows and the zero row repeat rows,
+    # so a batch mixes full-rank, rank-deficient and zero blocks
+    n = data.draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.just(1), st.integers(0, field.q - 1))
+    row = st.lists(entry, min_size=n, max_size=n)
+    pool = data.draw(st.lists(row, min_size=1, max_size=4))
+    k = data.draw(st.integers(0, 5))
+    block = st.lists(st.sampled_from(pool + [[0] * n]), min_size=k, max_size=k)
+    blocks = data.draw(st.lists(block, min_size=1, max_size=6))
+    array = np.array(blocks, dtype=np.int64).reshape(len(blocks), k, n)
+    reduced, ranks = linalg.rref_blocks(field, array)
+    for rows, got, rank in zip(blocks, reduced.tolist(), ranks.tolist()):
+        want = rref_rows(field, rows, n)
+        assert rank == len(want)
+        assert tuple(map(tuple, got[:rank])) == want
+        assert not any(map(any, got[rank:]))
+        assert linalg.rref_rows(field, rows, n) == want
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=["GF2", "GF3", "GF4"])
