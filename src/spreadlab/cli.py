@@ -37,8 +37,10 @@ from .construct import (
     verify_partial_spread,
 )
 from .errors import (
+    AmbientMismatchError,
     BudgetExceededError,
     ConstructionSizeMismatchError,
+    FieldMismatchError,
     HypothesisViolatedError,
     IdentityViolationError,
     InvalidParamsError,
@@ -50,6 +52,8 @@ from .errors import (
 
 USAGE_ERRORS = (
     InvalidParamsError,
+    FieldMismatchError,
+    AmbientMismatchError,
     OutOfRegimeError,
     HypothesisViolatedError,
     NotPrimeError,

@@ -11,11 +11,14 @@ block of shallower ones.  A single identity-block member closes the walk
 once fewer than 2t coordinates remain.
 
 Counting levels gives q^(n-t) + q^(n-2t) + ... + q^(t+r) + 1 members, which
-is exactly the packing lower bound.
+is exactly the packing lower bound.  A PartialSpread holds its members as
+bases arrays (linalg.GroupedBases), which the builder, verification and
+JSON output read and write; ``members`` builds Subspaces when read.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -24,6 +27,7 @@ from .bounds import SpreadParams, lower_bound, theta
 from .errors import ConstructionSizeMismatchError, InvalidParamsError
 from .gf import Field, ext_field, field_for_order
 from .linalg import (
+    GroupedBases,
     Subspace,
     check_in_space,
     least_meeting_pair,
@@ -41,12 +45,16 @@ _BUILD_BLOCK = 1 << 12
 
 @dataclass(frozen=True)
 class PartialSpread:
-    """A collection of t-subspaces of V(n, q); pairwise disjointness is a
-    claim tracked by ``verified`` (None = never checked)."""
+    """A collection of t-subspaces of V(n, q), held as GroupedBases;
+    pairwise disjointness is a claim tracked by ``verified`` (None = never
+    checked)."""
 
     params: SpreadParams
-    members: tuple[Subspace, ...]
+    members: Sequence[Subspace]
     verified: bool | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "members", GroupedBases.of(self.members))
 
     @property
     def size(self) -> int:
@@ -57,7 +65,7 @@ class PartialSpread:
             "q": self.params.q,
             "n": self.params.n,
             "t": self.params.t,
-            "members": [s.to_dict() for s in self.members],
+            "members": self.members.to_dicts(),
         }
 
 
@@ -111,32 +119,29 @@ def build_lower_bound_spread(params: SpreadParams) -> PartialSpread:
     and are already in RREF."""
     q, n, t = params.q, params.n, params.t
     field = field_for_order(q)
-    members: list[Subspace] = []
+    blocks = []
 
     offset = 0
     while n - offset >= 2 * t:
         ext = ext_field(field, n - offset - t)
         for start in range(0, ext.q, _BUILD_BLOCK):
             a = np.arange(start, min(start + _BUILD_BLOCK, ext.q))
-            rows = np.zeros((len(a), t, n), dtype=np.int64)
+            rows = np.zeros((len(a), t, n), dtype=np.min_scalar_type(q - 1))
             rows[:, range(t), range(offset, offset + t)] = 1
             rows[:, :, offset + t:] = _mult_map_rows(ext, a, t)
-            members.extend(
-                Subspace(field, n, tuple(map(tuple, basis))) for basis in rows.tolist()
-            )
+            blocks.append(rows)
         offset += t
+    tail = np.zeros((1, t, n), dtype=np.min_scalar_type(q - 1))
+    tail[:, range(t), range(offset, offset + t)] = 1
+    blocks.append(tail)
 
-    tail = tuple(
-        tuple(1 if j == offset + i else 0 for j in range(n)) for i in range(t)
-    )
-    members.append(Subspace(field, n, tail))
-
+    members = GroupedBases([]).extended(field, n, np.concatenate(blocks))
     want = lower_bound(params)
     if len(members) != want:
         raise ConstructionSizeMismatchError(
             f"built {len(members)} members, packing bound says {want}"
         )
-    spread = PartialSpread(params, tuple(members))
+    spread = PartialSpread(params, members)
     res = verify_partial_spread(spread)
     if not res.ok:
         raise ConstructionSizeMismatchError(f"self-check failed: {res.reason}")
@@ -157,14 +162,15 @@ def verify_partial_spread(spread: PartialSpread) -> VerificationResult:
     field = field_for_order(q)
     members = spread.members
     check_in_space(members, field, n, "member", "spread")
-    for i, s in enumerate(members):
-        if s.dim != t:
-            return VerificationResult(
-                False, None, f"member {i} has dimension {s.dim}, expected {t}"
-            )
-
+    g = members.first(lambda g: g.dim != t)
+    if g is not None:
+        reason = f"member {g.index[0]} has dimension {g.dim}, expected {t}"
+        return VerificationResult(False, None, reason)
+    if not members:
+        return VerificationResult(True)
     if len(members) * theta(t, q) > VERIFY_POINT_BUDGET or q ** n >= 1 << 63:
-        clash = least_meeting_pair(members)
+        # the members now form one group, in order
+        clash = least_meeting_pair(field, members.groups[0].rows)
     else:
         shared = least_shared_pair(members)
         clash = None if shared is None else shared[:2]
@@ -176,6 +182,7 @@ def verify_partial_spread(spread: PartialSpread) -> VerificationResult:
 
 
 def spread_from_dict(d: dict) -> PartialSpread:
-    """Inverse of PartialSpread.to_dict; the result is unverified."""
+    """Inverse of PartialSpread.to_dict, parsed by subspaces_from_dicts
+    into grouped bases; the result is unverified."""
     params = SpreadParams(d["q"], d["n"], d["t"])
     return PartialSpread(params, subspaces_from_dicts(d["members"]))

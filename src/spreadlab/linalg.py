@@ -4,38 +4,39 @@ Rows are tuples of field-element encodings.  A Subspace stores its
 reduced-row-echelon basis with zero rows dropped, so structural equality is
 subspace equality and instances are hashable.  A hyperplane is named by
 its normalized dual vector, so hyperplanes are numbered like points.
+Many subspaces, such as a spread's members or a partition's parts, are a
+GroupedBases: one numpy array of RREF bases per (field, ambient, dim).  It
+reads as a tuple of Subspace built on first read; the kernels read arrays.
 
 ``rref_blocks`` is the one elimination: it reduces a whole (m, k, n) array
 of bases at once, with numpy on GF(p) digits, q = p^e, so one arithmetic
 serves every q.  ``rref_rows`` is its one-block call, ``intersect_dim`` and
-the pairwise path of spread verification (``least_meeting_pair``) rank
-stacked bases with it, and ``subspaces_from_dicts`` parses the members of
-a document in bulk through it.
+``least_meeting_pair`` rank stacked bases with it, and
+``subspaces_from_dicts`` parses documents through it into a GroupedBases.
 
 The d-subspaces of V(n, q) have one canonical order, defined once by
 ``_row_options``: RREF pivot sets in combinations order, then, per pivot
 set, the product of the rows' options (each row's free-cell fillings,
 listed once and shared), row 0 most significant.  ``enumerate_subspaces``
 yields Subspace objects in that order; ``subspace_bases`` stacks the same
-options into one numpy array of bases for bulk work such as the search,
-and ``point_encodings_of_bases`` lists the points of such an array.
+options into one numpy array of bases for bulk work such as the search.
 
 Vectors of V(n, q) are also handled as single integers via base-q positional
-encoding (digit i = coordinate i).  ``point_encodings`` is the one place
-that lists the points of subspaces: it works on GF(p) digits with numpy, the
-same way for prime and extension fields, and spread verification, partition
-fill, hyperplane profiles and search candidates all run on it (the search
-through its array entry point, ``point_encodings_of_bases``, on stacked
-bases).
+encoding (digit i = coordinate i).  ``point_encodings_of_bases`` is the one
+place that lists the points of subspaces, from an array of bases, with
+numpy on GF(p) digits for every q; verification, partition fill,
+hyperplane profiles and search candidates all run on it.
 ``point_ordinals`` numbers the points of V(n, q) for all of them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, product
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -156,16 +157,109 @@ class Subspace:
         return len(self.rows)
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.field.q,
-            "n": self.ambient,
-            "dim": self.dim,
-            "rows": [list(r) for r in self.rows],
-        }
+        return GroupedBases.of((self,)).to_dicts()[0]
 
     @classmethod
     def from_dict(cls, d: dict) -> "Subspace":
         return subspaces_from_dicts([d])[0]
+
+
+class BasesGroup(NamedTuple):
+    """Subspaces of one dimension in V(ambient, q): their RREF bases, an
+    (m, d, ambient) array of dtype np.min_scalar_type(q - 1), and their
+    positions in a GroupedBases, ascending."""
+
+    field: Field
+    ambient: int
+    rows: np.ndarray
+    index: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
+
+
+class GroupedBases(Sequence):
+    """Subspaces in order, held as one BasesGroup per (field, ambient, dim):
+    the kernels read ``groups``.  Reads as a tuple of Subspace (indexing,
+    slicing, iteration, + with a tuple, ==), built when first read."""
+
+    def __init__(self, groups: list[BasesGroup]):
+        """Groups that share (field, ambient, dim) are joined, their members
+        in ascending position; empty groups go."""
+        keys: dict[tuple, list[BasesGroup]] = {}
+        for g in groups:
+            keys.setdefault((g.field, g.ambient, g.dim), []).append(g)
+        self.groups, self.size = [], sum(len(g.index) for g in groups)
+        for (field, n, _), same in keys.items():
+            index = np.concatenate([g.index for g in same])
+            order = np.argsort(index, kind="stable")
+            rows = np.concatenate([g.rows for g in same])[order]
+            rows = rows.astype(np.min_scalar_type(field.q - 1))
+            if len(index):
+                self.groups.append(BasesGroup(field, n, rows, index[order]))
+
+    @classmethod
+    def of(cls, subspaces) -> "GroupedBases":
+        """The subspaces as grouped bases; a GroupedBases is returned as is."""
+        if isinstance(subspaces, GroupedBases):
+            return subspaces
+        groups = []
+        for i, s in enumerate(subspaces):
+            rows = np.reshape(s.rows, (1, s.dim, s.ambient))
+            groups.append(BasesGroup(s.field, s.ambient, rows, [i]))
+        return cls(groups)
+
+    def extended(self, field: Field, ambient: int, rows: np.ndarray) -> "GroupedBases":
+        """These subspaces, then the ones whose RREF bases are rows, an
+        (m, d, ambient) array."""
+        index = np.arange(self.size, self.size + len(rows))
+        return GroupedBases(self.groups + [BasesGroup(field, ambient, rows, index)])
+
+    def first(self, where) -> BasesGroup | None:
+        """Of the groups g with where(g), the one holding the first
+        subspace; None when there is none."""
+        return min(filter(where, self.groups), key=lambda g: g.index[0], default=None)
+
+    @cached_property
+    def subspaces(self) -> tuple[Subspace, ...]:
+        out = [None] * self.size
+        for g in self.groups:
+            for i, basis in zip(g.index.tolist(), g.rows.tolist()):
+                out[i] = Subspace(g.field, g.ambient, tuple(map(tuple, basis)))
+        return tuple(out)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, key):
+        return self.subspaces[key]
+
+    def __iter__(self):
+        return iter(self.subspaces)
+
+    def __eq__(self, other):
+        if isinstance(other, (GroupedBases, tuple)):
+            return self.subspaces == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.subspaces)
+
+    def __add__(self, other):
+        return self.subspaces + tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(self.subspaces)
+
+    def to_dicts(self) -> list[dict]:
+        """Subspace.to_dict of every subspace, one tolist() per group."""
+        out = [None] * self.size
+        for g in self.groups:
+            q, n, d = g.field.q, g.ambient, g.dim
+            for i, rows in zip(g.index.tolist(), g.rows.tolist()):
+                out[i] = {"q": q, "n": n, "dim": d, "rows": rows}
+        return out
 
 
 def _checked(field: Field, n: int, members: list) -> tuple[list, Exception | None]:
@@ -185,28 +279,39 @@ def _checked(field: Field, n: int, members: list) -> tuple[list, Exception | Non
                 error = InvalidParamsError("row length differs from ambient dimension")
                 return members[:j], error
             for x in r:
-                integer = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-                if not (integer and 0 <= x < field.q):
+                if not (_integer(x) and 0 <= x < field.q):
                     error = FieldMismatchError(f"{x} is not an element of {field!r}")
                     return members[:j], error
     return members, None
 
 
-def subspaces_from_dicts(docs) -> tuple[Subspace, ...]:
+def _integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def subspaces_from_dicts(docs) -> GroupedBases:
     """Subspace.from_dict of every document, checked and reduced in bulk.
 
-    Documents are grouped by declared (q, n, dim) and row count; a group
-    resolves its field once, has its rows checked at once and reduced by
-    one rref_blocks call.  The error raised is the one Subspace.from_dict
-    raises for the first document that fails.
+    Documents are grouped by declared (q, n, dim), their types and the row
+    count.  A group has (q, n, dim) checked as the spread schema requires,
+    resolves its field once, has its rows checked at once and is reduced by
+    one rref_blocks call into a BasesGroup.  The error raised is the one
+    Subspace.from_dict raises for the first document that fails.
     """
-    groups: dict[tuple, list[int]] = {}
+    keys: dict[tuple, list[int]] = {}
     for i, d in enumerate(docs):
-        key = int(d["q"]), int(d["n"]), int(d["dim"]), len(d["rows"])
-        groups.setdefault(key, []).append(i)
-    subspaces, errors = [None] * len(docs), []  # errors: (document, exception)
-    for (q, n, dim, k), index in groups.items():
+        head = d["q"], d["n"], d["dim"]
+        # with the types: 2.0 == 2 and True == 1 would share a key
+        keys.setdefault((*head, len(d["rows"]), *map(type, head)), []).append(i)
+    groups, errors = [], []  # errors: (document, exception)
+    for (q, n, dim, k, *_), index in keys.items():
         try:
+            if not all(map(_integer, (q, n, dim))) or min(q - 2, n - 1, dim) < 0:
+                raise InvalidParamsError(
+                    "q, n, dim must be integers with q >= 2, n >= 1, dim >= 0, "
+                    f"got {q!r}, {n!r}, {dim!r}"
+                )
+            q, n, dim = int(q), int(n), int(dim)
             field = field_for_order(q)
         except InvalidParamsError as exc:
             errors.append((index[0], exc))
@@ -221,25 +326,24 @@ def subspaces_from_dicts(docs) -> tuple[Subspace, ...]:
             i, rank = index[wrong[0]], ranks[wrong[0]]
             error = f"declared dim {docs[i]['dim']} but basis has rank {rank}"
             errors.append((i, InvalidParamsError(error)))
-        for i, basis in zip(index, reduced[:, :dim].tolist()):
-            subspaces[i] = Subspace(field, n, tuple(map(tuple, basis)))
+        groups.append(BasesGroup(field, n, reduced[:, :dim], index[:len(rows)]))
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
-    return tuple(subspaces)
+    return GroupedBases(groups)
 
 
 def check_in_space(subspaces, field: Field, n: int, item: str, owner: str) -> None:
     """Raise unless every subspace lies in V(n, q) over ``field``; the error
     names the first one outside, e.g. "member 3 over GF(4), spread has q = 2"."""
-    for i, s in enumerate(subspaces):
-        if s.field != field:
-            raise FieldMismatchError(
-                f"{item} {i} over {s.field}, {owner} has q = {field.q}"
-            )
-        if s.ambient != n:
-            raise AmbientMismatchError(
-                f"{item} {i} in ambient {s.ambient}, {owner} has n = {n}"
-            )
+    g = GroupedBases.of(subspaces).first(lambda g: (g.field, g.ambient) != (field, n))
+    if g is not None and g.field != field:
+        raise FieldMismatchError(
+            f"{item} {g.index[0]} over {g.field}, {owner} has q = {field.q}"
+        )
+    if g is not None:
+        raise AmbientMismatchError(
+            f"{item} {g.index[0]} in ambient {g.ambient}, {owner} has n = {n}"
+        )
 
 
 def intersect_dim(a: Subspace, b: Subspace) -> int:
@@ -351,7 +455,8 @@ def decode_vector(enc: int, n: int, q: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # the point kernel
 
-# Points listed per block by point_encodings; bounds its scratch memory.
+# Points listed per block by point_encodings_of_bases; bounds its scratch
+# memory.
 _POINT_BLOCK = 1 << 14
 
 
@@ -377,40 +482,20 @@ def _add_mod(a, b, p: int):
     return np.minimum(s, s - p)  # s - p wraps around where s < p
 
 
-def point_encodings(
-    subspaces, lines: np.ndarray | None = None
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Normalized point encodings of subspaces of one dimension, in blocks.
-
-    Yields (i, encs) with encs an int64 array whose row k lists the theta_d
-    normalized point encodings of subspaces[i + k].  A block holds about
-    _POINT_BLOCK points, or one subspace if that has more.  The subspaces
-    must share field, ambient space and dimension.  Given ``lines``, an
-    e x e matrix M over GF(p), q = p^e, a row lists one vector of each
-    GF(p)-line instead, (q^d - 1)/(p - 1) of them, with the e digits of each
-    coordinate mapped by M (the listing is GF(p)-linear: M maps the rows).
-    """
-    subspaces = list(subspaces)
-    if not subspaces:
-        return
-    field, n, d = subspaces[0].field, subspaces[0].ambient, subspaces[0].dim
-    for s in subspaces:
-        if (s.field, s.ambient, s.dim) != (field, n, d):
-            raise InvalidParamsError(
-                "point_encodings needs one field, ambient space and dimension"
-            )
-    rows = np.array([s.rows for s in subspaces], np.min_scalar_type(field.q - 1))
-    yield from point_encodings_of_bases(
-        field, rows.reshape(len(subspaces), d, n), lines
-    )
-
-
 def point_encodings_of_bases(
     field: Field, rows: np.ndarray, lines: np.ndarray | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """point_encodings of the subspaces whose RREF bases are rows[i], an
-    array of shape (m, d, n) over GF(q) such as subspace_bases returns.
-    The rows are not checked: they must be RREF bases over ``field``.
+    """Normalized point encodings of the subspaces whose RREF bases are
+    rows[i], an (m, d, n) array over GF(q) such as subspace_bases returns or
+    a BasesGroup holds, in blocks; the rows are not checked.
+
+    Yields (i, encs) with encs an int64 array whose row k lists the theta_d
+    normalized point encodings of subspace i + k.  A block holds about
+    _POINT_BLOCK points, or one subspace if that has more.  Given
+    ``lines``, an e x e matrix M over GF(p), q = p^e, a row lists one vector
+    of each GF(p)-line instead, (q^d - 1)/(p - 1) of them, with the e digits
+    of each coordinate mapped by M (the listing is GF(p)-linear: M maps the
+    rows).
 
     One code path serves every q.  The x^k * b_i (see _expanded_rows) are
     GF(p)-rows R_0, ..., R_(de-1), from the last basis row up; lead R_j gives
@@ -489,16 +574,15 @@ def point_ordinals(encs: np.ndarray, n: int, q: int) -> np.ndarray:
     return ords
 
 
-def least_shared_pair(subspaces) -> tuple[int, int, int] | None:
+def least_shared_pair(subspaces: GroupedBases) -> tuple[int, int, int] | None:
     """Lexicographically least index pair (a, b), a < b, of subspaces that
     share a point, with the least encoding of a point they share; None when
-    no point is listed twice.  Dimensions may differ."""
+    no point is listed twice.  The groups share field and ambient space."""
     encs, owners = [], []
-    for d in {s.dim for s in subspaces}:
-        index = [i for i, s in enumerate(subspaces) if s.dim == d]
-        for start, block in point_encodings([subspaces[i] for i in index]):
+    for g in subspaces.groups:
+        for start, block in point_encodings_of_bases(g.field, g.rows):
             encs.append(block.ravel())
-            owners.append(np.repeat(index[start:start + len(block)], block.shape[1]))
+            owners.append(np.repeat(g.index[start:start + len(block)], block.shape[1]))
     if not encs:
         return None
     encs, owners = np.concatenate(encs), np.concatenate(owners)
@@ -520,17 +604,13 @@ def least_shared_pair(subspaces) -> tuple[int, int, int] | None:
 _PAIR_BLOCK = 1 << 12
 
 
-def least_meeting_pair(subspaces) -> tuple[int, int] | None:
-    """Lexicographically least index pair (a, b), a < b, of subspaces that
-    meet nontrivially, by the ranks of their stacked bases: a against the
+def least_meeting_pair(field: Field, bases: np.ndarray) -> tuple[int, int] | None:
+    """Lexicographically least index pair (a, b), a < b, of the subspaces
+    with RREF bases bases[a] and bases[b], an (m, d, n) array, that meet
+    nontrivially, by the ranks of their stacked bases: a against the
     subspaces after it, up to _PAIR_BLOCK pairs per rref_blocks call; None
-    when there is none.  The subspaces share field, ambient space and
-    dimension."""
-    if not subspaces:
-        return None
-    field, n, d = subspaces[0].field, subspaces[0].ambient, subspaces[0].dim
-    bases = np.array([s.rows for s in subspaces], np.int64)
-    bases = bases.reshape(len(subspaces), d, n)
+    when there is none."""
+    d = bases.shape[1]
     for a in range(len(bases) - 1):
         for b in range(a + 1, len(bases), _PAIR_BLOCK):
             others = bases[b:b + _PAIR_BLOCK]

@@ -3,7 +3,9 @@
 A partition of V(n, q) is a set of nonzero subspaces covering every nonzero
 vector exactly once.  Partial t-spreads induce partitions by filling the
 uncovered points with 1-dimensional parts; the resulting tail is what the
-counting arguments below squeeze.
+counting arguments below squeeze.  Parts are held as bases arrays
+(linalg.GroupedBases), a spread's holes as one (h, 1, n) array; Subspace
+objects are built only when ``parts`` is read.
 
 Two counting identities constrain how parts sit inside hyperplanes.  With
 b_(H,d) = number of d-dimensional parts contained in the hyperplane H and
@@ -26,6 +28,7 @@ recomputes every field independently.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -41,12 +44,13 @@ from .errors import (
 )
 from .gf import field_for_order
 from .linalg import (
+    GroupedBases,
     Subspace,
     check_in_space,
     decode_vector,
     least_shared_pair,
     normalized_point_encodings,
-    point_encodings,
+    point_encodings_of_bases,
     point_ordinals,
     subspaces_from_dicts,
 )
@@ -56,34 +60,37 @@ PROFILE_POINT_CAP = 1 << 24
 
 @dataclass(frozen=True)
 class SubspacePartition:
-    """Subspaces of V(n, q) claimed to cover each nonzero vector once."""
+    """Subspaces of V(n, q), held as GroupedBases, claimed to cover each
+    nonzero vector once."""
 
     q: int
     n: int
-    parts: tuple[Subspace, ...]
+    parts: Sequence[Subspace]
+
+    def __post_init__(self):
+        object.__setattr__(self, "parts", GroupedBases.of(self.parts))
 
     @property
     def dim_counts(self) -> dict[int, int]:
         """dimension -> multiplicity, largest dimension first."""
-        return dict(sorted(Counter(s.dim for s in self.parts).items(), reverse=True))
+        counts = Counter()
+        for g in self.parts.groups:
+            counts[g.dim] += len(g.rows)
+        return dict(sorted(counts.items(), reverse=True))
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n": self.n,
-            "parts": [s.to_dict() for s in self.parts],
-        }
+        return {"q": self.q, "n": self.n, "parts": self.parts.to_dicts()}
 
 
 def partition_from_dict(d: dict) -> SubspacePartition:
     return SubspacePartition(d["q"], d["n"], subspaces_from_dicts(d["parts"]))
 
 
-def _covered(parts, n: int, q: int) -> np.ndarray:
+def _covered(parts: GroupedBases, n: int, q: int) -> np.ndarray:
     """Flags, by point ordinal, of the points of V(n, q) the parts cover."""
     covered = np.zeros(theta(n, q), dtype=bool)
-    for d in {s.dim for s in parts}:
-        for _, block in point_encodings([s for s in parts if s.dim == d]):
+    for g in parts.groups:
+        for _, block in point_encodings_of_bases(g.field, g.rows):
             covered[point_ordinals(block, n, q)] = True
     return covered
 
@@ -103,11 +110,11 @@ def partition_from_spread(spread: PartialSpread) -> SubspacePartition:
             f"V({n}, {q}) has {total} points, budget is {VERIFY_POINT_BUDGET}"
         )
     field = field_for_order(q)
-    covered = _covered(spread.members, n, q)
-    holes = normalized_point_encodings(n, q)[~covered].tolist()
+    holes = normalized_point_encodings(n, q)[~_covered(spread.members, n, q)]
     # a normalized vector is already the RREF basis of its point
-    singles = tuple(Subspace(field, n, (decode_vector(e, n, q),)) for e in holes)
-    return SubspacePartition(q, n, spread.members + singles)
+    singles = holes[:, None, None] // q ** np.arange(n) % q
+    parts = spread.members.extended(field, n, singles.astype(np.min_scalar_type(q - 1)))
+    return SubspacePartition(q, n, parts)
 
 
 @dataclass(frozen=True)
@@ -133,18 +140,19 @@ def verify_partition(
         raise BudgetExceededError(
             f"partition has {total} points, budget is {point_budget}"
         )
-    check_in_space(partition.parts, field_for_order(q), n, "part", "partition")
-    if any(s.dim == 0 for s in partition.parts):
+    parts = partition.parts
+    check_in_space(parts, field_for_order(q), n, "part", "partition")
+    if any(g.dim == 0 for g in parts.groups):
         return PartitionCheck(False, "zero-dimensional part")
 
-    shared = least_shared_pair(partition.parts)
+    shared = least_shared_pair(parts)
     if shared is not None:
         j, i, enc = shared
         return PartitionCheck(
             False, f"point covered by parts {j} and {i}", decode_vector(enc, n, q)
         )
-    if sum(theta(s.dim, q) for s in partition.parts) < total:
-        covered = _covered(partition.parts, n, q)
+    if sum(len(g.rows) * theta(g.dim, q) for g in parts.groups) < total:
+        covered = _covered(parts, n, q)
         enc = int(normalized_point_encodings(n, q)[np.argmin(covered)])
         return PartitionCheck(False, "point not covered", decode_vector(enc, n, q))
     return PartitionCheck(True)
@@ -184,10 +192,11 @@ class HyperplaneProfile:
         }
 
 
-def _line_counts(parts, n: int, field, dtype) -> np.ndarray:
+def _line_counts(field, bases: np.ndarray, n: int, dtype) -> np.ndarray:
     """How often each vector of V(n, q) is listed as a GF(p)-line of the
-    parts, q = p^e, with the digits of each coordinate mapped by the trace
-    pairing M[k, l] = Tr(x^(k+l)): digit k of the image of a is Tr(x^k a).
+    parts with RREF bases ``bases``, an (m, d, n) array, q = p^e, with the
+    digits of each coordinate mapped by the trace pairing
+    M[k, l] = Tr(x^(k+l)): digit k of the image of a is Tr(x^k a).
     Tr(x^m) is the trace of X^m, X the matrix of multiplication by x."""
     p, e, size = field.p, field.e, field.q ** n
     x = np.eye(e, k=-1, dtype=np.int64)
@@ -198,9 +207,10 @@ def _line_counts(parts, n: int, field, dtype) -> np.ndarray:
         power = power @ x % p
     pairing = np.array([traces[k:k + e] for k in range(e)])
     counts = np.zeros(size, dtype)
-    per = max(1, size // 4 // theta(parts[0].dim * e, p))  # a bincount costs q^n
-    for i in range(0, len(parts), per):
-        encs = [b.ravel() for _, b in point_encodings(parts[i:i + per], lines=pairing)]
+    per = max(1, size // 4 // theta(bases.shape[1] * e, p))  # a bincount costs q^n
+    for i in range(0, len(bases), per):
+        blocks = point_encodings_of_bases(field, bases[i:i + per], lines=pairing)
+        encs = [b.ravel() for _, b in blocks]
         counts += np.bincount(np.concatenate(encs), minlength=size)
     return counts
 
@@ -257,6 +267,8 @@ def hyperplane_profile(partition: SubspacePartition) -> HyperplaneProfile:
         raise InvalidParamsError("empty partition has no profile")
     field = field_for_order(q)
     check_in_space(partition.parts, field, n, "part", "partition")
+    # the parts now differ only in dimension: one group each
+    bases = {g.dim: g.rows for g in partition.parts.groups}
     p, e = field.p, field.e
     dim_counts = partition.dim_counts
     dims = tuple(dim_counts)
@@ -268,8 +280,7 @@ def hyperplane_profile(partition: SubspacePartition) -> HyperplaneProfile:
             continue
         # the Walsh-Hadamard pass stays within twice the lines listed
         dtype = np.int32 if 2 * n_d * theta(d * e, p) < 2 ** 31 else np.int64
-        parts = [s for s in partition.parts if s.dim == d]
-        lines = _orthogonal_counts(_line_counts(parts, n, field, dtype), p, duals)
+        lines = _orthogonal_counts(_line_counts(field, bases[d], n, dtype), p, duals)
         extra, unit = lines - n_d * theta(d * e - 1, p), p ** (d * e - 1)
         bad = np.flatnonzero(extra % unit)
         if bad.size:

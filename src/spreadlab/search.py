@@ -3,8 +3,8 @@
 The exact solver is a depth-first subset grower over the full candidate
 list of t-subspaces, in enumeration order.  Candidates are kept as one
 numpy array of RREF bases (linalg.subspace_bases) with a point bitset
-each; Subspace objects are built only for the members of the spread that
-is returned, and that spread is verified.  Point coverage is tracked as a
+each; the spread that is returned holds its members' rows of that array as
+grouped bases, and is verified.  Point coverage is tracked as a
 bitset over the theta_n projective points, and compatibility (trivial
 intersection) as bitsets over candidate indices, built from point
 incidence: a candidate is compatible with every candidate through none of
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +58,7 @@ from .construct import (
 from .errors import BudgetExceededError, InvalidParamsError
 from .gf import field_for_order
 from .linalg import (
-    Subspace,
+    GroupedBases,
     gaussian_binomial,
     point_encodings_of_bases,
     point_ordinals,
@@ -115,14 +115,13 @@ def _candidates(params: SpreadParams):
 
 def _members(params: SpreadParams, bases, chosen) -> PartialSpread:
     """The verified partial spread of the candidates ``chosen``."""
-    field = field_for_order(params.q)
-    spread = PartialSpread(params, tuple(
-        Subspace(field, params.n, tuple(map(tuple, bases[c].tolist())))
-        for c in chosen
-    ))
+    members = GroupedBases([]).extended(
+        field_for_order(params.q), params.n, bases[list(chosen)]
+    )
+    spread = PartialSpread(params, members)
     res = verify_partial_spread(spread)
     assert res.ok, res.reason
-    return PartialSpread(params, spread.members, verified=True)
+    return replace(spread, verified=True)
 
 
 class _State:

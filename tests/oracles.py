@@ -7,15 +7,14 @@ transform, so a test that compares them with ``hyperplane_profile`` or
 ``max_disjoint`` sizes a partial spread from ``intersect_dim`` alone,
 without the search's point bitsets.  ``rref_rows`` reduces one matrix row
 by row with the field's own arithmetic, against the package's batched
-elimination over GF(p) digits.
+elimination over GF(p) digits, and ``intersect_dim`` ranks two stacked
+bases with it, so neither leans on the package's elimination.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import product
-
-from spreadlab.linalg import intersect_dim
 
 
 def encode(vec, q: int) -> int:
@@ -63,6 +62,11 @@ def profile_b_vectors(field, n: int, parts) -> list[tuple[int, ...]]:
         inside = [s.dim for s in parts if contains(field, h, s)]
         out.append(tuple(inside.count(d) for d in dims))
     return out
+
+
+def intersect_dim(a, b) -> int:
+    """dim(A meet B) = dim A + dim B - rank of the stacked bases."""
+    return a.dim + b.dim - len(rref_rows(a.field, a.rows + b.rows, a.ambient))
 
 
 def max_disjoint(subspaces) -> int:

@@ -384,6 +384,43 @@ def test_non_integer_entry_exits_two(entry):
         assert rc == 2
         assert out == ""
         assert "is not an element of GF(2)" in err
+        assert "malformed" not in err
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda m: m.__setitem__("q", 3), "member 2 over GF(3), spread has q = 2"),
+        (
+            lambda m: (m.__setitem__("n", 5), [r.append(0) for r in m["rows"]]),
+            "member 2 in ambient 5, spread has n = 4",
+        ),
+    ],
+)
+def test_member_outside_the_space_exits_two(edit, message):
+    doc = json.loads(go(["construct", "--q", "2", "--n", "4", "--t", "2"])[1])
+    edit(doc["members"][2])
+    for command in ("verify", "analyze"):
+        rc, out, err = go([command], inp=json.dumps(doc))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "fields,got",
+    [
+        ({"q": 2.5}, "2.5, 4, 2"),
+        ({"dim": True}, "2, 4, True"),
+        ({"n": "4"}, "2, '4', 2"),
+        ({"n": -4, "rows": []}, "2, -4, 2"),
+    ],
+)
+def test_member_declaring_bad_parameters_exits_two(fields, got):
+    doc = json.loads(go(["construct", "--q", "2", "--n", "4", "--t", "2"])[1])
+    doc["members"][2].update(fields)
+    message = f"q, n, dim must be integers with q >= 2, n >= 1, dim >= 0, got {got}"
+    for command in ("verify", "analyze"):
+        rc, out, err = go([command], inp=json.dumps(doc))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_malformed_json_exits_two():

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -23,7 +24,7 @@ from spreadlab.errors import (
     InvalidParamsError,
 )
 from spreadlab.gf import ext_field, field_for_order
-from spreadlab.linalg import Subspace, intersect_dim, point_encodings
+from spreadlab.linalg import Subspace, intersect_dim, point_encodings_of_bases
 
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -126,7 +127,8 @@ class TestBuild:
         # r = 0: members partition the nonzero points exactly
         sp = build_lower_bound_spread(P(2, 6, 2))
         seen = set()
-        for _, block in point_encodings(sp.members):
+        (group,) = sp.members.groups
+        for _, block in point_encodings_of_bases(group.field, group.rows):
             assert block.shape[1] == theta(2, 2)
             seen.update(block.ravel().tolist())
         assert len(seen) == theta(6, 2)
@@ -263,6 +265,9 @@ def _doc_with(edit):
     return doc
 
 
+DECLARED = "q, n, dim must be integers with q >= 2, n >= 1, dim >= 0"
+
+
 def _widen(member):
     member["n"] = 5
     for row in member["rows"]:
@@ -316,6 +321,41 @@ class TestParse:
         doc["parts"] = doc.pop("members")
         with pytest.raises(error, match=rf"^part 2 {text}, partition has [qn] = \d$"):
             pt.verify_partition(pt.partition_from_dict(doc))
+
+    @pytest.mark.parametrize(
+        "key,value,got",
+        [
+            ("q", 2.5, "2.5, 4, 2"),
+            ("q", True, "True, 4, 2"),
+            ("dim", True, "2, 4, True"),
+            ("n", "4", "2, '4', 2"),
+            ("q", 1, "1, 4, 2"),
+            ("dim", -1, "2, 4, -1"),
+        ],
+    )
+    def test_declared_parameters_are_checked(self, key, value, got):
+        doc = _doc_with(lambda m: m.__setitem__(key, value))
+        text = f"{DECLARED}, got {re.escape(got)}"
+        with pytest.raises(InvalidParamsError, match=f"^{text}$"):
+            spread_from_dict(doc)
+        doc["parts"] = doc.pop("members")
+        with pytest.raises(InvalidParamsError, match=f"^{text}$"):
+            pt.partition_from_dict(doc)
+
+    def test_negative_ambient_without_rows_is_refused(self):
+        doc = _doc_with(lambda m: m.update(n=-4, rows=[]))
+        text = f"{DECLARED}, got 2, -4, 2"
+        with pytest.raises(InvalidParamsError, match=f"^{text}$"):
+            spread_from_dict(doc)
+
+    def test_a_declared_error_after_a_row_error_is_not_reported(self):
+        doc = _doc_with(lambda m: m["rows"][0].append(0))
+        doc["members"][4]["q"] = 2.5
+        with pytest.raises(InvalidParamsError, match="^row length differs"):
+            spread_from_dict(doc)
+        doc["members"][1]["dim"] = True
+        with pytest.raises(InvalidParamsError, match=f"^{DECLARED}, got 2, 4, True$"):
+            spread_from_dict(doc)
 
     def test_the_first_failing_member_is_reported(self):
         # member 2 fails its rank, member 3 its field and member 4 a row

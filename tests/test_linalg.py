@@ -305,17 +305,26 @@ def test_subspace_bases_budget_before_allocation():
 # only part of its dimension; the oracles list both by brute force.
 
 
+def _bases(subspaces):
+    """The bases of subspaces of one field, ambient space and dimension, as
+    one (m, d, n) array."""
+    d, n = subspaces[0].dim, subspaces[0].ambient
+    return np.array([s.rows for s in subspaces]).reshape(len(subspaces), d, n)
+
+
 def _points(s):
     """Normalized point encodings of one subspace, from the kernel."""
-    return [e for _, block in linalg.point_encodings([s]) for e in block[0].tolist()]
+    blocks = linalg.point_encodings_of_bases(s.field, _bases([s]))
+    return [e for _, block in blocks for e in block[0].tolist()]
 
 
 def _with_singles(s):
     """Partition of the ambient space into s and the points outside it."""
     field, n = s.field, s.ambient
     inside = set(_points(s))
+    # a normalized vector is already the RREF basis of its point
     singles = tuple(
-        linalg.Subspace.from_rows(field, n, [linalg.decode_vector(e, n, field.q)])
+        linalg.Subspace(field, n, (linalg.decode_vector(e, n, field.q),))
         for e in linalg.normalized_point_encodings(n, field.q).tolist()
         if e not in inside
     )
@@ -415,7 +424,9 @@ def test_annihilator_dims_and_orthogonality(field):
 
 def _kernel_points(subspaces):
     out = {}
-    for start, block in linalg.point_encodings(subspaces):
+    for start, block in linalg.point_encodings_of_bases(
+        subspaces[0].field, _bases(subspaces)
+    ):
         for k, row in enumerate(block.tolist()):
             out[start + k] = row
     return [out[i] for i in range(len(subspaces))]
@@ -482,12 +493,9 @@ def test_point_blocks_do_not_change_points(field, monkeypatch):
         assert _kernel_points(subs) == want
 
 
-def test_point_encodings_one_dimension_only():
-    line = linalg.Subspace.from_rows(GF2, 3, [(1, 0, 0)])
-    plane = linalg.Subspace.from_rows(GF2, 3, [(1, 0, 0), (0, 1, 0)])
-    with pytest.raises(InvalidParamsError):
-        list(linalg.point_encodings([line, plane]))
-    assert list(linalg.point_encodings([linalg.Subspace(GF2, 3, ())])) == []
+def test_zero_subspace_has_no_points():
+    zero = np.zeros((2, 0, 3), np.uint8)
+    assert list(linalg.point_encodings_of_bases(GF2, zero)) == []
 
 
 def test_normalized_point_encodings_ascending():

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from oracles import profile_b_vectors
@@ -20,7 +21,7 @@ from spreadlab.linalg import (
     decode_vector,
     enumerate_subspaces,
     normalized_point_encodings,
-    point_encodings,
+    point_encodings_of_bases,
 )
 
 
@@ -36,7 +37,12 @@ def with_singles(q, n, big):
     """Partition of V(n, q) into the parts ``big`` and one single for each
     point they leave uncovered."""
     f = field_for_order(q)
-    covered = {e for s in big for _, b in point_encodings([s]) for e in b[0].tolist()}
+    covered = {
+        e
+        for s in big
+        for _, b in point_encodings_of_bases(f, np.array([s.rows]))
+        for e in b[0].tolist()
+    }
     singles = tuple(
         Subspace.from_rows(f, n, [decode_vector(e, n, q)])
         for e in normalized_point_encodings(n, q).tolist()
@@ -281,7 +287,9 @@ class TestHeden:
         def points(subspaces):
             return [
                 frozenset(row)
-                for _, block in point_encodings(subspaces)
+                for _, block in point_encodings_of_bases(
+                    f, np.array([s.rows for s in subspaces])
+                )
                 for row in block.tolist()
             ]
 

@@ -1,8 +1,9 @@
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from oracles import max_disjoint
+from oracles import intersect_dim, max_disjoint
 
 from spreadlab import search
 from spreadlab.bounds import SpreadParams, lower_bound, theta
@@ -12,8 +13,7 @@ from spreadlab.gf import field_for_order
 from spreadlab.linalg import (
     enumerate_subspaces,
     gaussian_binomial,
-    intersect_dim,
-    point_encodings,
+    point_encodings_of_bases,
     point_ordinals,
 )
 
@@ -124,7 +124,8 @@ class TestCandidates:
         subs = subspaces(q, n, t)
         assert [tuple(map(tuple, b)) for b in bases.tolist()] == [s.rows for s in subs]
         want = []
-        for _, block in point_encodings(subs):
+        bases = np.array([s.rows for s in subs])
+        for _, block in point_encodings_of_bases(field_for_order(q), bases):
             for row in point_ordinals(block, n, q).tolist():
                 want.append(sum(1 << p for p in row))
         assert masks == want
