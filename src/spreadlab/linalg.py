@@ -195,7 +195,7 @@ class GroupedBases(Sequence):
             index = np.concatenate([g.index for g in same])
             order = np.argsort(index, kind="stable")
             rows = np.concatenate([g.rows for g in same])[order]
-            rows = rows.astype(np.min_scalar_type(field.q - 1))
+            rows = rows.astype(np.min_scalar_type(field.q - 1), copy=False)
             if len(index):
                 self.groups.append(BasesGroup(field, n, rows, index[order]))
 
@@ -204,11 +204,14 @@ class GroupedBases(Sequence):
         """The subspaces as grouped bases; a GroupedBases is returned as is."""
         if isinstance(subspaces, GroupedBases):
             return subspaces
-        groups = []
+        subspaces, keys = tuple(subspaces), {}
         for i, s in enumerate(subspaces):
-            rows = np.reshape(s.rows, (1, s.dim, s.ambient))
-            groups.append(BasesGroup(s.field, s.ambient, rows, [i]))
-        return cls(groups)
+            keys.setdefault((s.field, s.ambient, s.dim), []).append(i)
+        return cls([
+            BasesGroup(f, n, np.reshape([subspaces[i].rows for i in index],
+                                        (len(index), d, n)), index)
+            for (f, n, d), index in keys.items()
+        ])
 
     def extended(self, field: Field, ambient: int, rows: np.ndarray) -> "GroupedBases":
         """These subspaces, then the ones whose RREF bases are rows, an
