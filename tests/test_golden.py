@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from spreadlab.cli import run
+from spreadlab.gf import field_for_order
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
@@ -50,6 +51,23 @@ GOLDEN = {
 
 # one re-based document per q, from the first triple above with that q
 REBASED = [(2, 7, 3), (3, 5, 2), (4, 6, 3), (5, 5, 2)]
+
+# documents in V(n, q) with q^n >= 2^63, whose point encodings do not fit an
+# int64: (q, n, t, members, planted) -> exit code and digest of verify.  The
+# members are random t x n matrices over GF(q); planted (a, s) appends one
+# more member whose first row is s times the first row of member a.
+HUGE = {
+    (2, 64, 2, 2, None): (0, VERIFIED),
+    (2, 70, 3, 3, (0, 1)): (
+        1, "39037852bfd231c3425b69c3d9a63215d72ed47abc53102229e1f6011b55eb99",
+    ),
+    (3, 41, 2, 4, (1, 2)): (
+        1, "0ef1655b5a8b8b8645e8c9316d01b5a5651bd3e213fcb511529f2b4bf9187a0b",
+    ),
+    (4, 32, 2, 4, (2, 2)): (
+        1, "afda29d5e627587aa894b34491561a4dc6d2aa80678995c0c7a2efce8a94436d",
+    ),
+}
 
 
 def go(argv, inp=""):
@@ -87,6 +105,30 @@ def test_rebased_document_prints_the_same(q, n, t):
     assert (rc, digest(out)) == (0, VERIFIED)
     rc, out, _ = go(["analyze", "--hyperplanes"], moved)
     assert (rc, digest(out)) == (0, GOLDEN[q, n, t][1])
+
+
+def huge_doc(q, n, t, members, planted) -> str:
+    rng = random.Random(q * n)
+    bases = [
+        [[rng.randrange(q) for _ in range(n)] for _ in range(t)]
+        for _ in range(members)
+    ]
+    if planted is not None:
+        a, s = planted
+        field = field_for_order(q)
+        first = [field.mul(s, x) for x in bases[a][0]]
+        bases.append([first] + [[rng.randrange(q) for _ in range(n)]
+                                for _ in range(t - 1)])
+    docs = [{"q": q, "n": n, "dim": t, "rows": rows} for rows in bases]
+    return json.dumps({"q": q, "n": n, "t": t, "members": docs})
+
+
+@pytest.mark.parametrize("case", list(HUGE))
+def test_verify_beyond_int64_encodings(case):
+    q, n = case[:2]
+    assert q ** n >= 1 << 63
+    rc, out, _ = go(["verify"], huge_doc(*case))
+    assert (rc, digest(out)) == HUGE[case]
 
 
 def test_overlap_reason_and_exit_code():
