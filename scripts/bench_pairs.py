@@ -8,9 +8,10 @@ every seed 1..k, ``perfbench/run.py`` runs once in each checkout, one after
 the other; the parent runs first on odd seeds, the change on even ones, so
 that a drift of the host's speed does not favour one side.  The workloads,
 the run length, the metrics, their directions and regression bounds come
-from the change side's ``BENCHMARK.json``.  With ``--trace W`` one traced
-run per side (seed 1) records W's per-layer metrics as well.  A side's
-commit is recorded only when its checkout is a clean git work tree.
+from the change side's ``BENCHMARK.json``.  With ``--trace W`` three traced
+runs per side (seeds 1-3, paired and alternated the same way) record the
+median of each of W's per-layer metrics as well.  A side's commit is
+recorded only when its checkout is a clean git work tree.
 
 For each workload and end-to-end metric the output gives every run, the
 medians and quartiles of each side, the change against the parent in
@@ -42,6 +43,8 @@ from pathlib import Path
 PAIR_SHARE = 0.9
 # decimal places kept in medians, quartiles and interquartile ranges
 DIGITS = 4
+# seeds of the traced runs behind the per-layer medians
+TRACE_SEEDS = [1, 2, 3]
 
 
 def _quartiles(values):
@@ -126,6 +129,15 @@ def summarize(parent_runs, change_runs, metrics) -> dict:
     return out
 
 
+def layer_medians(runs) -> dict:
+    """The median of every metric over one side's traced runs, reduced as
+    ``_run`` returns them; correctness and operation counts are left out."""
+    return {
+        k: round(statistics.median(r[k] for r in runs), DIGITS)
+        for k in runs[0] if k not in ("correct", "attempted", "failed")
+    }
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -140,6 +152,16 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -
         "attempted": doc["attempted"],
         "failed": doc["failed"],
     }
+
+
+def _paired_runs(sides: dict, workload: str, seeds, seconds: float, trace: int) -> dict:
+    """One run per side and seed; the parent runs first on odd seeds."""
+    runs = {"parent": [], "change": []}
+    for seed in seeds:
+        for side in ("parent", "change") if seed % 2 else ("change", "parent"):
+            runs[side].append(_run(sides[side], workload, seed, seconds, trace))
+            print(f"{workload} seed {seed} {side}: {runs[side][-1]}", file=sys.stderr)
+    return runs
 
 
 def _commit(checkout: Path):
@@ -193,7 +215,8 @@ def main(argv=None) -> int:
             f"--seconds {seconds:g}` (end-to-end metrics, tracing off) over "
             f"seeds 1-{args.seeds}, alternating which side runs first (parent "
             f"first on odd seeds)"
-            + (f", and one traced run per side (--trace 1, seed 1) of "
+            + (f", and the per-layer medians of three traced runs per side "
+               f"(--trace 1, seeds 1-3, alternating the same way) of "
                f"{', '.join(args.trace)}." if args.trace else ".")
         ),
         "parent_commit": _commit(sides["parent"]),
@@ -202,30 +225,16 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     for workload in [w["name"] for w in spec["workloads"]]:
-        runs = {"parent": [], "change": []}
-        for seed in seeds:
-            order = ("parent", "change") if seed % 2 else ("change", "parent")
-            for side in order:
-                runs[side].append(
-                    _run(sides[side], workload, seed, seconds, trace=0)
-                )
-                print(f"{workload} seed {seed} {side}: {runs[side][-1]}",
-                      file=sys.stderr)
+        runs = _paired_runs(sides, workload, seeds, seconds, trace=0)
         doc["workloads"][workload] = {
             "seeds": seeds,
             **summarize(runs["parent"], runs["change"], spec["end_to_end"]),
         }
     for workload in args.trace:
-        traced = {
-            side: _run(sides[side], workload, 1, seconds, trace=1)
-            for side in ("parent", "change")
-        }
-        doc[f"trace_{workload}_seed1"] = {
-            side: {
-                k: round(v, DIGITS) if isinstance(v, float) else v
-                for k, v in values.items() if k not in ("correct", "attempted", "failed")
-            }
-            for side, values in traced.items()
+        traced = _paired_runs(sides, workload, TRACE_SEEDS, seconds, trace=1)
+        doc[f"trace_{workload}"] = {
+            "seeds": TRACE_SEEDS,
+            **{side: layer_medians(runs) for side, runs in traced.items()},
         }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     return 0

@@ -353,8 +353,11 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
     except VIOLATION_ERRORS as exc:
         print(f"invalid: {exc}", file=stderr)
         return 1
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed input: {exc!r}", file=stderr)
+    except KeyError as exc:
+        print(f"error: malformed input: missing key {exc}", file=stderr)
+        return 2
+    except (TypeError, ValueError) as exc:
+        print(f"error: malformed input: {exc}", file=stderr)
         return 2
 
 

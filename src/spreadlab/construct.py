@@ -24,19 +24,22 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .bounds import SpreadParams, lower_bound, theta
-from .errors import ConstructionSizeMismatchError, InvalidParamsError
+from .errors import (
+    BudgetExceededError,
+    ConstructionSizeMismatchError,
+    InvalidParamsError,
+)
 from .gf import Field, ext_field, field_for_order
 from .linalg import (
     GroupedBases,
     Subspace,
     check_in_space,
-    least_meeting_pair,
     least_shared_pair,
     subspaces_from_dicts,
 )
 
-# most points a spread or partition check lists; larger inputs are refused,
-# or verified by pairwise intersections
+# most points a spread or partition check lists, counted before listing any;
+# larger inputs are refused with BudgetExceededError
 VERIFY_POINT_BUDGET = 1 << 22
 
 # values of a per level block of the construction; bounds its scratch memory
@@ -79,6 +82,14 @@ class VerificationResult:
         return {**asdict(self), "clash": list(self.clash) if self.clash else None}
 
 
+def check_verify_budget(what: str, points: int) -> None:
+    """Refuse to list more than VERIFY_POINT_BUDGET points."""
+    if points > VERIFY_POINT_BUDGET:
+        raise BudgetExceededError(
+            f"{what} has {points} points, point budget is {VERIFY_POINT_BUDGET}"
+        )
+
+
 def mult_map_matrix(ext: Field, a: int, t: int) -> tuple[tuple[int, ...], ...]:
     """Rows i < t of the multiplication-by-a map on GF(q^m), in base-field
     coordinates: row i is the coordinate vector of a * g^i."""
@@ -113,30 +124,32 @@ def _mult_map_rows(ext: Field, a: np.ndarray, t: int) -> np.ndarray:
 def build_lower_bound_spread(params: SpreadParams) -> PartialSpread:
     """Construct and verify a partial t-spread of V(n, q) whose size equals
     the packing lower bound.  Raises OverflowLimitError if some level needs
-    an extension field beyond the configured order cap.
+    an extension field beyond the configured order cap, and
+    BudgetExceededError, before anything is built, if its self-check would
+    list more than VERIFY_POINT_BUDGET points.
 
     Each level's rows [0 | I_t | M_a] are built for a block of a at a time
     and are already in RREF."""
     q, n, t = params.q, params.n, params.t
     field = field_for_order(q)
+    offsets = range(0, n - 2 * t + 1, t)  # one level each while 2t coordinates remain
+    towers = [ext_field(field, n - offset - t) for offset in offsets]
+    want = lower_bound(params)
+    check_verify_budget(f"spread of {want} members", want * theta(t, q))
     blocks = []
-
-    offset = 0
-    while n - offset >= 2 * t:
-        ext = ext_field(field, n - offset - t)
+    for offset, ext in zip(offsets, towers):
         for start in range(0, ext.q, _BUILD_BLOCK):
             a = np.arange(start, min(start + _BUILD_BLOCK, ext.q))
             rows = np.zeros((len(a), t, n), dtype=np.min_scalar_type(q - 1))
             rows[:, range(t), range(offset, offset + t)] = 1
             rows[:, :, offset + t:] = _mult_map_rows(ext, a, t)
             blocks.append(rows)
-        offset += t
+    offset = len(offsets) * t
     tail = np.zeros((1, t, n), dtype=np.min_scalar_type(q - 1))
     tail[:, range(t), range(offset, offset + t)] = 1
     blocks.append(tail)
 
     members = GroupedBases([]).extended(field, n, np.concatenate(blocks))
-    want = lower_bound(params)
     if len(members) != want:
         raise ConstructionSizeMismatchError(
             f"built {len(members)} members, packing bound says {want}"
@@ -153,9 +166,8 @@ def verify_partial_spread(spread: PartialSpread) -> VerificationResult:
 
     The members' points are listed by the point kernel and sorted; a point
     listed twice reports the lexicographically least pair of members that
-    share a point.  When those points would exceed VERIFY_POINT_BUDGET, or
-    q^n does not fit an int64, the ranks of stacked pairs of bases take
-    their place and report the same pair.
+    share a point.  Raises BudgetExceededError, before listing any, when
+    there are more than VERIFY_POINT_BUDGET of them.
     """
     params = spread.params
     q, n, t = params.q, params.n, params.t
@@ -166,17 +178,12 @@ def verify_partial_spread(spread: PartialSpread) -> VerificationResult:
     if g is not None:
         reason = f"member {g.index[0]} has dimension {g.dim}, expected {t}"
         return VerificationResult(False, None, reason)
-    if not members:
-        return VerificationResult(True)
-    if len(members) * theta(t, q) > VERIFY_POINT_BUDGET or q ** n >= 1 << 63:
-        # the members now form one group, in order
-        clash = least_meeting_pair(field, members.groups[0].rows)
-    else:
-        shared = least_shared_pair(members)
-        clash = None if shared is None else shared[:2]
-    if clash is not None:
+    check_verify_budget("spread", len(members) * theta(t, q))
+    shared = least_shared_pair(members)
+    if shared is not None:
+        a, b, _ = shared
         return VerificationResult(
-            False, clash, f"members {clash[0]} and {clash[1]} share a nonzero vector"
+            False, (a, b), f"members {a} and {b} share a nonzero vector"
         )
     return VerificationResult(True)
 

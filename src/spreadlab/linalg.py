@@ -10,9 +10,9 @@ reads as a tuple of Subspace built on first read; the kernels read arrays.
 
 ``rref_blocks`` is the one elimination: it reduces a whole (m, k, n) array
 of bases at once, with numpy on GF(p) digits, q = p^e, so one arithmetic
-serves every q.  ``rref_rows`` is its one-block call, ``intersect_dim`` and
-``least_meeting_pair`` rank stacked bases with it, and
-``subspaces_from_dicts`` parses documents through it into a GroupedBases.
+serves every q.  ``rref_rows`` is its one-block call, ``intersect_dim``
+ranks two stacked bases with it, and ``subspaces_from_dicts`` parses
+documents through it into a GroupedBases.
 
 The d-subspaces of V(n, q) have one canonical order, defined once by
 ``_row_options``: RREF pivot sets in combinations order, then, per pivot
@@ -26,7 +26,8 @@ encoding (digit i = coordinate i).  ``point_encodings_of_bases`` is the one
 place that lists the points of subspaces, from an array of bases, with
 numpy on GF(p) digits for every q; verification, partition fill,
 hyperplane profiles and search candidates all run on it.
-``point_ordinals`` numbers the points of V(n, q) for all of them.
+``point_ordinals`` numbers the points of V(n, q) for all of them, and
+``least_shared_pair`` sorts them to find subspaces that meet.
 """
 
 from __future__ import annotations
@@ -395,21 +396,18 @@ def _row_options(n: int, d: int, q: int):
         yield options
 
 
-def _check_enum_budget(n: int, d: int, q: int, budget: int | None) -> int:
+def _check_enum_budget(n: int, d: int, q: int) -> int:
     if not 0 <= d <= n:
         raise InvalidParamsError(f"need 0 <= d <= n, got d={d} n={n}")
     total = gaussian_binomial(n, d, q)
-    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
-    if total > limit:
+    if total > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"{total} subspaces exceed enumeration budget {limit}"
+            f"{total} subspaces exceed enumeration budget {DEFAULT_ENUM_BUDGET}"
         )
     return total
 
 
-def enumerate_subspaces(
-    n: int, d: int, field: Field, budget: int | None = None
-) -> Iterator[Subspace]:
+def enumerate_subspaces(n: int, d: int, field: Field) -> Iterator[Subspace]:
     """All d-subspaces of V(n, q) in canonical order.
 
     Order: RREF pivot-column sets ascending (itertools.combinations order),
@@ -417,22 +415,20 @@ def enumerate_subspaces(
     row 0 most significant.  This is the free entries ascending
     lexicographically, read row-major, first free cell most significant.
     """
-    _check_enum_budget(n, d, field.q, budget)
+    _check_enum_budget(n, d, field.q)
     for options in _row_options(n, d, field.q):
         for rows in product(*options):
             yield Subspace(field, n, rows)
 
 
-def subspace_bases(
-    n: int, d: int, field: Field, budget: int | None = None
-) -> np.ndarray:
+def subspace_bases(n: int, d: int, field: Field) -> np.ndarray:
     """The bases enumerate_subspaces yields, in its order, as one array of
     shape (count, d, n) and dtype np.min_scalar_type(q - 1).
 
     Each pivot set's block is the product of its rows' options, spread by
     broadcasting; the budget is checked before anything is allocated."""
     q = field.q
-    total = _check_enum_budget(n, d, q, budget)
+    total = _check_enum_budget(n, d, q)
     bases = np.zeros((total, d, n), np.min_scalar_type(q - 1))
     at = 0
     for options in _row_options(n, d, q):
@@ -492,9 +488,11 @@ def point_encodings_of_bases(
     rows[i], an (m, d, n) array over GF(q) such as subspace_bases returns or
     a BasesGroup holds, in blocks; the rows are not checked.
 
-    Yields (i, encs) with encs an int64 array whose row k lists the theta_d
-    normalized point encodings of subspace i + k.  A block holds about
-    _POINT_BLOCK points, or one subspace if that has more.  Given
+    Yields (i, encs) with encs an array whose row k lists the theta_d
+    normalized point encodings of subspace i + k: int64 while q^n < 2^63,
+    else Python ints (dtype object), which are exact at any size but list
+    points about ten times slower.  A block holds about _POINT_BLOCK
+    points, or one subspace if that has more.  Given
     ``lines``, an e x e matrix M over GF(p), q = p^e, a row lists one vector
     of each GF(p)-line instead, (q^d - 1)/(p - 1) of them, with the e digits
     of each coordinate mapped by M (the listing is GF(p)-linear: M maps the
@@ -505,8 +503,7 @@ def point_encodings_of_bases(
     R_j + span(R_0, ..., R_(j-1)).  Every R_j leads for lines, the x^0 * b_i
     for points (a combination whose first nonzero coefficient is 1 has first
     nonzero coordinate 1 in RREF).  Spans are listed as GF(p)-digit vectors,
-    one row at a time, then read as base-p integers; the caller keeps q^n
-    below 2^63 so that encodings fit an int64.
+    one row at a time, then read as base-p integers.
     """
     _, d, n = rows.shape
     if d == 0:
@@ -542,7 +539,7 @@ def point_encodings_of_bases(
             size = p ** j
             digits[:, at:at + size] = vecs[:, size:2 * size]
             at += size
-        encs = np.zeros((count, m), dtype=np.int64)
+        encs = np.zeros((count, m), dtype=np.int64 if p ** width < 1 << 63 else object)
         for j in range(width - 1, -1, -1):
             encs *= p
             encs += digits[j]
@@ -601,25 +598,3 @@ def least_shared_pair(subspaces: GroupedBases) -> tuple[int, int, int] | None:
     a, b, shared = owners[first[repeat]], owners[repeat], encs[repeat]
     best = np.lexsort((shared, b, a))[0]
     return int(a[best]), int(b[best]), int(shared[best])
-
-
-# most pairs least_meeting_pair ranks per rref_blocks call
-_PAIR_BLOCK = 1 << 12
-
-
-def least_meeting_pair(field: Field, bases: np.ndarray) -> tuple[int, int] | None:
-    """Lexicographically least index pair (a, b), a < b, of the subspaces
-    with RREF bases bases[a] and bases[b], an (m, d, n) array, that meet
-    nontrivially, by the ranks of their stacked bases: a against the
-    subspaces after it, up to _PAIR_BLOCK pairs per rref_blocks call; None
-    when there is none."""
-    d = bases.shape[1]
-    for a in range(len(bases) - 1):
-        for b in range(a + 1, len(bases), _PAIR_BLOCK):
-            others = bases[b:b + _PAIR_BLOCK]
-            first = np.broadcast_to(bases[a], others.shape)
-            stacked = np.concatenate([first, others], axis=1)
-            meet = np.flatnonzero(rref_blocks(field, stacked)[1] < 2 * d)
-            if meet.size:
-                return a, b + int(meet[0])
-    return None

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .bounds import SpreadParams, delta, descent_x, h_of, lemma_main_bound, theta
-from .construct import VERIFY_POINT_BUDGET, PartialSpread
+from .construct import PartialSpread, check_verify_budget
 from .errors import (
     BudgetExceededError,
     HypothesisViolatedError,
@@ -104,11 +104,7 @@ def partition_from_spread(spread: PartialSpread) -> SubspacePartition:
         )
     params = spread.params
     q, n = params.q, params.n
-    total = theta(n, q)
-    if total > VERIFY_POINT_BUDGET:
-        raise BudgetExceededError(
-            f"V({n}, {q}) has {total} points, budget is {VERIFY_POINT_BUDGET}"
-        )
+    check_verify_budget(f"V({n}, {q})", theta(n, q))
     field = field_for_order(q)
     holes = normalized_point_encodings(n, q)[~_covered(spread.members, n, q)]
     # a normalized vector is already the RREF basis of its point
@@ -127,19 +123,14 @@ class PartitionCheck:
         return {**asdict(self), "witness": list(self.witness) if self.witness else None}
 
 
-def verify_partition(
-    partition: SubspacePartition, point_budget: int = VERIFY_POINT_BUDGET
-) -> PartitionCheck:
+def verify_partition(partition: SubspacePartition) -> PartitionCheck:
     """Exact cover check on the parts' points.
 
     Reports the lexicographically least pair of parts sharing a point, else
     the least point no part covers."""
     q, n = partition.q, partition.n
     total = theta(n, q)
-    if total > point_budget:
-        raise BudgetExceededError(
-            f"partition has {total} points, budget is {point_budget}"
-        )
+    check_verify_budget("partition", total)
     parts = partition.parts
     check_in_space(parts, field_for_order(q), n, "part", "partition")
     if any(g.dim == 0 for g in parts.groups):

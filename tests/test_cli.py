@@ -200,6 +200,22 @@ def test_analyze_large_ambient_exits_two():
     assert "budget" in err
 
 
+def test_verify_past_the_budget_exits_two():
+    # two 22-dimensional members list 2 (2^22 - 1) points, over 2^22
+    rc, out, err = go(["verify"], inp=_two_member_doc(44, 22))
+    assert (rc, out) == (2, "")
+    assert "budget" in err
+
+
+def test_construct_past_the_budget_exits_two():
+    # 1,198,369 planes of V(23, 2) list 8,388,583 points; refused unbuilt
+    t0 = time.monotonic()
+    rc, out, err = go(["construct", "--q", "2", "--n", "23", "--t", "3"])
+    assert time.monotonic() - t0 < 5
+    assert (rc, out) == (2, "")
+    assert "point budget" in err
+
+
 def test_certify_emit_golden(validator):
     rc, out, _ = go(["certify", "--q", "2", "--n", "8", "--t", "3"])
     assert rc == 0
@@ -433,6 +449,23 @@ def test_missing_key_exits_two():
     rc, _, err = go(["verify"], inp=json.dumps({"q": 2, "n": 6}))
     assert rc == 2
     assert "malformed" in err
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"q": 2, "n": 4, "t": 2}, "missing key 'members'"),
+        ({"q": 2, "n": 4, "t": 2, "members": [{"q": 2, "n": 4, "dim": 2}]},
+         "missing key 'rows'"),
+        ({"q": 2, "n": 4, "t": 2, "members": 5}, "'int' object is not iterable"),
+        ({"q": 2, "n": 4, "t": 2, "members": [5]},
+         "'int' object is not subscriptable"),
+    ],
+)
+def test_malformed_document_prints_a_sentence(doc, message):
+    rc, out, err = go(["verify"], inp=json.dumps(doc))
+    assert (rc, out, err) == (2, "", f"error: malformed input: {message}\n")
+    assert "Error(" not in err
 
 
 def test_missing_file_exits_two(tmp_path):

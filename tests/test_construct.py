@@ -20,6 +20,7 @@ from spreadlab.construct import (
 )
 from spreadlab.errors import (
     AmbientMismatchError,
+    BudgetExceededError,
     FieldMismatchError,
     InvalidParamsError,
 )
@@ -198,29 +199,47 @@ class TestVerify:
         assert res.ok is False
         assert res.clash == (3, 18)
 
-    def test_pairwise_path_agrees(self, monkeypatch):
+    def test_inserted_copy_clashes_with_its_original(self):
         sp = build_lower_bound_spread(P(3, 6, 2))
         bad = PartialSpread(sp.params, sp.members[:40] + (sp.members[7],) + sp.members[40:])
-        want = verify_partial_spread(bad)
-        monkeypatch.setattr(construct, "VERIFY_POINT_BUDGET", 0)
-        got = verify_partial_spread(bad)
-        assert got == want
-        assert got.clash == (7, 40)
+        res = verify_partial_spread(bad)
+        assert (res.ok, res.clash) == (False, (7, 40))
+        assert res.reason == "members 7 and 40 share a nonzero vector"
 
-    @pytest.mark.parametrize("pair_block", [1, 2, 7, 1 << 12])
-    def test_pairwise_path_names_the_least_pair(self, monkeypatch, pair_block):
+    def test_planted_clashes_name_the_least_pair(self):
         # planted clashes over GF(4): (9, 17) has the smallest second index,
         # (3, 18) is the lexicographically least pair and (3, 19) shares its
-        # first index; small blocks of pairs spread them over rank calls
+        # first index
         sp = build_lower_bound_spread(P(4, 4, 2))
         planted = (sp.members[9], sp.members[3], sp.members[3])
-        bad = PartialSpread(sp.params, sp.members + planted)
-        want = verify_partial_spread(bad)
-        monkeypatch.setattr(construct, "VERIFY_POINT_BUDGET", 0)
-        monkeypatch.setattr(linalg, "_PAIR_BLOCK", pair_block)
-        assert verify_partial_spread(bad) == want
-        assert want.clash == (3, 18)
+        res = verify_partial_spread(PartialSpread(sp.params, sp.members + planted))
+        assert (res.ok, res.clash) == (False, (3, 18))
         assert verify_partial_spread(sp).ok
+
+    def test_refuses_past_the_budget(self):
+        # two 22-dimensional members of V(44, 2) list 2 (2^22 - 1) points
+        f = field_for_order(2)
+        eye = [tuple(int(i == j) for j in range(44)) for i in range(44)]
+        halves = (Subspace(f, 44, tuple(eye[:22])), Subspace(f, 44, tuple(eye[22:])))
+        start = time.monotonic()
+        with pytest.raises(BudgetExceededError, match="8388606 points, point budget"):
+            verify_partial_spread(PartialSpread(P(2, 44, 22), halves))
+        assert time.monotonic() - start < 1.0
+
+    @pytest.mark.parametrize("q,n", [(2, 64), (3, 41), (4, 32)])
+    def test_encodings_beyond_int64(self, q, n):
+        # q^n >= 2^63, so the points are encoded as Python ints
+        assert q ** n >= 1 << 63
+        f = field_for_order(q)
+        rng = random.Random(n)
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(7)]
+        lines = [Subspace.from_rows(f, n, rows[i:i + 2]) for i in (0, 2, 4)]
+        assert verify_partial_spread(PartialSpread(P(q, n, 2), lines)).ok
+        # a multiple of member 1's first row lies in the new member 3
+        multiple = [f.mul(q - 1, x) for x in rows[2]]
+        meets = Subspace.from_rows(f, n, [rows[6], multiple])
+        res = verify_partial_spread(PartialSpread(P(q, n, 2), lines + [meets]))
+        assert (res.ok, res.clash) == (False, (1, 3))
 
     def test_ambient_mismatch_raises(self):
         f = field_for_order(2)

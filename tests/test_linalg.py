@@ -245,9 +245,10 @@ def test_enumeration_order_is_deterministic():
     assert first[0] == ((1, 0, 0, 0), (0, 1, 0, 0))
 
 
-def test_enumeration_budget():
+def test_enumeration_budget(monkeypatch):
+    monkeypatch.setattr(linalg, "DEFAULT_ENUM_BUDGET", 10_000)
     with pytest.raises(BudgetExceededError):
-        list(linalg.enumerate_subspaces(7, 3, GF2, budget=10_000))
+        list(linalg.enumerate_subspaces(7, 3, GF2))
 
 
 def test_enumeration_dim_zero():
@@ -287,11 +288,12 @@ def test_subspace_bases_follow_enumeration(field):
             assert [tuple(map(tuple, b)) for b in bases.tolist()] == subs
 
 
-def test_subspace_bases_budget_before_allocation():
+def test_subspace_bases_budget_before_allocation(monkeypatch):
     # 376,805 planes of V(6, 4) against a budget of 10
+    monkeypatch.setattr(linalg, "DEFAULT_ENUM_BUDGET", 10)
     start = time.monotonic()
     with pytest.raises(BudgetExceededError, match="376805"):
-        linalg.subspace_bases(6, 3, GF4, budget=10)
+        linalg.subspace_bases(6, 3, GF4)
     assert time.monotonic() - start < 1.0
     with pytest.raises(InvalidParamsError):
         linalg.subspace_bases(3, 4, GF2)

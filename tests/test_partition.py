@@ -64,7 +64,7 @@ class TestFromSpread:
         part = pt.partition_from_spread(build_lower_bound_spread(P(3, 6, 3)))
         assert part.dim_counts == {3: 28}
 
-    def test_point_budget(self):
+    def test_refuses_past_the_budget(self):
         f = field_for_order(2)
         eye = [tuple(int(i == j) for j in range(24)) for i in range(24)]
         spread = PartialSpread(

@@ -213,6 +213,46 @@ def test_bench_pairs_takes_workloads_and_run_length_from_the_benchmark(
                     "--out", str(out), "--seconds", "5"])
 
 
+def test_bench_pairs_layer_medians():
+    bench = load_script("bench_pairs")
+    traced = [
+        {"gf.tables_s": 0.0264, "search.nodes": 7, "correct": True,
+         "attempted": 3, "failed": 0},
+        {"gf.tables_s": 0.0136, "search.nodes": 9, "correct": False,
+         "attempted": 3, "failed": 1},
+        {"gf.tables_s": 0.01401234, "search.nodes": 8, "correct": True,
+         "attempted": 3, "failed": 0},
+    ]
+    # one slow run moves no median; counts stay integers
+    assert bench.layer_medians(traced) == {"gf.tables_s": 0.014, "search.nodes": 8}
+
+
+def test_bench_pairs_traces_three_alternating_pairs(tmp_path, monkeypatch):
+    bench = load_script("bench_pairs")
+    spec = {"run_seconds": 7, "workloads": [{"name": "only"}], "end_to_end": METRICS}
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds, trace):
+        calls.append((checkout.name, seed, trace))
+        return {**runs([1.0], [50.0])[0], "layer_s": seed / 10}
+
+    monkeypatch.setattr(bench, "_run", fake_run)
+    out = tmp_path / "BENCH.json"
+    assert bench.main(["--parent", str(parent), "--change", str(change),
+                       "--out", str(out), "--seeds", "2", "--trace", "only"]) == 0
+    assert [c for c in calls if c[2]] == [
+        ("parent", 1, 1), ("change", 1, 1), ("change", 2, 1),
+        ("parent", 2, 1), ("parent", 3, 1), ("change", 3, 1),
+    ]
+    traced = json.loads(out.read_text())["trace_only"]
+    assert traced["seeds"] == [1, 2, 3]
+    assert traced["parent"]["layer_s"] == traced["change"]["layer_s"] == 0.2
+
+
 def test_bench_pairs_run_keeps_values_and_correctness(tmp_path):
     bench = load_script("bench_pairs")
     doc = {"correct": False, "attempted": 3, "failed": 1,
