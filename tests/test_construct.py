@@ -206,13 +206,18 @@ class TestVerify:
         assert (res.ok, res.clash) == (False, (7, 40))
         assert res.reason == "members 7 and 40 share a nonzero vector"
 
-    def test_planted_clashes_name_the_least_pair(self):
+    @pytest.mark.parametrize("point_block", [1, 2, 7, 1 << 12])
+    def test_pairwise_path_names_the_least_pair(self, monkeypatch, point_block):
         # planted clashes over GF(4): (9, 17) has the smallest second index,
         # (3, 18) is the lexicographically least pair and (3, 19) shares its
-        # first index
+        # first index; small point blocks list the members over many blocks
         sp = build_lower_bound_spread(P(4, 4, 2))
         planted = (sp.members[9], sp.members[3], sp.members[3])
-        res = verify_partial_spread(PartialSpread(sp.params, sp.members + planted))
+        bad = PartialSpread(sp.params, sp.members + planted)
+        want = verify_partial_spread(bad)
+        monkeypatch.setattr(linalg, "_POINT_BLOCK", point_block)
+        res = verify_partial_spread(bad)
+        assert res == want
         assert (res.ok, res.clash) == (False, (3, 18))
         assert verify_partial_spread(sp).ok
 
