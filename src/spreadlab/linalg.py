@@ -585,12 +585,14 @@ def least_shared_pair(subspaces: GroupedBases) -> tuple[int, int, int] | None:
             owners.append(np.repeat(g.index[start:start + len(block)], block.shape[1]))
     if not encs:
         return None
-    encs, owners = np.concatenate(encs), np.concatenate(owners)
+    encs = np.concatenate(encs)
+    ascending = np.sort(encs)
+    if not (ascending[1:] == ascending[:-1]).any():
+        return None  # the common case: one key settles it
+    owners = np.concatenate(owners)
     order = np.lexsort((owners, encs))
     encs, owners = encs[order], owners[order]
     repeat = np.flatnonzero(encs[1:] == encs[:-1]) + 1
-    if not repeat.size:
-        return None
     # first owner of each run of equal encodings, carried along the run
     head = np.ones(len(encs), dtype=bool)
     head[repeat] = False

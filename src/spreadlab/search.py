@@ -21,9 +21,10 @@ tried in this order, and each is counted when it fires:
 A prune fires only when the bound is at most the incumbent, so it cuts
 only subtrees that hold no larger spread: the incumbent changes at the
 same nodes in the same order with or without it, and so do the witness
-and the status.  No prune reads the upper bounds of bounds.py, which the
-search is meant to check independently; it takes only SpreadParams and
-theta from there.
+and the status.  A child that the available count prunes is counted by its
+parent's loop without a call.  No prune reads the upper bounds of bounds.py,
+which the search is meant to check independently; it takes only
+SpreadParams and theta from there.
 
 GL(n, q) is transitive on ordered pairs of trivially intersecting
 t-subspaces, so when a partial spread of two members exists some maximum
@@ -38,7 +39,8 @@ tries to beat.  Exhausting the tree proves optimality either way.  The
 search is deterministic: the same call gives the same witness and node
 count.  A search whose tree has at most max_nodes nodes ends EXACT; a node
 that would branch once the budget or the deadline is spent ends it before
-that node becomes the incumbent.
+that node becomes the incumbent.  greedy_spread, a first fit over the
+candidates in a seeded order, gives a witness and never an optimality claim.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .construct import (
 from .errors import BudgetExceededError, InvalidParamsError
 from .gf import field_for_order
 from .linalg import (
+    _POINT_BLOCK,
     GroupedBases,
     gaussian_binomial,
     point_encodings_of_bases,
@@ -194,14 +197,11 @@ def _grow(chosen, avail, covered, masks, adj, stars, total_points, point_size, s
     """Explore the node ``chosen`` (a list this call restores on return)
     whose remaining candidates are ``avail`` and covered points ``covered``.
 
-    A pruned node is finished.  A node that would branch once max_nodes
-    nodes are counted or the deadline has passed ends the search before it
-    becomes the incumbent.
+    The caller counts the node, and counts a child that the available count
+    prunes without calling for it.  A pruned node is finished.  A node that
+    would branch once max_nodes nodes are counted or the deadline has passed
+    ends the search before it becomes the incumbent.
     """
-    if state.nodes == state.node_cap:
-        state.exhausted = False
-        return
-    state.nodes += 1
     k = len(chosen)
     incumbent = state.best_size
     best = max(incumbent, k)
@@ -230,9 +230,17 @@ def _grow(chosen, avail, covered, masks, adj, stars, total_points, point_size, s
         low = avail & -avail
         avail ^= low
         c = low.bit_length() - 1
-        chosen[-1] = c
+        if state.nodes == state.node_cap:
+            state.exhausted = False
+            break
+        state.nodes += 1
         # avail now holds the candidates after c
-        _grow(chosen, avail & adj[c], covered | masks[c], masks, adj, stars,
+        child = avail & adj[c]
+        if k + 1 + child.bit_count() <= state.best_size:
+            state.prunes["available"] += 1  # a leaf, as its call would find
+            continue
+        chosen[-1] = c
+        _grow(chosen, child, covered | masks[c], masks, adj, stars,
               total_points, point_size, state)
         if not state.exhausted:
             break
@@ -286,6 +294,7 @@ def max_partial_spread(
     else:
         # n < 2t: every maximum partial spread is one candidate, any one
         root = [0], 0, masks[0]
+    state.nodes = 1  # the root; max_nodes is at least 1
     _grow(*root, masks, adj, stars, total_points, point_size, state)
 
     if state.best_chosen is not None:
@@ -306,24 +315,34 @@ def max_partial_spread(
     )
 
 
+def _greedy_order(count: int, seed: int) -> np.ndarray:
+    """greedy_spread's candidate order: one 64-bit key per candidate from
+    random.Random(seed), which takes |seed|, stably sorted."""
+    keys = np.frombuffer(random.Random(seed).randbytes(8 * count), dtype=np.uint64)
+    return np.argsort(keys, kind="stable")
+
+
 def greedy_spread(params: SpreadParams, seed: int = 0) -> PartialSpread:
-    """Single greedy pass over a seeded shuffle of all candidates: each
-    joins when none of its points is covered yet.  The candidates' points
-    are listed a block at a time, in shuffled order, and a block's
-    candidates through a covered point are dropped at once."""
-    q, n = params.q, params.n
+    """First fit over all candidates in _greedy_order: each joins when none
+    of its points is covered yet.  A chunk of the order at a time, the
+    candidates with a covered basis row (an RREF row is a normalized vector,
+    so a point) are dropped, and only the rest have their points listed."""
+    q, n, t = params.q, params.n, params.t
     field = field_for_order(q)
-    bases = subspace_bases(n, params.t, field)
-    order = list(range(len(bases)))
-    random.Random(seed).shuffle(order)
+    bases = subspace_bases(n, t, field)
+    order = _greedy_order(len(bases), seed)
     covered = np.zeros(theta(n, q), dtype=bool)
     picked = []
-    for start, block in point_encodings_of_bases(field, bases[order]):
-        points = point_ordinals(block, n, q)
-        for i in np.flatnonzero(~covered[points].any(axis=1)).tolist():
-            if not covered[points[i]].any():
-                covered[points[i]] = True
-                picked.append(order[start + i])
+    per = max(1, _POINT_BLOCK // theta(t, q))
+    for chunk in np.split(order, range(per, len(order), per)):
+        rows = point_ordinals(bases[chunk] @ q ** np.arange(n), n, q)
+        chunk = chunk[~covered[rows].any(axis=1)]
+        for at, block in point_encodings_of_bases(field, bases[chunk]):
+            points = point_ordinals(block, n, q)
+            for i in np.flatnonzero(~covered[points].any(axis=1)).tolist():
+                if not covered[points[i]].any():
+                    covered[points[i]] = True
+                    picked.append(chunk[at + i])
     return _members(params, bases, picked)
 
 

@@ -295,6 +295,16 @@ def test_search_greedy(validator):
     assert doc["best_size"] == len(doc["witness"]["members"])
 
 
+def test_search_greedy_negative_seed():
+    # -s draws the order of s
+    rc, out, _ = go(["search", "--q", "2", "--n", "6", "--t", "3",
+                     "--greedy", "--seed", "-3"])
+    assert rc == 0
+    _, want, _ = go(["search", "--q", "2", "--n", "6", "--t", "3",
+                     "--greedy", "--seed", "3"])
+    assert json.loads(out)["witness"] == json.loads(want)["witness"]
+
+
 def test_out_writes_file(tmp_path):
     target = tmp_path / "report.json"
     rc, out, _ = go(["bounds", "--q", "2", "--n", "8", "--t", "3",

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -261,6 +263,35 @@ class TestIncumbents:
         assert warm.prunes["cover"] == cold.prunes["cover"] == 0
         assert rows(cold.witness) == COLD_252
 
+# (nodes, prunes available/points/cover) of each exhausted tree: the node
+# loop counts an "available" leaf without calling itself, and must count it
+# exactly as the call would
+TREES = [
+    (2, 5, 2, True, 45_398, (28_975, 0, 12_617)),
+    (2, 5, 2, False, 46_299, (29_396, 0, 13_048)),
+    (2, 6, 3, False, 239, (63, 169, 0)),
+    (3, 4, 2, False, 113, (55, 50, 0)),
+    (2, 6, 2, False, 2_606, (372, 2_215, 0)),
+    (2, 4, 2, False, 10, (7, 0, 0)),
+]
+
+
+class TestTree:
+    @pytest.mark.parametrize("q,n,t,warm,nodes,prunes", TREES)
+    def test_nodes_and_prunes_pinned(self, q, n, t, warm, nodes, prunes):
+        res = search.max_partial_spread(P(q, n, t), warm_start=warm)
+        assert res.status == search.EXACT
+        assert res.nodes_explored == nodes
+        assert tuple(res.prunes.values()) == prunes
+
+    def test_every_small_budget_is_met_exactly(self):
+        for budget in range(1, 301):
+            res = search.max_partial_spread(
+                P(2, 5, 2), max_nodes=budget, warm_start=False
+            )
+            assert (res.status, res.nodes_explored) == (search.BUDGET_EXHAUSTED, budget)
+
+
 class TestBudgets:
     def test_node_budget(self):
         res = search.max_partial_spread(P(2, 5, 2), max_nodes=1000)
@@ -334,36 +365,37 @@ class TestBudgets:
         assert verify_partial_spread(res.witness).ok
 
 
-# greedy_spread(P(2, 8, 3), seed=1), member rows as bit strings
+# greedy_spread(P(2, 8, 3), seed=1), member rows as bit strings; pinned
+# from the order of _greedy_order
 GREEDY_283_SEED1 = [
-    ("01001100", "00100110", "00010110"),
-    ("10001100", "01100100", "00000010"),
-    ("10001001", "01000100", "00101100"),
-    ("10000111", "01001101", "00111100"),
-    ("10000000", "01010110", "00000001"),
-    ("10011010", "01010001", "00100100"),
-    ("10111000", "01111010", "00000111"),
-    ("10101010", "01101001", "00011110"),
-    ("11001001", "00100111", "00010011"),
-    ("10001101", "01000011", "00011010"),
-    ("10000100", "01000101", "00101010"),
-    ("10000011", "01110010", "00001011"),
-    ("10010011", "01000001", "00110010"),
-    ("10011101", "01001110", "00100000"),
-    ("11100011", "00011000", "00000101"),
-    ("10001111", "00100010", "00010001"),
-    ("10000110", "01001010", "00100001"),
-    ("01000111", "00100101", "00001110"),
-    ("00110001", "00001000", "00000100"),
-    ("10010100", "01011100", "00111111"),
-    ("11001111", "00101101", "00010111"),
-    ("10000101", "01010100", "00001111"),
-    ("10101100", "01001011", "00011011"),
-    ("10001011", "00101111", "00010100"),
-    ("10100110", "01110110", "00001001"),
-    ("10010101", "01010011", "00110110"),
-    ("01100001", "00011001", "00000110"),
-    ("10011000", "01011000", "00111000"),
+    ("10010100", "01001111", "00101011"),
+    ("10100011", "01000101", "00011010"),
+    ("10100010", "01000110", "00001010"),
+    ("01000100", "00110010", "00001111"),
+    ("10010101", "01000001", "00101110"),
+    ("01010001", "00001001", "00000101"),
+    ("10001010", "00110000", "00000110"),
+    ("11101011", "00011000", "00000111"),
+    ("10001111", "01001001", "00010000"),
+    ("10000001", "01100011", "00010111"),
+    ("10011110", "01000111", "00110100"),
+    ("10101100", "01100110", "00011101"),
+    ("01001110", "00101100", "00010101"),
+    ("11001101", "00100010", "00011110"),
+    ("10001000", "00100111", "00010010"),
+    ("10100101", "00010011", "00001000"),
+    ("10001001", "01010101", "00111011"),
+    ("10011011", "01010111", "00101111"),
+    ("10001011", "01101011", "00010110"),
+    ("10100001", "01100001", "00010001"),
+    ("10000100", "01011100", "00100011"),
+    ("10010010", "01010000", "00101010"),
+    ("10100100", "01100111", "00001101"),
+    ("10010011", "01010110", "00100100"),
+    ("10001101", "01010011", "00100110"),
+    ("10011001", "01000011", "00111111"),
+    ("10011000", "01001000", "00101101"),
+    ("01011010", "00110011", "00000100"),
 ]
 
 
@@ -393,6 +425,44 @@ class TestGreedy:
         assert min(sizes) >= 5
         sizes = {search.greedy_spread(P(3, 4, 2), s).size for s in range(32)}
         assert max(sizes) == 10
+
+    @pytest.mark.parametrize("q,n,t", [(2, 6, 3), (3, 4, 2), (4, 4, 2), (2, 7, 3)])
+    def test_first_fit_over_its_order(self, q, n, t):
+        # a plain first fit over the candidate point bitsets, in the same
+        # order, picks the same candidates; every candidate left out meets
+        # the result, so it is maximal
+        bases, masks = search._candidates(P(q, n, t))
+        for seed in range(16):
+            covered, picked = 0, []
+            for i in search._greedy_order(len(masks), seed).tolist():
+                if not masks[i] & covered:
+                    covered |= masks[i]
+                    picked.append(i)
+            sp = search.greedy_spread(P(q, n, t), seed)
+            assert [m.rows for m in sp.members] == [
+                tuple(map(tuple, bases[i].tolist())) for i in picked
+            ], seed
+            assert all(m & covered for m in masks), seed
+
+    def test_order_is_a_permutation_and_ignores_the_sign(self):
+        order = search._greedy_order(1000, 5)
+        assert sorted(order.tolist()) == list(range(1000))
+        assert (search._greedy_order(1000, -5) == order).all()
+        assert not (search._greedy_order(1000, 6) == order).all()
+
+    def test_leaves_numpy_random_unloaded(self):
+        # numpy.random's import alone costs several MiB of memory
+        code = (
+            "import sys\n"
+            "from spreadlab.bounds import SpreadParams\n"
+            "from spreadlab.search import greedy_spread\n"
+            "greedy_spread(SpreadParams(2, 6, 3), seed=1)\n"
+            "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_result_wrapper(self):
         res = search.greedy_result(P(2, 6, 2), seed=3)
