@@ -1,3 +1,5 @@
+import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -263,6 +265,7 @@ class TestIncumbents:
         assert warm.prunes["cover"] == cold.prunes["cover"] == 0
         assert rows(cold.witness) == COLD_252
 
+
 # (nodes, prunes available/points/cover) of each exhausted tree: the node
 # loop counts an "available" leaf without calling itself, and must count it
 # exactly as the call would
@@ -459,8 +462,12 @@ class TestGreedy:
             "greedy_spread(SpreadParams(2, 6, 3), seed=1)\n"
             "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
         )
+        # the child imports this spreadlab, however the tests found it
+        src = pathlib.Path(search.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
 
