@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import (
     FieldMismatchError,
     InvalidParamsError,
@@ -346,20 +348,30 @@ class Field:
         return _undigits(power, r)
 
     def _build_tables(self) -> None:
+        """exp[i] = g^i for the least generator g, and log its inverse.
+
+        Multiplying by g^k is GF(p)-linear on the e base-p digits of an
+        element, and its matrix for g^(2k) is the square of the one for g^k.
+        So the powers are listed by doubling: the digit rows of g^k, ...,
+        g^(2k-1) are those of g^0, ..., g^(k-1) times the matrix of g^k.
+        """
         size = self.q - 1
         ells = list(_factor(size))
         g = 1 if size == 1 else next(  # a generator of the unit group
             g for g in range(2, self.q)
             if all(self._pow_poly(g, size // ell) != 1 for ell in ells)
         )
-        exp = [1] * (2 * size)
-        log = [0] * self.q
-        x = 1
-        for i in range(size):
-            exp[i] = exp[i + size] = x
-            log[x] = i
-            x = self._mul_poly(x, g)
-        self._exp, self._log = exp, log
+        p, e = self.p, self.e
+        place = p ** np.arange(e)
+        step = np.array([_digits(self._mul_poly(p ** j, g), p, e) for j in range(e)])
+        powers = np.eye(1, e, dtype=np.int64)
+        while len(powers) < size:
+            powers = np.concatenate([powers, powers @ step % p])
+            step = step @ step % p
+        exp = powers[:size] @ place
+        log = np.zeros(self.q, dtype=np.int64)
+        log[exp] = np.arange(size)
+        self._exp, self._log = np.concatenate([exp, exp]).tolist(), log.tolist()
 
 
 # GF(p) under (None, p); every other field under (base, m)

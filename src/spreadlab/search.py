@@ -8,32 +8,41 @@ grouped bases, and is verified.  Point coverage is tracked as a
 bitset over the theta_n projective points, and compatibility (trivial
 intersection) as bitsets over candidate indices, built from point
 incidence: a candidate is compatible with every candidate through none of
-its points.  Three admissible prunes bound what a branch can still reach,
+its points.  Three admissible prunes bound what a node can still reach,
 tried in this order, and each is counted when it fires:
 
   * chosen + available candidates;
   * chosen + floor(uncovered points / theta_t);
-  * chosen + the number of points in a greedy cover of the available
-    candidates.  The candidates through one point pairwise meet, so at
-    most one of them joins the spread, and a branch whose available
-    candidates all pass through k points adds at most k members.
+  * chosen + the number of classes in a colour cover of the available
+    candidates, built top down: each class lies in one star (the
+    candidates through one point) of its seed, its highest candidate.
+    The candidates through one point pairwise meet, so at most one member
+    of each class joins the spread.
 
-A prune fires only when the bound is at most the incumbent, so it cuts
+A node that branches takes its children in increasing order and reuses
+its cover.  Every member of a class is at most its seed, so the classes
+whose seed is at least c cover every candidate from c on.  The loop stops
+at the first child c where those classes cannot beat the incumbent (the
+tail cut, a cover prune), and it counts without a call a child that the
+available count prunes or whose candidates meet too few of those classes
+(a cover prune).
+
+A cut fires only when the bound is at most the incumbent, so it removes
 only subtrees that hold no larger spread: the incumbent changes at the
 same nodes in the same order with or without it, and so do the witness
-and the status.  A child that the available count prunes is counted by its
-parent's loop without a call.  No prune reads the upper bounds of bounds.py,
-which the search is meant to check independently; it takes only
-SpreadParams and theta from there.
+and the status.  No prune reads the upper bounds of bounds.py, which the
+search is meant to check independently; it takes only SpreadParams and
+theta from there.
 
 GL(n, q) is transitive on ordered pairs of trivially intersecting
 t-subspaces, so when a partial spread of two members exists some maximum
 one contains the first candidate and the first candidate disjoint from it;
-the root fixes both.  Every other member disjoint from the first has a
-larger index than the second, so growing subsets in increasing index order
-from that pair still reaches every spread through it.  When n < 2t no two
-t-subspaces meet trivially and the root fixes the first candidate only
-(GL(n, q) is transitive on t-subspaces).  By default the incumbent is
+the root fixes both.  Every other member is disjoint from both and has a
+larger index than the second, so growing subsets of those, in increasing
+index order, from that pair still reaches every spread through it; the
+tree renumbers them in order, which keeps its bitsets short.  When n < 2t
+no two t-subspaces meet trivially and the root fixes the first candidate
+only (GL(n, q) is transitive on t-subspaces).  By default the incumbent is
 warm-started with the packing-bound construction, which the search then
 tries to beat.  Exhausting the tree proves optimality either way.  The
 search is deterministic: the same call gives the same witness and node
@@ -102,18 +111,21 @@ class SearchResult:
 
 def _candidates(params: SpreadParams):
     """The bases of all t-subspaces in enumeration order, as one
-    (count, t, n) array, and the point bitset of each."""
+    (count, t, n) array, the point bitset of each, and the point ordinals
+    of each as one (count, theta_t) array, ascending along each row."""
     q, n, t = params.q, params.n, params.t
     field = field_for_order(q)
     bases = subspace_bases(n, t, field)
     total = theta(n, q)
-    masks = []
+    masks, ords = [], []
     for _, block in point_encodings_of_bases(field, bases):
+        points = np.sort(point_ordinals(block, n, q), axis=1)
         bits = np.zeros((len(block), total), dtype=bool)
-        bits[np.arange(len(block))[:, None], point_ordinals(block, n, q)] = True
+        bits[np.arange(len(block))[:, None], points] = True
         packed = np.packbits(bits, axis=1, bitorder="little")
         masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return bases, masks
+        ords.append(points)
+    return bases, masks, np.concatenate(ords)
 
 
 def _members(params: SpreadParams, bases, chosen) -> PartialSpread:
@@ -140,27 +152,22 @@ class _State:
         self.exhausted = True
 
 
-def _bits(a: int):
-    while a:
-        low = a & -a
-        yield low.bit_length() - 1
-        a ^= low
-
-
-def _adjacency(masks, total_points):
+def _adjacency(ords, total_points):
     """adj[i]: bitset of the candidates meeting candidate i trivially, and
-    stars[i]: for each point of candidate i, the bitset of the candidates
-    through that point.
+    stars[i]: for each point of candidate i, ascending, the bitset of the
+    candidates through that point; ords[i] lists candidate i's points.
 
     Candidate i meets exactly the candidates in the union of its stars,
-    itself included.
+    itself included.  through[p], the bitset of the candidates through
+    point p, is row p of the packed point-candidate incidence.
     """
-    through = [0] * total_points
-    for i, m in enumerate(masks):
-        for p in _bits(m):
-            through[p] |= 1 << i
-    full = (1 << len(masks)) - 1
-    stars = [[through[p] for p in _bits(m)] for m in masks]
+    count = len(ords)
+    where = np.broadcast_to(np.arange(count)[:, None], ords.shape)
+    packed = np.zeros((total_points, (count + 7) // 8), dtype=np.uint8)
+    np.bitwise_or.at(packed, (ords, where >> 3), (1 << (where & 7)).astype(np.uint8))
+    through = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    full = (1 << count) - 1
+    stars = [[through[p] for p in row] for row in ords.tolist()]
     adj = []
     for star in stars:
         meet = 0
@@ -170,37 +177,42 @@ def _adjacency(masks, total_points):
     return adj, stars
 
 
-def _covered_within(avail, slack, stars) -> bool:
-    """True when the stars of at most slack points cover avail.
+def _colour_classes(avail, stars):
+    """A cover of avail by classes that each lie in one star of their
+    seed: the seeds, descending, and their classes.
 
-    The candidates through one point pairwise meet, so a branch whose
-    available candidates lie on k points adds at most k members.  Greedy
-    cover: the lowest candidate left lies in one of its own stars; take
-    the one holding most of what is left.
+    Top down: the highest candidate left is the next seed, and its class
+    is what is left of the seed's star that holds most of it (the first
+    such star).  Every member of a class is at most its seed, so the
+    classes whose seed is at least c cover the candidates of avail from c
+    on.  The candidates through one point pairwise meet, so a spread takes
+    at most one member from each class.
     """
-    steps = 0
+    seeds, classes = [], []
     while avail:
-        if steps == slack:
-            return False
-        steps += 1
+        seed = avail.bit_length() - 1
         top = -1
-        for star in stars[(avail & -avail).bit_length() - 1]:
+        for star in stars[seed]:
             hit = star & avail
             size = hit.bit_count()
             if size > top:
-                top, cover = size, hit
-        avail ^= cover
-    return True
+                top, cls = size, hit
+        seeds.append(seed)
+        classes.append(cls)
+        avail ^= cls
+    return seeds, classes
 
 
 def _grow(chosen, avail, covered, masks, adj, stars, total_points, point_size, state):
     """Explore the node ``chosen`` (a list this call restores on return)
     whose remaining candidates are ``avail`` and covered points ``covered``.
 
-    The caller counts the node, and counts a child that the available count
-    prunes without calling for it.  A pruned node is finished.  A node that
-    would branch once max_nodes nodes are counted or the deadline has passed
-    ends the search before it becomes the incumbent.
+    The caller counts the node.  A pruned node is finished.  A node that
+    branches stops at its first child c from which the colour classes with
+    seed at least c cannot beat the incumbent, and finishes without a call
+    a child that the available count or those classes prune.  A node that
+    would branch once max_nodes nodes are counted or the deadline has
+    passed ends the search before it becomes the incumbent.
     """
     k = len(chosen)
     incumbent = state.best_size
@@ -209,10 +221,9 @@ def _grow(chosen, avail, covered, masks, adj, stars, total_points, point_size, s
         reason = "available"
     elif k + (total_points - covered.bit_count()) // point_size <= best:
         reason = "points"
-    elif _covered_within(avail, best - k, stars):
-        reason = "cover"
     else:
-        reason = None
+        seeds, classes = _colour_classes(avail, stars)
+        reason = "cover" if k + len(seeds) <= best else None
     if reason is None and (
         state.nodes == state.node_cap
         or (state.deadline is not None and time.monotonic() > state.deadline)
@@ -226,10 +237,16 @@ def _grow(chosen, avail, covered, masks, adj, stars, total_points, point_size, s
         state.prunes[reason] += 1
         return
     chosen.append(-1)
+    above = len(seeds)  # the classes whose seed is at least c
     while avail:
         low = avail & -avail
         avail ^= low
         c = low.bit_length() - 1
+        while seeds[above - 1] < c:
+            above -= 1
+        if k + above <= state.best_size:
+            state.prunes["cover"] += 1  # the tail cut: no child from c on
+            break
         if state.nodes == state.node_cap:
             state.exhausted = False
             break
@@ -239,6 +256,17 @@ def _grow(chosen, avail, covered, masks, adj, stars, total_points, point_size, s
         if k + 1 + child.bit_count() <= state.best_size:
             state.prunes["available"] += 1  # a leaf, as its call would find
             continue
+        # a child meeting at most room of the classes cannot beat the incumbent
+        room = state.best_size - k - 1
+        if room >= 0:
+            for cls in classes[:above]:
+                if cls & child:
+                    room -= 1
+                    if room < 0:
+                        break
+            else:
+                state.prunes["cover"] += 1  # a leaf by its classes
+                continue
         chosen[-1] = c
         _grow(chosen, child, covered | masks[c], masks, adj, stars,
               total_points, point_size, state)
@@ -275,30 +303,30 @@ def max_partial_spread(
             f"{count} candidates need {count * count} adjacency bits, "
             f"cap is {ADJACENCY_BIT_CAP}"
         )
-    bases, masks = _candidates(params)
-    total_points = theta(n, q)
-    point_size = theta(t, q)
-    adj, stars = _adjacency(masks, total_points)
-
+    bases, masks, ords = _candidates(params)
     seed_spread = build_lower_bound_spread(params) if warm_start else None
     state = _State(
         best_size=seed_spread.size if seed_spread else 0,
         node_cap=max_nodes,
         deadline=None if max_seconds is None else start + max_seconds,
     )
-    if adj[0]:
-        # some maximum partial spread contains candidate 0 and c1, the
-        # first candidate disjoint from it; the rest all come after c1
-        c1 = next(_bits(adj[0]))
-        root = [0, c1], adj[0] & adj[c1], masks[0] | masks[c1]
-    else:
-        # n < 2t: every maximum partial spread is one candidate, any one
-        root = [0], 0, masks[0]
+    # some maximum partial spread holds candidate 0 and c1, the first
+    # candidate disjoint from it (none when n < 2t: then one candidate is a
+    # maximum); its other members come after c1, disjoint from both, and the
+    # tree grows over those alone, renumbered in order
+    c1 = next((i for i, m in enumerate(masks) if not m & masks[0]), None)
+    root = [0] if c1 is None else [0, c1]
+    covered = masks[0] | masks[root[-1]]
+    rest = [i for i, m in enumerate(masks) if not m & covered]
+    total_points = theta(n, q)
+    adj, stars = _adjacency(ords[rest], total_points)
     state.nodes = 1  # the root; max_nodes is at least 1
-    _grow(*root, masks, adj, stars, total_points, point_size, state)
+    _grow(root, (1 << len(rest)) - 1, covered, [masks[i] for i in rest], adj,
+          stars, total_points, theta(t, q), state)
 
     if state.best_chosen is not None:
-        witness = _members(params, bases, state.best_chosen)
+        chosen = root + [rest[j] for j in state.best_chosen[len(root):]]
+        witness = _members(params, bases, chosen)
     elif seed_spread is not None:
         witness = seed_spread
     else:

@@ -319,3 +319,44 @@ def test_large_degree_tower_arithmetic():
     assert _power(E, g, E.q - 1) == 1
     assert E.mul(g, E.inv(g)) == 1
 
+
+
+TABLE_FIELDS = {
+    "2^9": lambda: gf.field_new(2, 9),
+    "5^4": lambda: gf.field_new(5, 4),
+    "4^5": lambda: gf.ext_field(gf.field_new(2, 2), 5),
+    "7^5": lambda: gf.field_new(7, 5),
+    "3^10": lambda: gf.field_new(3, 10),
+    "16^4": lambda: gf.ext_field(gf.field_new(2, 4), 4),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_FIELDS)
+def test_tables_are_the_powers_of_a_generator(name):
+    # the tables are listed by doubling; the oracle is polynomial
+    # multiplication, every power up to order 16807 and a stride above
+    field = TABLE_FIELDS[name]()
+    size = field.q - 1
+    exp, log = field._exp, field._log
+    assert exp[:size] == exp[size:]
+    assert sorted(exp[:size]) == list(range(1, field.q))
+    assert all(log[exp[i]] == i for i in range(size))
+    g = exp[1]
+    if size < 20_000:
+        x = 1
+        for i in range(size):
+            assert exp[i] == x, i
+            x = field._mul_poly(x, g)
+        assert x == 1
+    else:
+        for i in range(0, size, 211):
+            assert exp[i] == field._pow_poly(g, i), i
+
+
+def test_largest_table_field_builds_fast(monkeypatch):
+    # one _mul_poly call per element took about 2.7 s here
+    monkeypatch.setattr(gf, "_FIELDS", {})
+    start = time.monotonic()
+    field = gf.ext_field(gf.field_new(2), 16)
+    assert time.monotonic() - start < 0.5
+    assert field._exp is not None and field.q == 1 << 16

@@ -1,5 +1,6 @@
 """Smoke tests for the experiment scripts in scripts/."""
 
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -36,18 +37,42 @@ def test_regime_scan_csv():
 def test_search_cases_agree():
     proc = run_script("search_small_cases.py", "--cases", "2,4,2 2,5,3 3,4,2")
     assert proc.returncode == 0, proc.stderr
-    assert "MISMATCH" not in proc.stderr
-    assert proc.stdout.count("EXACT") == 3
+    assert "MISMATCH" not in proc.stderr and "DISAGREE" not in proc.stderr
+    assert proc.stdout.count("EXACT") == 6
     lines = proc.stdout.splitlines()
     assert lines[0].split()[-1] == "prunes"
+    assert [line.split()[1] for line in lines[1:]] == ["warm", "cold"] * 3
     # the warm starts close at the root: (2,4,2) and (3,4,2) by the point
-    # count, (2,5,3) by the available count
+    # count, (2,5,3) by the available count; the cold starts walk a tree
     prunes = [line.split()[-3:] for line in lines[1:]]
-    assert prunes == [
+    assert prunes[::2] == [
         ["available=0", "points=1", "cover=0"],
         ["available=1", "points=0", "cover=0"],
         ["available=0", "points=1", "cover=0"],
     ]
+    assert [int(line.split()[4]) for line in lines[2::2]] == [4, 1, 9]
+
+
+@pytest.mark.parametrize("cold,fails", [
+    ((5, "EXACT"), False),
+    ((5, "BUDGET_EXHAUSTED"), False),
+    ((4, "EXACT"), True),
+    ((6, "BUDGET_EXHAUSTED"), True),
+])
+def test_search_cases_flag_warm_and_cold_disagreeing(monkeypatch, capsys, cold, fails):
+    # the warm search proves 5 on (2,4,2); the cold one is faked
+    script = load_script("search_small_cases")
+    real = script.max_partial_spread
+
+    def search(params, max_nodes=None, warm_start=True):
+        res = real(params, max_nodes=max_nodes, warm_start=warm_start)
+        if warm_start:
+            return res
+        return dataclasses.replace(res, best_size=cold[0], status=cold[1])
+
+    monkeypatch.setattr(script, "max_partial_spread", search)
+    assert script.main(["--cases", "2,4,2"]) == int(fails)
+    assert ("DISAGREE" in capsys.readouterr().err) is fails
 
 
 def load_script(name):

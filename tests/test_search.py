@@ -35,6 +35,11 @@ def rows(spread):
     return [tuple("".join(map(str, r)) for r in m.rows) for m in spread.members]
 
 
+def bits(a):
+    """The positions of the set bits of a, ascending."""
+    return [i for i in range(a.bit_length()) if a >> i & 1]
+
+
 EXACT_GOLDEN = [
     (2, 4, 2, 5),
     (2, 5, 2, 9),
@@ -69,8 +74,8 @@ class TestExact:
 
     def test_cold_start_explores(self):
         # without the warm incumbent the tree is actually walked
-        res = search.max_partial_spread(P(2, 6, 3), warm_start=False)
-        assert res.nodes_explored > 100
+        res = search.max_partial_spread(P(2, 5, 2), warm_start=False)
+        assert res.nodes_explored > 10_000
         assert res.best_size == 9
 
     def test_deterministic_at_one_thread(self):
@@ -84,9 +89,9 @@ class TestAdjacency:
     # (2,5,3) has no disjoint pair: every row is empty
     @pytest.mark.parametrize("q,n,t", [(2, 5, 2), (3, 4, 2), (2, 5, 3)])
     def test_every_pair_matches_is_disjoint(self, q, n, t):
-        _, masks = search._candidates(P(q, n, t))
+        _, _, ords = search._candidates(P(q, n, t))
         subs = subspaces(q, n, t)
-        adj, _ = search._adjacency(masks, theta(n, q))
+        adj, _ = search._adjacency(ords, theta(n, q))
         assert len(adj) == len(subs)
         for i in range(len(subs)):
             assert not adj[i] >> i & 1
@@ -96,10 +101,10 @@ class TestAdjacency:
                 assert bool(adj[j] >> i & 1) == want, (j, i)
 
     def test_gf4_rows(self):
-        _, masks = search._candidates(P(4, 4, 2))
+        _, _, ords = search._candidates(P(4, 4, 2))
         subs = subspaces(4, 4, 2)
         assert len(subs) == 357
-        adj, _ = search._adjacency(masks, theta(4, 4))
+        adj, _ = search._adjacency(ords, theta(4, 4))
         for i in range(64):
             want = sum(
                 1 << j
@@ -110,11 +115,11 @@ class TestAdjacency:
 
     @pytest.mark.parametrize("q,n,t", [(2, 5, 2), (3, 4, 2)])
     def test_stars_hold_the_candidates_through_each_point(self, q, n, t):
-        _, masks = search._candidates(P(q, n, t))
-        _, stars = search._adjacency(masks, theta(n, q))
+        _, masks, ords = search._candidates(P(q, n, t))
+        _, stars = search._adjacency(ords, theta(n, q))
         for i, m in enumerate(masks):
             assert len(stars[i]) == theta(t, q)
-            for p, star in zip(search._bits(m), stars[i]):
+            for p, star in zip(bits(m), stars[i], strict=True):
                 assert star == sum(1 << j for j, b in enumerate(masks) if b >> p & 1)
 
 
@@ -124,15 +129,17 @@ class TestCandidates:
         [(2, 5, 2), (2, 6, 3), (3, 4, 2), (4, 4, 2), (5, 3, 2), (8, 3, 2), (9, 3, 2)],
     )
     def test_bulk_matches_subspaces(self, q, n, t):
-        bases, masks = search._candidates(P(q, n, t))
+        bases, masks, ords = search._candidates(P(q, n, t))
         subs = subspaces(q, n, t)
         assert [tuple(map(tuple, b)) for b in bases.tolist()] == [s.rows for s in subs]
-        want = []
+        want, points = [], []
         bases = np.array([s.rows for s in subs])
         for _, block in point_encodings_of_bases(field_for_order(q), bases):
             for row in point_ordinals(block, n, q).tolist():
                 want.append(sum(1 << p for p in row))
+                points.append(sorted(row))
         assert masks == want
+        assert ords.tolist() == points
 
 
 class TestRoot:
@@ -145,10 +152,10 @@ class TestRoot:
         assert verify_partial_spread(res.witness).ok
 
     def test_cold_witness_holds_the_root_pair(self):
-        _, masks = search._candidates(P(2, 6, 3))
+        _, _, ords = search._candidates(P(2, 6, 3))
         subs = subspaces(2, 6, 3)
-        adj, _ = search._adjacency(masks, theta(6, 2))
-        c1 = next(search._bits(adj[0]))
+        adj, _ = search._adjacency(ords, theta(6, 2))
+        c1 = bits(adj[0])[0]
         res = search.max_partial_spread(P(2, 6, 3), warm_start=False)
         assert res.witness.members[:2] == (subs[0], subs[c1])
 
@@ -170,12 +177,13 @@ class TestRoot:
 
 class TestPrunes:
     def test_counts_by_reason(self):
-        res = search.max_partial_spread(P(2, 6, 3), warm_start=False)
+        res = search.max_partial_spread(P(2, 6, 2), warm_start=False)
         prunes = res.to_dict()["prunes"]
         assert set(prunes) == {"available", "points", "cover"}
-        assert prunes["available"] > 0 and prunes["points"] > 0
-        # a node is pruned at most once, and a node that branches is not
-        assert sum(prunes.values()) < res.nodes_explored
+        assert all(v > 0 for v in prunes.values()), prunes
+        # a node is pruned at most once, and a node that branches is not,
+        # but may end its child loop by one tail cut
+        assert sum(prunes.values()) <= res.nodes_explored
 
     def test_warm_start_closes_at_root_by_points(self):
         # the packing-bound spread of (2,6,2) is a full spread
@@ -193,9 +201,8 @@ class TestCover:
     @pytest.mark.parametrize("q,n,t", [(2, 5, 2), (3, 4, 2)])
     @given(data=st.data())
     def test_prune_is_admissible(self, q, n, t, data):
-        # a cover within slack points means at most slack members fit
-        _, masks = search._candidates(P(q, n, t))
-        _, stars = search._adjacency(masks, theta(n, q))
+        _, masks, ords = search._candidates(P(q, n, t))
+        _, stars = search._adjacency(ords, theta(n, q))
         subs = subspaces(q, n, t)
         # candidates through a few points, where small covers exist, and a
         # few arbitrary ones
@@ -203,22 +210,34 @@ class TestCover:
         pool = sorted({j for p in points for j, m in enumerate(masks) if m >> p & 1})
         picked = data.draw(st.sets(st.sampled_from(pool), max_size=9)) if pool else set()
         picked |= data.draw(st.sets(st.integers(0, len(subs) - 1), max_size=4))
-        slack = data.draw(st.integers(0, 6))
         avail = sum(1 << j for j in picked)
-        if search._covered_within(avail, slack, stars):
-            assert max_disjoint([subs[j] for j in sorted(picked)]) <= slack
+        seeds, classes = search._colour_classes(avail, stars)
+        # the classes partition avail
+        union = 0
+        for cls in classes:
+            assert cls and not cls & union
+            union |= cls
+        assert union == avail
+        # seeds strictly descend, and each class lies in one star of its
+        # seed and holds nothing above it
+        assert all(a > b for a, b in zip(seeds, seeds[1:]))
+        for seed, cls in zip(seeds, classes, strict=True):
+            assert cls.bit_length() - 1 == seed
+            assert any(not cls & ~star for star in stars[seed])
+        # the classes with seed at least c bound the spreads from c on
+        for c in sorted(picked):
+            tail = [subs[j] for j in sorted(picked) if j >= c]
+            assert max_disjoint(tail) <= sum(seed >= c for seed in seeds)
 
     def test_prunes_a_star_and_keeps_a_disjoint_pair(self):
-        _, masks = search._candidates(P(2, 5, 2))
-        adj, stars = search._adjacency(masks, theta(5, 2))
+        _, _, ords = search._candidates(P(2, 5, 2))
+        adj, stars = search._adjacency(ords, theta(5, 2))
         star = stars[0][0]
         assert star.bit_count() == theta(4, 2)
-        assert search._covered_within(star, 1, stars)
-        assert not search._covered_within(star, 0, stars)
-        pair = 1 | 1 << next(search._bits(adj[0]))
-        assert not search._covered_within(pair, 1, stars)
-        assert search._covered_within(pair, 2, stars)
-        assert search._covered_within(0, 0, stars)
+        assert search._colour_classes(star, stars) == ([star.bit_length() - 1], [star])
+        c1 = bits(adj[0])[0]
+        assert search._colour_classes(1 | 1 << c1, stars) == ([c1, 0], [1 << c1, 1])
+        assert search._colour_classes(0, stars) == ([], [])
 
 
 # cold witnesses, member rows as bit strings.  The cover prune cuts only
@@ -248,6 +267,13 @@ COLD_263 = [
 ]
 
 
+def never_cuts(avail, stars):
+    """A cover that no colour cut can use: more classes than candidates,
+    each seeded above every candidate and holding all of avail."""
+    many = len(stars) + 1
+    return [len(stars)] * many, [avail] * many
+
+
 class TestIncumbents:
     @pytest.mark.parametrize("q,n,t,want", [(2, 5, 2, COLD_252), (2, 6, 3, COLD_263)])
     def test_cold_witness_unchanged(self, q, n, t, want):
@@ -256,31 +282,45 @@ class TestIncumbents:
         assert rows(res.witness) == want
 
     def test_node_counts_without_the_cover_prune(self, monkeypatch):
-        # without the cover prune the node loop walks the tree that the
+        # without the colour classes the node loop walks the tree that the
         # available-count and point-count prunes leave
-        monkeypatch.setattr(search, "_covered_within", lambda *args: False)
+        monkeypatch.setattr(search, "_colour_classes", never_cuts)
         warm = search.max_partial_spread(P(2, 5, 2))
         cold = search.max_partial_spread(P(2, 5, 2), warm_start=False)
         assert (warm.nodes_explored, cold.nodes_explored) == (276_999, 277_119)
         assert warm.prunes["cover"] == cold.prunes["cover"] == 0
         assert rows(cold.witness) == COLD_252
 
+    @pytest.mark.parametrize("q,n,t", [(2, 6, 3), (3, 4, 2), (2, 6, 2), (4, 4, 2)])
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_colour_cuts_keep_the_witness(self, q, n, t, warm, monkeypatch):
+        res = search.max_partial_spread(P(q, n, t), warm_start=warm)
+        monkeypatch.setattr(search, "_colour_classes", never_cuts)
+        plain = search.max_partial_spread(P(q, n, t), warm_start=warm)
+        assert res.status == plain.status == search.EXACT
+        assert res.best_size == plain.best_size
+        assert rows(res.witness) == rows(plain.witness)
+
 
 # (nodes, prunes available/points/cover) of each exhausted tree: the node
-# loop counts an "available" leaf without calling itself, and must count it
-# exactly as the call would
+# loop counts a leaf that the available count or the colour classes prune
+# without calling itself, and must count it exactly as the call would
 TREES = [
-    (2, 5, 2, True, 45_398, (28_975, 0, 12_617)),
-    (2, 5, 2, False, 46_299, (29_396, 0, 13_048)),
-    (2, 6, 3, False, 239, (63, 169, 0)),
-    (3, 4, 2, False, 113, (55, 50, 0)),
-    (2, 6, 2, False, 2_606, (372, 2_215, 0)),
-    (2, 4, 2, False, 10, (7, 0, 0)),
+    (2, 5, 2, True, 12_964, (2_575, 0, 10_389)),
+    (2, 5, 2, False, 12_974, (2_577, 0, 10_397)),
+    (2, 6, 3, False, 8, (1, 0, 6)),
+    (3, 4, 2, False, 9, (1, 0, 7)),
+    (2, 6, 2, False, 1_274, (4, 1_214, 55)),
+    (2, 4, 2, False, 4, (1, 0, 2)),
+    (4, 4, 2, False, 21, (1, 2, 17)),
 ]
 
 
 class TestTree:
-    @pytest.mark.parametrize("q,n,t,warm,nodes,prunes", TREES)
+    @pytest.mark.parametrize(
+        "q,n,t,warm,nodes,prunes", TREES,
+        ids=[f"{q}-{n}-{t}-{'warm' if w else 'cold'}" for q, n, t, w, *_ in TREES],
+    )
     def test_nodes_and_prunes_pinned(self, q, n, t, warm, nodes, prunes):
         res = search.max_partial_spread(P(q, n, t), warm_start=warm)
         assert res.status == search.EXACT
@@ -434,7 +474,7 @@ class TestGreedy:
         # a plain first fit over the candidate point bitsets, in the same
         # order, picks the same candidates; every candidate left out meets
         # the result, so it is maximal
-        bases, masks = search._candidates(P(q, n, t))
+        bases, masks, _ = search._candidates(P(q, n, t))
         for seed in range(16):
             covered, picked = 0, []
             for i in search._greedy_order(len(masks), seed).tolist():
