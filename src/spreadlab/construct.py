@@ -192,4 +192,4 @@ def spread_from_dict(d: dict) -> PartialSpread:
     """Inverse of PartialSpread.to_dict, parsed by subspaces_from_dicts
     into grouped bases; the result is unverified."""
     params = SpreadParams(d["q"], d["n"], d["t"])
-    return PartialSpread(params, subspaces_from_dicts(d["members"]))
+    return PartialSpread(params, subspaces_from_dicts(d["members"], "member"))

@@ -147,11 +147,12 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows) -> "Subspace":
-        rows = [tuple(r) for r in rows]
-        bad = _checked(field, ambient, [rows])[1]
+        # rows made tuples are lists to _checked: its label is never read
+        block, bad = _checked(field, ambient, [[tuple(r) for r in rows]], str)
         if bad is not None:
             raise bad
-        return cls(field, ambient, rref_rows(field, rows, ambient))
+        reduced, ranks = rref_blocks(field, block)
+        return cls(field, ambient, tuple(map(tuple, reduced[0, :ranks[0]].tolist())))
 
     @property
     def dim(self) -> int:
@@ -266,48 +267,75 @@ class GroupedBases(Sequence):
         return out
 
 
-def _checked(field: Field, n: int, members: list) -> tuple[list, Exception | None]:
-    """The leading members (lists of rows) that are bases in V(n, q), and
-    the error the next one raises, None when none does: a row whose length
-    is not n, or an entry that is no element of the field, an integer in
-    [0, q).  Checked in bulk; only a failure is looked for member by member."""
-    rows = list(chain.from_iterable(members))
-    entries = list(chain.from_iterable(rows))
-    if set(map(len, rows)) <= {n} and set(map(type, entries)) <= {int} and (
-        not entries or 0 <= min(entries) and max(entries) < field.q
-    ):
-        return members, None
+def _checked(
+    field: Field, n: int, members: list, label
+) -> tuple[np.ndarray, Exception | None]:
+    """The leading members that are bases in V(n, q), as one int64 array of
+    shape (j, k, n), and the error that member j raises, None when none does.
+
+    A member is a list of k rows, k the same for all.  A row is a list (or
+    tuple) of n entries, each an element of the field: an integer in [0, q);
+    label(j) names member j when one of its rows is no list.  The whole
+    group is checked at once: the set of entry types (np.array would read
+    a True among ints as 1), then one np.array for the shape and the range.
+    Only when that fails are the members walked one by one, so the error is
+    the one the first failing member raises."""
+    k = len(members[0]) if members else 0
+    try:
+        entries = chain.from_iterable(chain.from_iterable(members))
+        if all(map(_integer_type, set(map(type, entries)))):
+            block = np.array(members, dtype=np.int64)
+            if block.shape == (len(members), k, n) and (
+                not block.size or 0 <= block.min() and block.max() < field.q
+            ):
+                return block, None
+    except (TypeError, ValueError, OverflowError):
+        pass  # a row that is no list, a ragged row or an entry past int64
     for j, member in enumerate(members):
-        for r in member:
-            if len(r) != n:
+        for i, r in enumerate(member):
+            if not isinstance(r, (list, tuple)):
+                error = InvalidParamsError(
+                    f"{label(j)}: row {i} must be a list, got {type(r).__name__}"
+                )
+            elif len(r) != n:
                 error = InvalidParamsError("row length differs from ambient dimension")
-                return members[:j], error
-            for x in r:
-                if not (_integer(x) and 0 <= x < field.q):
-                    error = FieldMismatchError(f"{x} is not an element of {field!r}")
-                    return members[:j], error
-    return members, None
+            elif bad := [x for x in r if not (_integer(x) and 0 <= x < field.q)]:
+                error = FieldMismatchError(f"{bad[0]!r} is not an element of {field!r}")
+            else:
+                continue
+            return np.array(members[:j], dtype=np.int64).reshape(j, k, n), error
+    return np.array(members, dtype=np.int64).reshape(len(members), k, n), None
+
+
+def _integer_type(t: type) -> bool:
+    return issubclass(t, (int, np.integer)) and not issubclass(t, bool)
 
 
 def _integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return _integer_type(type(x))
 
 
-def subspaces_from_dicts(docs) -> GroupedBases:
+def subspaces_from_dicts(docs, item: str = "document") -> GroupedBases:
     """Subspace.from_dict of every document, checked and reduced in bulk.
 
     Documents are grouped by declared (q, n, dim), their types and the row
     count.  A group has (q, n, dim) checked as the spread schema requires,
-    resolves its field once, has its rows checked at once and is reduced by
-    one rref_blocks call into a BasesGroup.  The error raised is the one
-    Subspace.from_dict raises for the first document that fails.
+    resolves its field once, has its rows checked at once by _checked and
+    is reduced by one rref_blocks call into a BasesGroup.  The error raised
+    is the one Subspace.from_dict raises for the first document that
+    fails; one whose rows are no list names it as ``item`` and its index.
     """
     keys: dict[tuple, list[int]] = {}
+    errors = []  # (document, exception)
     for i, d in enumerate(docs):
-        head = d["q"], d["n"], d["dim"]
+        head, rows = (d["q"], d["n"], d["dim"]), d["rows"]
+        if not isinstance(rows, (list, tuple)):
+            error = f"{item} {i}: rows must be a list, got {type(rows).__name__}"
+            errors.append((i, InvalidParamsError(error)))
+            continue
         # with the types: 2.0 == 2 and True == 1 would share a key
-        keys.setdefault((*head, len(d["rows"]), *map(type, head)), []).append(i)
-    groups, errors = [], []  # errors: (document, exception)
+        keys.setdefault((*head, len(rows), *map(type, head)), []).append(i)
+    groups = []
     for (q, n, dim, k, *_), index in keys.items():
         try:
             if not all(map(_integer, (q, n, dim))) or min(q - 2, n - 1, dim) < 0:
@@ -320,17 +348,17 @@ def subspaces_from_dicts(docs) -> GroupedBases:
         except InvalidParamsError as exc:
             errors.append((index[0], exc))
             continue
-        rows, bad = _checked(field, n, [docs[i]["rows"] for i in index])
+        block, bad = _checked(field, n, [docs[i]["rows"] for i in index],
+                              lambda j: f"{item} {index[j]}")
         if bad is not None:
-            errors.append((index[len(rows)], bad))
-        block = np.array(rows, dtype=np.int64).reshape(len(rows), k, n)
+            errors.append((index[len(block)], bad))
         reduced, ranks = rref_blocks(field, block)
         wrong = np.flatnonzero(ranks != dim)
         if wrong.size:
             i, rank = index[wrong[0]], ranks[wrong[0]]
             error = f"declared dim {docs[i]['dim']} but basis has rank {rank}"
             errors.append((i, InvalidParamsError(error)))
-        groups.append(BasesGroup(field, n, reduced[:, :dim], index[:len(rows)]))
+        groups.append(BasesGroup(field, n, reduced[:, :dim], index[:len(block)]))
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
     return GroupedBases(groups)

@@ -83,7 +83,7 @@ class SubspacePartition:
 
 
 def partition_from_dict(d: dict) -> SubspacePartition:
-    return SubspacePartition(d["q"], d["n"], subspaces_from_dicts(d["parts"]))
+    return SubspacePartition(d["q"], d["n"], subspaces_from_dicts(d["parts"], "part"))
 
 
 def _covered(parts: GroupedBases, n: int, q: int) -> np.ndarray:
@@ -301,15 +301,33 @@ def hyperplane_profile(partition: SubspacePartition) -> HyperplaneProfile:
                 f"want n_d * theta_(n-d) = {want}"
             )
 
-    # one tuple per distinct b-vector; s_b in order of first occurrence
-    rows, first, inverse, counts = np.unique(
-        stacked.T, axis=0, return_index=True, return_inverse=True, return_counts=True
-    )
-    distinct = [tuple(b) for b in rows.tolist()]
-    s_b = {distinct[k]: int(counts[k]) for k in np.argsort(first)}
-    b_vectors = tuple(map(distinct.__getitem__, inverse.ravel().tolist()))
+    b_vectors, s_b = _b_vector_groups(stacked)
     assert sum(s_b.values()) == theta(n, q)
     return HyperplaneProfile(q, n, dims, dim_counts, b_vectors, s_b)
+
+
+def _b_vector_groups(stacked: np.ndarray) -> tuple[tuple, dict]:
+    """The columns of ``stacked`` as tuples, one tuple object per distinct
+    column, and s_b: each distinct column with its count, in order of first
+    occurrence.
+
+    One stable lexsort over the rows puts equal columns next to each other,
+    the first occurrence first; a run starts where a row changes."""
+    order = np.lexsort(stacked)
+    ranked = stacked[:, order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[:, 1:] != ranked[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(new)
+    # runs numbered by their first hyperplane, the one at their start
+    by_first = np.argsort(order[starts])
+    number = np.empty_like(by_first)
+    number[by_first] = np.arange(len(starts))
+    inverse = np.empty_like(order)
+    inverse[order] = number[np.cumsum(new) - 1]
+    sizes = np.diff(starts, append=len(order))
+    distinct = [tuple(b) for b in ranked[:, starts[by_first]].T.tolist()]
+    s_b = dict(zip(distinct, sizes[by_first].tolist()))
+    return tuple(map(distinct.__getitem__, inverse.tolist())), s_b
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The hyperplane oracles list hyperplanes and test containment from the
 field's add and mul alone, without the package's point numbering or its
 transform, so a test that compares them with ``hyperplane_profile`` or
 ``normalized_point_encodings`` checks one against the other.
-``max_disjoint`` sizes a partial spread from ``intersect_dim`` alone,
+``b_vector_groups`` counts b-vectors with a Counter, against the
+profile's sort-based grouping.  ``max_disjoint`` sizes a partial spread from ``intersect_dim`` alone,
 without the search's point bitsets.  ``rref_rows`` reduces one matrix row
 by row with the field's own arithmetic, against the package's batched
 elimination over GF(p) digits, and ``intersect_dim`` ranks two stacked
@@ -13,6 +14,7 @@ bases with it, so neither leans on the package's elimination.
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
@@ -62,6 +64,14 @@ def profile_b_vectors(field, n: int, parts) -> list[tuple[int, ...]]:
         inside = [s.dim for s in parts if contains(field, h, s)]
         out.append(tuple(inside.count(d) for d in dims))
     return out
+
+
+def b_vector_groups(columns) -> tuple[list[tuple[int, ...]], dict]:
+    """Each hyperplane's b-vector as a tuple, given one column per
+    hyperplane, and s_b: every distinct b-vector with its number of
+    hyperplanes, in order of first occurrence (a Counter keeps it)."""
+    vectors = [tuple(c) for c in columns]
+    return vectors, dict(Counter(vectors))
 
 
 def intersect_dim(a, b) -> int:

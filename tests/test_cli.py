@@ -416,6 +416,23 @@ def test_non_integer_entry_exits_two(entry):
 @pytest.mark.parametrize(
     "edit,message",
     [
+        (lambda m: m["rows"].__setitem__(1, "0101"), "row 1 must be a list, got str"),
+        (lambda m: m["rows"].__setitem__(0, 5), "row 0 must be a list, got int"),
+        (lambda m: m.__setitem__("rows", None), "rows must be a list, got NoneType"),
+        (lambda m: m.__setitem__("rows", "0101"), "rows must be a list, got str"),
+    ],
+)
+def test_rows_that_are_no_list_exit_two(edit, message):
+    doc = json.loads(go(["construct", "--q", "2", "--n", "4", "--t", "2"])[1])
+    edit(doc["members"][2])
+    for command in ("verify", "analyze"):
+        rc, out, err = go([command], inp=json.dumps(doc))
+        assert (rc, out, err) == (2, "", f"error: member 2: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
         (lambda m: m.__setitem__("q", 3), "member 2 over GF(3), spread has q = 2"),
         (
             lambda m: (m.__setitem__("n", 5), [r.append(0) for r in m["rows"]]),

@@ -320,6 +320,22 @@ class TestParse:
              r"1.5 is not an element of GF\(2\)"),
             (lambda m: m["rows"][1].__setitem__(3, True), FieldMismatchError,
              r"True is not an element of GF\(2\)"),
+            # traps of the one-array check: past int64, below the range, no
+            # number, a nested list, a digit string, a row or rows no list
+            (lambda m: m["rows"][1].__setitem__(3, 2 ** 64), FieldMismatchError,
+             r"18446744073709551616 is not an element of GF\(2\)"),
+            (lambda m: m["rows"][1].__setitem__(3, -1), FieldMismatchError,
+             r"-1 is not an element of GF\(2\)"),
+            (lambda m: m["rows"][1].__setitem__(3, None), FieldMismatchError,
+             r"None is not an element of GF\(2\)"),
+            (lambda m: m["rows"][1].__setitem__(3, [0]), FieldMismatchError,
+             r"\[0\] is not an element of GF\(2\)"),
+            (lambda m: m["rows"][1].__setitem__(3, "1"), FieldMismatchError,
+             r"'1' is not an element of GF\(2\)"),
+            (lambda m: m["rows"].__setitem__(1, "0101"), InvalidParamsError,
+             "member 2: row 1 must be a list, got str"),
+            (lambda m: m.__setitem__("rows", None), InvalidParamsError,
+             "member 2: rows must be a list, got NoneType"),
             (lambda m: m.__setitem__("dim", 1), InvalidParamsError,
              "declared dim 1 but basis has rank 2"),
             (lambda m: m["rows"].__setitem__(1, m["rows"][0]), InvalidParamsError,
@@ -380,6 +396,12 @@ class TestParse:
         doc["members"][1]["dim"] = True
         with pytest.raises(InvalidParamsError, match=f"^{DECLARED}, got 2, 4, True$"):
             spread_from_dict(doc)
+
+    def test_rows_that_are_no_list_name_the_part(self):
+        doc = _doc_with(lambda m: m.__setitem__("rows", 5))
+        doc["parts"] = doc.pop("members")
+        with pytest.raises(InvalidParamsError, match="^part 2: rows must be a list, got int$"):
+            pt.partition_from_dict(doc)
 
     def test_the_first_failing_member_is_reported(self):
         # member 2 fails its rank, member 3 its field and member 4 a row

@@ -121,6 +121,18 @@ def test_canonical_form_invariant_under_row_ops(field):
         assert linalg.Subspace.from_rows(field, n, rows).rows == canon
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int16])
+def test_numpy_integer_rows_give_the_int_result(dtype):
+    rows = [(2, 1, 0, 3, 1), (0, 3, 2, 0, 1), (0, 0, 3, 3, 2)]
+    want = linalg.Subspace.from_rows(GF4, 5, rows)
+    assert want.dim == 3
+    for given in (np.array(rows, dtype=dtype), [np.array(r, dtype=dtype) for r in rows],
+                  [tuple(map(dtype, r)) for r in rows]):
+        got = linalg.Subspace.from_rows(GF4, 5, given)
+        assert got == want
+        assert all(type(x) is int for r in got.rows for x in r)
+
+
 # -- subspaces and intersections ---------------------------------------------
 
 

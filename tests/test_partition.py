@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import profile_b_vectors
+from oracles import b_vector_groups, profile_b_vectors
 from spreadlab import partition as pt
 from spreadlab.bounds import SpreadParams, theta
 from spreadlab.construct import PartialSpread, build_lower_bound_spread
@@ -49,6 +49,15 @@ def with_singles(q, n, big):
         if e not in covered
     )
     return pt.SubspacePartition(q, n, tuple(big) + singles)
+
+
+def _three_dimensions():
+    """V(5, 2) as a plane, a line disjoint from it and the 21 points left."""
+    f = field_for_order(2)
+    eye = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    plane = Subspace.from_rows(f, 5, eye[:3])
+    line = Subspace.from_rows(f, 5, eye[3:])
+    return with_singles(2, 5, (plane, line))
 
 
 class TestFromSpread:
@@ -159,12 +168,7 @@ class TestProfile:
             part = pt.partition_from_spread(build_lower_bound_spread(P(q, n, t)))
             assert (1 in part.dim_counts) == (q != 3)
             parts.append(part)
-        # three part dimensions: a plane, a disjoint line and 21 singles
-        f = field_for_order(2)
-        eye = [tuple(int(i == j) for j in range(5)) for i in range(5)]
-        plane = Subspace.from_rows(f, 5, eye[:3])
-        line = Subspace.from_rows(f, 5, eye[3:])
-        parts.append(with_singles(2, 5, (plane, line)))
+        parts.append(_three_dimensions())
         assert parts[-1].dim_counts == {3: 1, 2: 1, 1: 21}
         # a line off the coordinate axes, over fields whose trace pairing on
         # the polynomial basis is no field multiplication
@@ -230,6 +234,54 @@ class TestProfile:
         assert d["dims"] == [2, 1]
         assert d["dim_counts"] == {"2": 9, "1": 4}
         assert sum(rec["hyperplanes"] for rec in d["s_b"]) == theta(5, 2)
+
+
+def _grouped_against_the_oracle(part, monkeypatch):
+    """The profile of part, after checking its s_b, in order, and its
+    b_vectors against the Counter oracle on the b-vector table it grouped."""
+    seen = []
+    real = pt._b_vector_groups
+
+    def spy(stacked):
+        seen.append(stacked.copy())
+        return real(stacked)
+
+    monkeypatch.setattr(pt, "_b_vector_groups", spy)
+    prof = pt.hyperplane_profile(part)
+    (stacked,) = seen
+    assert stacked.shape == (len(part.dim_counts), theta(part.n, part.q))
+    vectors, s_b = b_vector_groups(stacked.T.tolist())
+    assert list(prof.b_vectors) == vectors
+    assert list(prof.s_b.items()) == list(s_b.items())
+    return prof
+
+
+class TestGrouping:
+    # the benchmark's pipeline cases; (4, 6, 3) is a spread of planes
+    @pytest.mark.parametrize(
+        "q,n,t",
+        [(5, 7, 3), (2, 13, 4), (3, 7, 3), (2, 11, 4), (2, 10, 3), (4, 7, 2), (4, 6, 3)],
+    )
+    def test_pipeline_cases(self, q, n, t, monkeypatch):
+        part = pt.partition_from_spread(build_lower_bound_spread(P(q, n, t)))
+        prof = _grouped_against_the_oracle(part, monkeypatch)
+        if (q, n, t) == (4, 6, 3):
+            assert prof.s_b == {(1,): theta(6, 4)}
+
+    def test_three_part_dimensions(self, monkeypatch):
+        prof = _grouped_against_the_oracle(_three_dimensions(), monkeypatch)
+        assert prof.dims == (3, 2, 1)
+        assert len(prof.s_b) > 2
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5])
+    def test_any_table(self, rows):
+        # in a partition's table the identity 1 + sum b_d q^d = parts ties
+        # the rows together; a random table does not
+        table = np.random.default_rng(rows).integers(0, 3, size=(rows, 300))
+        b_vectors, s_b = pt._b_vector_groups(table)
+        vectors, want = b_vector_groups(table.T.tolist())
+        assert list(b_vectors) == vectors
+        assert list(s_b.items()) == list(want.items())
 
 
 class TestHeden:

@@ -369,13 +369,23 @@ class TestBudgets:
 
     @pytest.mark.parametrize("q,n,t", [(2, 8, 3), (4, 6, 3)])
     def test_adjacency_cap(self, q, n, t):
-        # about 1.2 GB and 18 GB of adjacency bits: refused before any build
-        count = gaussian_binomial(n, t, q)
-        assert count * count > search.ADJACENCY_BIT_CAP
+        # the tree's candidates are disjoint from the first, and at most
+        # q^(t^2) [n - t, t]_q t-subspaces are: up to 0.8 GB and 8.6 GB of
+        # adjacency bits, refused before any build
+        most = q ** (t * t) * gaussian_binomial(n - t, t, q)
+        assert most * most > search.ADJACENCY_BIT_CAP
         start = time.monotonic()
-        with pytest.raises(BudgetExceededError, match=str(count * count)):
+        with pytest.raises(BudgetExceededError, match=f"up to {most} .* {most * most} "):
             search.max_partial_spread(P(q, n, t), max_nodes=10)
         assert time.monotonic() - start < 1.0
+
+    def test_cold_v63_over_gf3_under_the_cap(self):
+        # 33,880 candidates, whose count squared is past the cap; the tree
+        # grows over the 19,683 or fewer disjoint from the first
+        assert gaussian_binomial(6, 3, 3) ** 2 > search.ADJACENCY_BIT_CAP
+        res = search.max_partial_spread(P(3, 6, 3), warm_start=False)
+        assert (res.status, res.best_size, res.nodes_explored) == (search.EXACT, 28, 5387)
+        assert verify_partial_spread(res.witness).ok
 
     def test_node_budget_under_adjacency_cap(self):
         res = search.max_partial_spread(P(2, 7, 3), max_nodes=1000)
@@ -486,6 +496,17 @@ class TestGreedy:
                 tuple(map(tuple, bases[i].tolist())) for i in picked
             ], seed
             assert all(m & covered for m in masks), seed
+
+    @pytest.mark.parametrize("block", [1, 5, search._TIE_BLOCK])
+    def test_tied_keys_keep_the_stable_order(self, block, monkeypatch):
+        # keys 0..7 repeated: the default sort may order equal keys either
+        # way, so a tie takes the stable sort, equal keys by position
+        monkeypatch.setattr(search, "_TIE_BLOCK", block)
+        keys = np.arange(64, dtype=np.uint64)[::-1] % 8
+        monkeypatch.setattr(search.random.Random, "randbytes",
+                            lambda self, k: keys.tobytes()[:k])
+        order = search._greedy_order(len(keys), 3)
+        assert order.tolist() == sorted(range(len(keys)), key=lambda i: (keys[i], i))
 
     def test_order_is_a_permutation_and_ignores_the_sign(self):
         order = search._greedy_order(1000, 5)
