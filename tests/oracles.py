@@ -5,11 +5,12 @@ field's add and mul alone, without the package's point numbering or its
 transform, so a test that compares them with ``hyperplane_profile`` or
 ``normalized_point_encodings`` checks one against the other.
 ``b_vector_groups`` counts b-vectors with a Counter, against the
-profile's sort-based grouping.  ``max_disjoint`` sizes a partial spread from ``intersect_dim`` alone,
-without the search's point bitsets.  ``rref_rows`` reduces one matrix row
-by row with the field's own arithmetic, against the package's batched
-elimination over GF(p) digits, and ``intersect_dim`` ranks two stacked
-bases with it, so neither leans on the package's elimination.
+profile's sort-based grouping.  ``max_disjoint`` sizes a partial spread
+from ``intersect_dim`` alone, without the search's point bitsets.
+``rref_rows`` reduces one matrix row by row with the field's own
+arithmetic, against the package's batched elimination over GF(p) digits,
+and ``intersect_dim`` ranks two stacked bases with it, so neither leans
+on the package's elimination.
 """
 
 from __future__ import annotations

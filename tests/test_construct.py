@@ -400,7 +400,8 @@ class TestParse:
     def test_rows_that_are_no_list_name_the_part(self):
         doc = _doc_with(lambda m: m.__setitem__("rows", 5))
         doc["parts"] = doc.pop("members")
-        with pytest.raises(InvalidParamsError, match="^part 2: rows must be a list, got int$"):
+        text = "^part 2: rows must be a list, got int$"
+        with pytest.raises(InvalidParamsError, match=text):
             pt.partition_from_dict(doc)
 
     def test_the_first_failing_member_is_reported(self):

@@ -126,8 +126,9 @@ def test_numpy_integer_rows_give_the_int_result(dtype):
     rows = [(2, 1, 0, 3, 1), (0, 3, 2, 0, 1), (0, 0, 3, 3, 2)]
     want = linalg.Subspace.from_rows(GF4, 5, rows)
     assert want.dim == 3
-    for given in (np.array(rows, dtype=dtype), [np.array(r, dtype=dtype) for r in rows],
-                  [tuple(map(dtype, r)) for r in rows]):
+    as_arrays = [np.array(r, dtype=dtype) for r in rows]
+    as_scalars = [tuple(map(dtype, r)) for r in rows]
+    for given in (np.array(rows, dtype=dtype), as_arrays, as_scalars):
         got = linalg.Subspace.from_rows(GF4, 5, given)
         assert got == want
         assert all(type(x) is int for r in got.rows for x in r)

@@ -260,7 +260,8 @@ class TestGrouping:
     # the benchmark's pipeline cases; (4, 6, 3) is a spread of planes
     @pytest.mark.parametrize(
         "q,n,t",
-        [(5, 7, 3), (2, 13, 4), (3, 7, 3), (2, 11, 4), (2, 10, 3), (4, 7, 2), (4, 6, 3)],
+        [(5, 7, 3), (2, 13, 4), (3, 7, 3), (2, 11, 4), (2, 10, 3), (4, 7, 2),
+         (4, 6, 3)],
     )
     def test_pipeline_cases(self, q, n, t, monkeypatch):
         part = pt.partition_from_spread(build_lower_bound_spread(P(q, n, t)))

@@ -375,7 +375,8 @@ class TestBudgets:
         most = q ** (t * t) * gaussian_binomial(n - t, t, q)
         assert most * most > search.ADJACENCY_BIT_CAP
         start = time.monotonic()
-        with pytest.raises(BudgetExceededError, match=f"up to {most} .* {most * most} "):
+        text = f"up to {most} .* {most * most} adjacency bits"
+        with pytest.raises(BudgetExceededError, match=text):
             search.max_partial_spread(P(q, n, t), max_nodes=10)
         assert time.monotonic() - start < 1.0
 
@@ -384,7 +385,8 @@ class TestBudgets:
         # grows over the 19,683 or fewer disjoint from the first
         assert gaussian_binomial(6, 3, 3) ** 2 > search.ADJACENCY_BIT_CAP
         res = search.max_partial_spread(P(3, 6, 3), warm_start=False)
-        assert (res.status, res.best_size, res.nodes_explored) == (search.EXACT, 28, 5387)
+        assert (res.status, res.best_size) == (search.EXACT, 28)
+        assert res.nodes_explored == 5387
         assert verify_partial_spread(res.witness).ok
 
     def test_node_budget_under_adjacency_cap(self):
