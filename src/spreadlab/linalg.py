@@ -280,7 +280,7 @@ def _checked(
     a True among ints as 1), then one np.array for the shape and the range.
     Only when that fails are the members walked one by one, so the error is
     the one the first failing member raises."""
-    k = len(members[0]) if members else 0
+    k = len(members[0])
     try:
         entries = chain.from_iterable(chain.from_iterable(members))
         if all(map(_integer_type, set(map(type, entries)))):
