@@ -147,12 +147,10 @@ class Subspace:
 
     @classmethod
     def from_rows(cls, field: Field, ambient: int, rows) -> "Subspace":
-        # rows made tuples are lists to _checked: its label is never read
-        block, bad = _checked(field, ambient, [[tuple(r) for r in rows]], str)
+        block, bad = _checked(field, ambient, [[tuple(r) for r in rows]])
         if bad is not None:
             raise bad
-        reduced, ranks = rref_blocks(field, block)
-        return cls(field, ambient, tuple(map(tuple, reduced[0, :ranks[0]].tolist())))
+        return cls(field, ambient, rref_rows(field, block[0], ambient))
 
     @property
     def dim(self) -> int:
@@ -267,15 +265,13 @@ class GroupedBases(Sequence):
         return out
 
 
-def _checked(
-    field: Field, n: int, members: list, label
-) -> tuple[np.ndarray, Exception | None]:
+def _checked(field: Field, n: int, members: list) -> tuple[np.ndarray, Exception | None]:
     """The leading members that are bases in V(n, q), as one int64 array of
     shape (j, k, n), and the error that member j raises, None when none does.
 
     A member is a list of k rows, k the same for all.  A row is a list (or
     tuple) of n entries, each an element of the field: an integer in [0, q);
-    label(j) names member j when one of its rows is no list.  The whole
+    a row that is no list gives a TypeError, which names the row.  The whole
     group is checked at once: the set of entry types (np.array would read
     a True among ints as 1), then one np.array for the shape and the range.
     Only when that fails are the members walked one by one, so the error is
@@ -294,9 +290,7 @@ def _checked(
     for j, member in enumerate(members):
         for i, r in enumerate(member):
             if not isinstance(r, (list, tuple)):
-                error = InvalidParamsError(
-                    f"{label(j)}: row {i} must be a list, got {type(r).__name__}"
-                )
+                error = TypeError(f"row {i} must be a list, got {type(r).__name__}")
             elif len(r) != n:
                 error = InvalidParamsError("row length differs from ambient dimension")
             elif bad := [x for x in r if not (_integer(x) and 0 <= x < field.q)]:
@@ -348,8 +342,9 @@ def subspaces_from_dicts(docs, item: str = "document") -> GroupedBases:
         except InvalidParamsError as exc:
             errors.append((index[0], exc))
             continue
-        block, bad = _checked(field, n, [docs[i]["rows"] for i in index],
-                              lambda j: f"{item} {index[j]}")
+        block, bad = _checked(field, n, [docs[i]["rows"] for i in index])
+        if isinstance(bad, TypeError):
+            bad = InvalidParamsError(f"{item} {index[len(block)]}: {bad}")
         if bad is not None:
             errors.append((index[len(block)], bad))
         reduced, ranks = rref_blocks(field, block)

@@ -84,12 +84,6 @@ LOWER_WITNESS_ONLY = "LOWER_WITNESS_ONLY"
 # most adjacency bits (tree candidates squared) the exact search builds
 ADJACENCY_BIT_CAP = 1 << 30
 
-# candidates in greedy_spread's first chunk; later chunks double
-_FIRST_CHUNK = 32
-
-# sorted greedy keys checked for a tie at a time
-_TIE_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -295,8 +289,8 @@ def max_partial_spread(
     the budget ends at the root of a cold start.  Raises
     InvalidParamsError when max_nodes < 1 or max_seconds <= 0, and
     BudgetExceededError, before anything is built, when the adjacency
-    bitsets over the candidates disjoint from the first could exceed
-    ADJACENCY_BIT_CAP bits.
+    bitsets over the candidates disjoint from the first (all candidates
+    when n < 2t) could exceed ADJACENCY_BIT_CAP bits.
     """
     start = time.monotonic()
     if max_nodes is not None and max_nodes < 1:
@@ -305,12 +299,14 @@ def max_partial_spread(
         raise InvalidParamsError(f"time budget must be positive, got {max_seconds}")
     q, n, t = params.q, params.n, params.t
     # the tree grows over candidates disjoint from candidate 0, and
-    # q^(t^2) [n - t, t]_q t-subspaces meet one t-subspace trivially
+    # q^(t^2) [n - t, t]_q t-subspaces meet one t-subspace trivially; when
+    # n < 2t none does, and all [n, t]_q candidates bound what is built
     most = q ** (t * t) * gaussian_binomial(n - t, t, q)
+    most = most or gaussian_binomial(n, t, q)
     if most * most > ADJACENCY_BIT_CAP:
         raise BudgetExceededError(
-            f"up to {most} candidates disjoint from the first need "
-            f"{most * most} adjacency bits, cap is {ADJACENCY_BIT_CAP}"
+            f"up to {most} candidates need {most * most} adjacency bits, "
+            f"cap is {ADJACENCY_BIT_CAP}"
         )
     bases, masks, ords = _candidates(params)
     seed_spread = build_lower_bound_spread(params) if warm_start else None
@@ -354,27 +350,16 @@ def max_partial_spread(
 
 def _greedy_order(count: int, seed: int) -> np.ndarray:
     """greedy_spread's candidate order: one 64-bit key per candidate from
-    random.Random(seed), which takes |seed|, stably sorted.  Distinct keys
-    have one order, so the stable sort runs only when two keys tie; ties
-    are looked for a block of sorted keys at a time, which keeps a copy of
-    all keys out of memory."""
+    random.Random(seed), which takes |seed|, stably sorted."""
     keys = np.frombuffer(random.Random(seed).randbytes(8 * count), dtype=np.uint64)
-    order = np.argsort(keys)
-    for start in range(0, count, _TIE_BLOCK):
-        ranked = keys[order[start:start + _TIE_BLOCK + 1]]
-        if (ranked[1:] == ranked[:-1]).any():
-            return np.argsort(keys, kind="stable")
-    return order
+    return np.argsort(keys, kind="stable")
 
 
 def greedy_spread(params: SpreadParams, seed: int = 0) -> PartialSpread:
     """First fit over all candidates in _greedy_order: each joins when none
     of its points is covered yet.  A chunk of the order at a time, the
     candidates with a covered basis row (an RREF row is a normalized vector,
-    so a point) are dropped, and only the rest have their points listed and
-    are walked one by one.  Chunks grow from _FIRST_CHUNK candidates, while
-    few points are covered and the filter drops few, up to about
-    _POINT_BLOCK points."""
+    so a point) are dropped, and only the rest have their points listed."""
     q, n, t = params.q, params.n, params.t
     field = field_for_order(q)
     bases = subspace_bases(n, t, field)
@@ -382,10 +367,7 @@ def greedy_spread(params: SpreadParams, seed: int = 0) -> PartialSpread:
     covered = np.zeros(theta(n, q), dtype=bool)
     picked = []
     per = max(1, _POINT_BLOCK // theta(t, q))
-    start, size = 0, min(_FIRST_CHUNK, per)
-    while start < len(order):
-        chunk = order[start:start + size]
-        start, size = start + size, min(2 * size, per)
+    for chunk in np.split(order, range(per, len(order), per)):
         rows = point_ordinals(bases[chunk] @ q ** np.arange(n), n, q)
         chunk = chunk[~covered[rows].any(axis=1)]
         for at, block in point_encodings_of_bases(field, bases[chunk]):

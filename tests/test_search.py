@@ -367,15 +367,18 @@ class TestBudgets:
         assert (res.status, res.nodes_explored) == (search.BUDGET_EXHAUSTED, n - 1)
         assert verify_partial_spread(res.witness).ok
 
-    @pytest.mark.parametrize("q,n,t", [(2, 8, 3), (4, 6, 3)])
+    @pytest.mark.parametrize("q,n,t", [(2, 8, 3), (4, 6, 3), (2, 16, 15)])
     def test_adjacency_cap(self, q, n, t):
         # the tree's candidates are disjoint from the first, and at most
         # q^(t^2) [n - t, t]_q t-subspaces are: up to 0.8 GB and 8.6 GB of
-        # adjacency bits, refused before any build
+        # adjacency bits; when n < 2t none is, and all 65,535 candidates
+        # bound the build (their point lists alone would take 17 GB);
+        # each is refused before any build
         most = q ** (t * t) * gaussian_binomial(n - t, t, q)
+        most = most or gaussian_binomial(n, t, q)
         assert most * most > search.ADJACENCY_BIT_CAP
         start = time.monotonic()
-        text = f"up to {most} .* {most * most} adjacency bits"
+        text = f"up to {most} candidates need {most * most} adjacency bits"
         with pytest.raises(BudgetExceededError, match=text):
             search.max_partial_spread(P(q, n, t), max_nodes=10)
         assert time.monotonic() - start < 1.0
@@ -499,11 +502,8 @@ class TestGreedy:
             ], seed
             assert all(m & covered for m in masks), seed
 
-    @pytest.mark.parametrize("block", [1, 5, search._TIE_BLOCK])
-    def test_tied_keys_keep_the_stable_order(self, block, monkeypatch):
-        # keys 0..7 repeated: the default sort may order equal keys either
-        # way, so a tie takes the stable sort, equal keys by position
-        monkeypatch.setattr(search, "_TIE_BLOCK", block)
+    def test_tied_keys_keep_the_stable_order(self, monkeypatch):
+        # keys 0..7 repeated: equal keys keep their positions
         keys = np.arange(64, dtype=np.uint64)[::-1] % 8
         monkeypatch.setattr(search.random.Random, "randbytes",
                             lambda self, k: keys.tobytes()[:k])
