@@ -41,7 +41,6 @@ from .construct import (
     PartialSpread,
     VerificationResult,
     build_lower_bound_spread,
-    mult_map_matrix,
     spread_from_dict,
     verify_partial_spread,
 )
@@ -60,12 +59,7 @@ from .errors import (
     UnverifiedSpreadError,
 )
 from .gf import Field, ext_field, field_for_order, field_new, prime_power
-from .linalg import (
-    Subspace,
-    enumerate_subspaces,
-    gaussian_binomial,
-    intersect_dim,
-)
+from .linalg import Subspace, enumerate_subspaces, gaussian_binomial
 from .partition import (
     CertificateCheck,
     DescentCertificate,
@@ -77,7 +71,6 @@ from .partition import (
     descent_certificate,
     heden_case,
     hyperplane_profile,
-    partition_from_dict,
     partition_from_spread,
     verify_partition,
 )

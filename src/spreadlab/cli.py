@@ -197,29 +197,36 @@ def _report_row(rep) -> dict:
     }
 
 
+def _largest(x) -> int:
+    """The largest absolute value of an integer in a document, 0 if none."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    if isinstance(x, (list, tuple)):
+        return max(map(_largest, x), default=0)
+    return abs(x) if isinstance(x, int) else 0
+
+
+def _check_printable(doc) -> None:
+    """A usage error that names the size of doc's longest integer when that
+    is too long for Python to print (sys.get_int_max_str_digits)."""
+    largest, limit = _largest(doc), sys.get_int_max_str_digits()
+    # about the decimal digits of largest and never fewer, so most documents
+    # are cleared without computing 10 ** limit
+    digits = int(largest.bit_length() * math.log10(2)) + 1
+    if limit and digits > limit and largest >= 10 ** limit:
+        raise _UsageError(
+            f"output too large: it holds an integer of about {digits} decimal "
+            f"digits, and at most {limit} can be printed"
+        )
+
+
 def _printed(make, doc) -> str:
-    """make(), the text of doc; a usage error that names the size of doc's
-    longest integer when that is too long for Python to print
-    (sys.get_int_max_str_digits)."""
-
-    def bits(x) -> int:
-        if isinstance(x, dict):
-            x = list(x.values())
-        if isinstance(x, (list, tuple)):
-            return max(map(bits, x), default=0)
-        return x.bit_length() if isinstance(x, int) else 0
-
+    """make(), the text of doc; _check_printable(doc) when that fails."""
     try:
         return make()
     except ValueError:
-        digits = int(bits(doc) * math.log10(2)) + 1
-        limit = sys.get_int_max_str_digits()
-        if digits <= limit:
-            raise
-    raise _UsageError(
-        f"output too large: it holds an integer of about {digits} decimal "
-        f"digits, and at most {limit} can be printed"
-    )
+        _check_printable(doc)
+        raise
 
 
 def _format_reports(reports, fmt: str) -> str:
@@ -257,11 +264,12 @@ def _cmd_table(args, out, stdin):
         for n in _parse_range(args.n):
             for t in _parse_range(args.t):
                 try:
-                    reports.append(best_known(SpreadParams(q, n, t)))
+                    rep = best_known(SpreadParams(q, n, t))
                 except InvalidParamsError:
                     continue  # sweep cells like n <= t are just skipped
-    docs = [r.to_dict() for r in reports]
-    out.write(_printed(lambda: _format_reports(reports, args.format), docs))
+                _check_printable(rep.to_dict())  # stop at a cell too long to print
+                reports.append(rep)
+    out.write(_format_reports(reports, args.format))
     return 0
 
 
@@ -344,10 +352,7 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
         out = _Out(getattr(args, "out", "-"), stdout)
         return _COMMANDS[args.command](args, out, stdin)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=stderr)
-        return 2
-    except USAGE_ERRORS as exc:
+    except (_UsageError, *USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=stderr)
         return 2
     except VIOLATION_ERRORS as exc:

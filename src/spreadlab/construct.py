@@ -24,11 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .bounds import SpreadParams, lower_bound, theta
-from .errors import (
-    BudgetExceededError,
-    ConstructionSizeMismatchError,
-    InvalidParamsError,
-)
+from .errors import BudgetExceededError, ConstructionSizeMismatchError
 from .gf import Field, ext_field, field_for_order
 from .linalg import (
     GroupedBases,
@@ -90,23 +86,10 @@ def check_verify_budget(what: str, points: int) -> None:
         )
 
 
-def mult_map_matrix(ext: Field, a: int, t: int) -> tuple[tuple[int, ...], ...]:
-    """Rows i < t of the multiplication-by-a map on GF(q^m), in base-field
-    coordinates: row i is the coordinate vector of a * g^i."""
-    if not 1 <= t <= ext.m:
-        raise InvalidParamsError(f"need 1 <= t <= {ext.m}, got {t}")
-    g = ext.base.q if ext.m > 1 else 1  # encoding of the generator
-    rows = []
-    cur = a
-    for _ in range(t):
-        rows.append(ext.coord(cur))
-        cur = ext.mul(cur, g)
-    return tuple(rows)
-
-
 def _mult_map_rows(ext: Field, a: np.ndarray, t: int) -> np.ndarray:
-    """mult_map_matrix(ext, x, t) of every x in the array a, as one array
-    of shape (len(a), t, m): row i holds the base-q digits of x * g^i.
+    """Rows i < t of the multiplication-by-x map on GF(q^m), of every x in
+    the array a, as one array of shape (len(a), t, m): row i holds the
+    base-q digits of x * g^i, g the generator.
     Multiplication by g is GF(p)-linear on the base-p digits of x, so one
     matrix product over all of a gives each next row."""
     p, q, m = ext.p, ext.base.q, ext.m
@@ -192,4 +175,4 @@ def spread_from_dict(d: dict) -> PartialSpread:
     """Inverse of PartialSpread.to_dict, parsed by subspaces_from_dicts
     into grouped bases; the result is unverified."""
     params = SpreadParams(d["q"], d["n"], d["t"])
-    return PartialSpread(params, subspaces_from_dicts(d["members"], "member"))
+    return PartialSpread(params, subspaces_from_dicts(d["members"]))

@@ -8,10 +8,10 @@ construction uses.  Both share one cache keyed on (base, m), so
 ``ext_field(field_new(p), e) is field_new(p, e)``.
 
 Elements are plain integers in [0, q), q = p^e: the base-``base.q`` digits
-(constant term first) are the coefficients of the residue polynomial, and
-``coord`` returns them as the length-m coordinate vector over the base in
-the power basis (1, x, x^2, ...).  So 0 and 1 are the identities, matrix
-rows stay hashable tuples of ints, and elements serialize as themselves.
+(constant term first) are the coefficients of the residue polynomial, so
+``digits(a, base.q, m)`` is the coordinate vector of a over the base in the
+power basis (1, x, x^2, ...).  So 0 and 1 are the identities, matrix rows
+stay hashable tuples of ints, and elements serialize as themselves.
 
 The modulus is the monic irreducible of degree m over ``base`` whose
 non-leading coefficients, read low-to-high as a base-``base.q`` integer,
@@ -122,12 +122,14 @@ def _factor(n: int) -> dict[int, int]:
     return out
 
 
-def _digits(a: int, radix: int, m: int) -> list[int]:
+def digits(a: int, radix: int, m: int) -> tuple[int, ...]:
+    """The m lowest base-radix digits of a, lowest first: the coordinates
+    of an element over its base field, or of an encoded vector."""
     out = []
     for _ in range(m):
         a, d = divmod(a, radix)
         out.append(d)
-    return out
+    return tuple(out)
 
 
 def _undigits(ds, radix: int) -> int:
@@ -242,7 +244,7 @@ def _smallest_irreducible(base, degree: int) -> tuple[int, ...]:
     base-q integer, low digits = low-degree coefficients.
     """
     for v in range(base.q ** degree):
-        coeffs = _digits(v, base.q, degree) + [1]
+        coeffs = [*digits(v, base.q, degree), 1]
         if _is_irreducible(base, coeffs):
             return tuple(coeffs)
     raise RuntimeError("no irreducible polynomial found (unreachable)")
@@ -289,11 +291,6 @@ class Field:
             if not 0 <= a < self.q:
                 raise FieldMismatchError(f"{a} is not an element of {self!r}")
 
-    def coord(self, a: int) -> tuple[int, ...]:
-        """Power-basis coordinate vector over the base field, length m."""
-        self._check(a)
-        return tuple(_digits(a, self._radix, self.m))
-
     def add(self, a: int, b: int) -> int:
         self._check(a, b)
         if self.base is None:
@@ -302,7 +299,7 @@ class Field:
             return a ^ b
         r, m, add = self._radix, self.m, self.base.add
         return _undigits(
-            [add(x, y) for x, y in zip(_digits(a, r, m), _digits(b, r, m))], r
+            [add(x, y) for x, y in zip(digits(a, r, m), digits(b, r, m))], r
         )
 
     def neg(self, a: int) -> int:
@@ -312,7 +309,7 @@ class Field:
         if self.p == 2:
             return a
         r = self._radix
-        return _undigits([self.base.neg(x) for x in _digits(a, r, self.m)], r)
+        return _undigits([self.base.neg(x) for x in digits(a, r, self.m)], r)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -339,12 +336,12 @@ class Field:
 
     def _mul_poly(self, a: int, b: int) -> int:
         r, m = self._radix, self.m
-        prod = _poly_mul(self.base, _digits(a, r, m), _digits(b, r, m))
+        prod = _poly_mul(self.base, digits(a, r, m), digits(b, r, m))
         return _undigits(_poly_mod(self.base, prod, self.modulus), r)
 
     def _pow_poly(self, a: int, k: int) -> int:
         r = self._radix
-        power = _poly_powmod(self.base, _digits(a, r, self.m), k, self.modulus)
+        power = _poly_powmod(self.base, digits(a, r, self.m), k, self.modulus)
         return _undigits(power, r)
 
     def _build_tables(self) -> None:
@@ -363,7 +360,7 @@ class Field:
         )
         p, e = self.p, self.e
         place = p ** np.arange(e)
-        step = np.array([_digits(self._mul_poly(p ** j, g), p, e) for j in range(e)])
+        step = np.array([digits(self._mul_poly(p ** j, g), p, e) for j in range(e)])
         powers = np.eye(1, e, dtype=np.int64)
         while len(powers) < size:
             powers = np.concatenate([powers, powers @ step % p])

@@ -10,9 +10,8 @@ reads as a tuple of Subspace built on first read; the kernels read arrays.
 
 ``rref_blocks`` is the one elimination: it reduces a whole (m, k, n) array
 of bases at once, with numpy on GF(p) digits, q = p^e, so one arithmetic
-serves every q.  ``rref_rows`` is its one-block call, ``intersect_dim``
-ranks two stacked bases with it, and ``subspaces_from_dicts`` parses
-documents through it into a GroupedBases.
+serves every q; one basis is the block rows[None].  ``subspaces_from_dicts``
+parses documents through it into a GroupedBases.
 
 The d-subspaces of V(n, q) have one canonical order, defined once by
 ``_row_options``: RREF pivot sets in combinations order, then, per pivot
@@ -125,43 +124,20 @@ def rref_blocks(field: Field, rows) -> tuple[np.ndarray, np.ndarray]:
     return (place @ a.reshape(e, -1)).reshape(m, k, n), ranks
 
 
-def rref_rows(field: Field, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
-    """Reduced row echelon form; zero rows dropped, pivot order."""
-    block = np.asarray(rows, dtype=np.int64)
-    block = block.reshape(1, len(block), ncols)
-    reduced, ranks = rref_blocks(field, block)
-    return tuple(map(tuple, reduced[0, :ranks[0]].tolist()))
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of V(ambient, q), basis in RREF with zero rows dropped.
 
-    The raw constructor trusts its rows; use :meth:`from_rows` unless the
-    rows are already canonical.
+    The constructor trusts its rows to be that basis.
     """
 
     field: Field
     ambient: int
     rows: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_rows(cls, field: Field, ambient: int, rows) -> "Subspace":
-        block, bad = _checked(field, ambient, [[tuple(r) for r in rows]])
-        if bad is not None:
-            raise bad
-        return cls(field, ambient, rref_rows(field, block[0], ambient))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    def to_dict(self) -> dict:
-        return GroupedBases.of((self,)).to_dicts()[0]
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Subspace":
-        return subspaces_from_dicts([d])[0]
 
 
 class BasesGroup(NamedTuple):
@@ -182,7 +158,7 @@ class BasesGroup(NamedTuple):
 class GroupedBases(Sequence):
     """Subspaces in order, held as one BasesGroup per (field, ambient, dim):
     the kernels read ``groups``.  Reads as a tuple of Subspace (indexing,
-    slicing, iteration, + with a tuple, ==), built when first read."""
+    slicing, iteration, ==), built when first read."""
 
     def __init__(self, groups: list[BasesGroup]):
         """Groups that share (field, ambient, dim) are joined, their members
@@ -249,14 +225,12 @@ class GroupedBases(Sequence):
     def __hash__(self) -> int:
         return hash(self.subspaces)
 
-    def __add__(self, other):
-        return self.subspaces + tuple(other)
-
     def __repr__(self) -> str:
         return repr(self.subspaces)
 
     def to_dicts(self) -> list[dict]:
-        """Subspace.to_dict of every subspace, one tolist() per group."""
+        """The document of every subspace, {"q", "n", "dim", "rows"}, one
+        tolist() per group."""
         out = [None] * self.size
         for g in self.groups:
             q, n, d = g.field.q, g.ambient, g.dim
@@ -309,22 +283,29 @@ def _integer(x) -> bool:
     return _integer_type(type(x))
 
 
-def subspaces_from_dicts(docs, item: str = "document") -> GroupedBases:
-    """Subspace.from_dict of every document, checked and reduced in bulk.
+def subspaces_from_dicts(docs) -> GroupedBases:
+    """The subspaces of a list of member documents {"q", "n", "dim",
+    "rows"}, checked and reduced in bulk.
 
     Documents are grouped by declared (q, n, dim), their types and the row
     count.  A group has (q, n, dim) checked as the spread schema requires,
     resolves its field once, has its rows checked at once by _checked and
     is reduced by one rref_blocks call into a BasesGroup.  The error raised
-    is the one Subspace.from_dict raises for the first document that
-    fails; one whose rows are no list names it as ``item`` and its index.
+    is the one for the first member that fails; one that is no object, or
+    whose rows are no list, is named as "member" and its index.
     """
+    if not isinstance(docs, (list, tuple)):
+        raise InvalidParamsError(f"members must be a list, got {type(docs).__name__}")
     keys: dict[tuple, list[int]] = {}
     errors = []  # (document, exception)
     for i, d in enumerate(docs):
+        if not isinstance(d, dict):
+            error = f"member {i} must be an object, got {type(d).__name__}"
+            errors.append((i, InvalidParamsError(error)))
+            continue
         head, rows = (d["q"], d["n"], d["dim"]), d["rows"]
         if not isinstance(rows, (list, tuple)):
-            error = f"{item} {i}: rows must be a list, got {type(rows).__name__}"
+            error = f"member {i}: rows must be a list, got {type(rows).__name__}"
             errors.append((i, InvalidParamsError(error)))
             continue
         # with the types: 2.0 == 2 and True == 1 would share a key
@@ -344,7 +325,7 @@ def subspaces_from_dicts(docs, item: str = "document") -> GroupedBases:
             continue
         block, bad = _checked(field, n, [docs[i]["rows"] for i in index])
         if isinstance(bad, TypeError):
-            bad = InvalidParamsError(f"{item} {index[len(block)]}: {bad}")
+            bad = InvalidParamsError(f"member {index[len(block)]}: {bad}")
         if bad is not None:
             errors.append((index[len(block)], bad))
         reduced, ranks = rref_blocks(field, block)
@@ -371,13 +352,6 @@ def check_in_space(subspaces, field: Field, n: int, item: str, owner: str) -> No
         raise AmbientMismatchError(
             f"{item} {g.index[0]} in ambient {g.ambient}, {owner} has n = {n}"
         )
-
-
-def intersect_dim(a: Subspace, b: Subspace) -> int:
-    """dim(A meet B) = dim A + dim B - rank of the stacked bases."""
-    check_in_space((a, b), a.field, a.ambient, "operand", "operand 0")
-    stacked = rref_rows(a.field, a.rows + b.rows, a.ambient)
-    return a.dim + b.dim - len(stacked)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -464,14 +438,6 @@ def subspace_bases(n: int, d: int, field: Field) -> np.ndarray:
             block[..., i, :] = np.reshape(rows, (*shape, n))
         at += count
     return bases
-
-
-def decode_vector(enc: int, n: int, q: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(n):
-        enc, d = divmod(enc, q)
-        out.append(d)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

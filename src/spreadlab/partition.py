@@ -42,17 +42,15 @@ from .errors import (
     InvalidParamsError,
     UnverifiedSpreadError,
 )
-from .gf import field_for_order
+from .gf import digits, field_for_order
 from .linalg import (
     GroupedBases,
     Subspace,
     check_in_space,
-    decode_vector,
     least_shared_pair,
     normalized_point_encodings,
     point_encodings_of_bases,
     point_ordinals,
-    subspaces_from_dicts,
 )
 
 PROFILE_POINT_CAP = 1 << 24
@@ -77,13 +75,6 @@ class SubspacePartition:
         for g in self.parts.groups:
             counts[g.dim] += len(g.rows)
         return dict(sorted(counts.items(), reverse=True))
-
-    def to_dict(self) -> dict:
-        return {"q": self.q, "n": self.n, "parts": self.parts.to_dicts()}
-
-
-def partition_from_dict(d: dict) -> SubspacePartition:
-    return SubspacePartition(d["q"], d["n"], subspaces_from_dicts(d["parts"], "part"))
 
 
 def _covered(parts: GroupedBases, n: int, q: int) -> np.ndarray:
@@ -119,9 +110,6 @@ class PartitionCheck:
     reason: str = ""
     witness: tuple[int, ...] | None = None
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "witness": list(self.witness) if self.witness else None}
-
 
 def verify_partition(partition: SubspacePartition) -> PartitionCheck:
     """Exact cover check on the parts' points.
@@ -140,12 +128,12 @@ def verify_partition(partition: SubspacePartition) -> PartitionCheck:
     if shared is not None:
         j, i, enc = shared
         return PartitionCheck(
-            False, f"point covered by parts {j} and {i}", decode_vector(enc, n, q)
+            False, f"point covered by parts {j} and {i}", digits(enc, q, n)
         )
     if sum(len(g.rows) * theta(g.dim, q) for g in parts.groups) < total:
         covered = _covered(parts, n, q)
         enc = int(normalized_point_encodings(n, q)[np.argmin(covered)])
-        return PartitionCheck(False, "point not covered", decode_vector(enc, n, q))
+        return PartitionCheck(False, "point not covered", digits(enc, q, n))
     return PartitionCheck(True)
 
 
@@ -277,7 +265,7 @@ def hyperplane_profile(partition: SubspacePartition) -> HyperplaneProfile:
         if bad.size:
             h = int(bad[0])
             raise IdentityViolationError(
-                f"hyperplane {decode_vector(int(duals[h]), n, q)}: {int(lines[h])} "
+                f"hyperplane {digits(int(duals[h]), q, n)}: {int(lines[h])} "
                 f"lines of {d}-dimensional parts give b_(H,{d}) a remainder mod {unit}"
             )
         per_dim.append(extra // unit)
@@ -289,7 +277,7 @@ def hyperplane_profile(partition: SubspacePartition) -> HyperplaneProfile:
     if bad.size:
         h = int(bad[0])
         raise IdentityViolationError(
-            f"hyperplane {decode_vector(int(duals[h]), n, q)}: 1 + sum b_d q^d = "
+            f"hyperplane {digits(int(duals[h]), q, n)}: 1 + sum b_d q^d = "
             f"{int(totals[h])}, but the partition has {n_parts} parts"
         )
     for d, row in zip(dims, per_dim):
@@ -358,9 +346,6 @@ class HedenCase:
     satisfied: bool
     exceptional: bool
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def heden_case(n_d1: int, d1: int, d2: int, q: int) -> HedenCase:
     """Classify the tail count n_d1 against the tail theorem.
@@ -416,9 +401,6 @@ class CertStep:
     n1_residue: int
     next_delta: int
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class FinalCase:
@@ -432,9 +414,6 @@ class FinalCase:
     required_dim_ge3_min: int
     heden_case: str
     heden_satisfied: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -453,7 +432,8 @@ class DescentCertificate:
     final: FinalCase
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "steps": [s.to_dict() for s in self.steps]}
+        doc = asdict(self)  # the steps as a tuple of dicts
+        return {**doc, "steps": list(doc["steps"])}
 
 
 def certificate_from_dict(d: dict) -> DescentCertificate:

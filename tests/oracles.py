@@ -10,7 +10,9 @@ from ``intersect_dim`` alone, without the search's point bitsets.
 ``rref_rows`` reduces one matrix row by row with the field's own
 arithmetic, against the package's batched elimination over GF(p) digits,
 and ``intersect_dim`` ranks two stacked bases with it, so neither leans
-on the package's elimination.
+on the package's elimination; ``subspace`` builds a Subspace from any
+spanning rows with it.  ``mult_map_matrix`` builds the construction's
+matrices M_a one element at a time with field.mul, against its bulk rows.
 """
 
 from __future__ import annotations
@@ -19,10 +21,17 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
+from spreadlab.linalg import Subspace
+
 
 def encode(vec, q: int) -> int:
     """Base-q encoding of a vector, coordinate i as digit i."""
     return sum(v * q ** i for i, v in enumerate(vec))
+
+
+def decode(enc: int, n: int, q: int) -> tuple[int, ...]:
+    """The vector of V(n, q) with base-q encoding enc, the inverse of encode."""
+    return tuple(enc // q ** i % q for i in range(n))
 
 
 def hyperplane_duals(n: int, field) -> list[tuple[int, ...]]:
@@ -122,3 +131,22 @@ def rref_rows(field, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
         if k == len(work):
             break
     return tuple(tuple(r) for r in work[:k])
+
+
+def subspace(field, n: int, rows) -> Subspace:
+    """The subspace of V(n, q) that the rows span."""
+    return Subspace(field, n, rref_rows(field, rows, n))
+
+
+def mult_map_matrix(ext, a: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """Rows i < t of the multiplication-by-a map on GF(q^m) over GF(q):
+    row i is the coordinate vector, the base-q digits, of a * g^i, g the
+    generator x.  Past t = m the rows are dependent, so t > m is refused."""
+    if not 1 <= t <= ext.m:
+        raise ValueError(f"need 1 <= t <= {ext.m}, got {t}")
+    g = ext.base.q if ext.m > 1 else 1  # the encoding of x
+    rows = []
+    for _ in range(t):
+        rows.append(decode(a, ext.m, ext.base.q))
+        a = ext.mul(a, g)
+    return tuple(rows)

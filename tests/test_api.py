@@ -16,6 +16,78 @@ def test_all_exports_resolve():
     assert len(spreadlab.__all__) == len(set(spreadlab.__all__))
 
 
+def test_public_names_are_pinned():
+    # an export added or dropped shows up here as a deliberate diff
+    assert sorted(spreadlab.__all__) == [
+        "AmbientMismatchError",
+        "BHP_EXACT",
+        "BoundReport",
+        "BudgetExceededError",
+        "CertificateCheck",
+        "ConstructionSizeMismatchError",
+        "DRAKE_FREEMAN",
+        "DescentCertificate",
+        "EJSSS_EXACT",
+        "Field",
+        "FieldMismatchError",
+        "HedenCase",
+        "HyperplaneProfile",
+        "HypothesisViolatedError",
+        "IdentityViolationError",
+        "InvalidParamsError",
+        "KURZ_EXACT",
+        "MAIN_THEOREM",
+        "NS_EXACT",
+        "NotPrimeError",
+        "OutOfRegimeError",
+        "OverflowLimitError",
+        "PartialSpread",
+        "SOURCES",
+        "SPREAD_EXACT",
+        "SearchResult",
+        "SpreadLabError",
+        "SpreadParams",
+        "Subspace",
+        "SubspacePartition",
+        "TRIVIAL_OVERLAP",
+        "UnverifiedSpreadError",
+        "UpperBound",
+        "VerificationResult",
+        "best_known",
+        "build_lower_bound_spread",
+        "c1_c2",
+        "certificate_from_dict",
+        "check_certificate",
+        "compare_bounds",
+        "delta",
+        "descent_certificate",
+        "descent_x",
+        "drake_freeman",
+        "enumerate_subspaces",
+        "ext_field",
+        "field_for_order",
+        "field_new",
+        "gaussian_binomial",
+        "greedy_result",
+        "greedy_spread",
+        "h_of",
+        "heden_case",
+        "hyperplane_profile",
+        "in_main_regime",
+        "lemma_main_bound",
+        "lower_bound",
+        "main_bound",
+        "max_partial_spread",
+        "omega_floor",
+        "partition_from_spread",
+        "prime_power",
+        "spread_from_dict",
+        "theta",
+        "verify_partial_spread",
+        "verify_partition",
+    ]
+
+
 def test_version_matches_distribution():
     # pyproject.toml declares the version every build stamps into the
     # package metadata; a source-tree run (PYTHONPATH=src) has no metadata.

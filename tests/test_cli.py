@@ -401,6 +401,16 @@ def test_output_past_the_integer_print_limit_exits_two(argv):
     assert "malformed" not in err
 
 
+def test_table_stops_at_the_first_cell_too_large_to_print():
+    # 2 * 10^6 cells; at q = 2, t = 1 the bounds pass the limit near
+    # n = 14,300, and no later cell is computed
+    start = time.monotonic()
+    rc, out, err = go(["table", "--q", "2..3", "--n", "1..1000000", "--t", "1"])
+    assert time.monotonic() - start < 10
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: output too large: it holds an integer of about")
+
+
 @pytest.mark.parametrize("entry", [1.5, 1.0, True, "1"])
 def test_non_integer_entry_exits_two(entry):
     doc = json.loads(go(["construct", "--q", "2", "--n", "4", "--t", "2"])[1])
@@ -484,15 +494,31 @@ def test_missing_key_exits_two():
         ({"q": 2, "n": 4, "t": 2}, "missing key 'members'"),
         ({"q": 2, "n": 4, "t": 2, "members": [{"q": 2, "n": 4, "dim": 2}]},
          "missing key 'rows'"),
-        ({"q": 2, "n": 4, "t": 2, "members": 5}, "'int' object is not iterable"),
-        ({"q": 2, "n": 4, "t": 2, "members": [5]},
-         "'int' object is not subscriptable"),
     ],
 )
 def test_malformed_document_prints_a_sentence(doc, message):
     rc, out, err = go(["verify"], inp=json.dumps(doc))
     assert (rc, out, err) == (2, "", f"error: malformed input: {message}\n")
     assert "Error(" not in err
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda members: 5, "members must be a list, got int"),
+        (lambda members: None, "members must be a list, got NoneType"),
+        (lambda members: {"a": 1}, "members must be a list, got dict"),
+        (lambda members: [1], "member 0 must be an object, got int"),
+        (lambda members: members[:2] + [None] + members[2:],
+         "member 2 must be an object, got NoneType"),
+    ],
+)
+def test_members_that_are_no_list_of_objects_exit_two(edit, message):
+    doc = json.loads(go(["construct", "--q", "2", "--n", "4", "--t", "2"])[1])
+    doc["members"] = edit(doc["members"])
+    for command in ("verify", "analyze"):
+        rc, out, err = go([command], inp=json.dumps(doc))
+        assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_missing_file_exits_two(tmp_path):

@@ -149,7 +149,7 @@ class TestSearchPartitionPipeline:
     def test_profile_detects_doubled_part(self):
         spread = greedy_spread(SpreadParams(2, 6, 3), seed=0)
         part = partition_from_spread(spread)
-        broken = SubspacePartition(part.q, part.n, part.parts + part.parts[-1:])
+        broken = SubspacePartition(part.q, part.n, (*part.parts, part.parts[-1]))
         with pytest.raises(IdentityViolationError):
             hyperplane_profile(broken)
 

@@ -8,7 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import contains, encode, hyperplane_duals, rref_rows
+from oracles import (
+    contains,
+    decode,
+    encode,
+    hyperplane_duals,
+    intersect_dim,
+    rref_rows,
+    subspace,
+)
 from spreadlab import gf, linalg
 from spreadlab import partition as pt
 from spreadlab.errors import (
@@ -31,21 +39,28 @@ KERNEL_IDS = ["GF2", "GF3", "GF4", "GF5", "GF8", "GF9"]
 # -- rref ---------------------------------------------------------------------
 
 
+def _rref(field, rows, n):
+    """The package's RREF of one basis, zero rows dropped: the block
+    rows[None] of rref_blocks."""
+    reduced, ranks = linalg.rref_blocks(field, np.reshape(rows, (1, len(rows), n)))
+    return tuple(map(tuple, reduced[0, :ranks[0]].tolist()))
+
+
 def test_rref_identity_fixed_point():
     rows = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert linalg.rref_rows(GF2, rows, 3) == rows
+    assert _rref(GF2, rows, 3) == rows
 
 
 def test_rref_swaps_and_reduces():
-    assert linalg.rref_rows(GF2, [(0, 1), (1, 1)], 2) == ((1, 0), (0, 1))
+    assert _rref(GF2, [(0, 1), (1, 1)], 2) == ((1, 0), (0, 1))
 
 
 def test_rref_zero_matrix_drops_rows():
-    assert linalg.rref_rows(GF3, [(0, 0, 0), (0, 0, 0)], 3) == ()
+    assert _rref(GF3, [(0, 0, 0), (0, 0, 0)], 3) == ()
 
 
 def test_rref_normalizes_pivot_to_one():
-    out = linalg.rref_rows(GF3, [(2, 1, 0), (0, 0, 2)], 3)
+    out = _rref(GF3, [(2, 1, 0), (0, 0, 2)], 3)
     assert out == ((1, 2, 0), (0, 0, 1))
 
 
@@ -62,8 +77,8 @@ def _random_matrix_strategy(q):
 @given(data=st.data())
 def test_rref_idempotent(field, data):
     rows = data.draw(_random_matrix_strategy(field.q))
-    first = linalg.rref_rows(field, rows, 4)
-    assert linalg.rref_rows(field, first, 4) == first
+    first = _rref(field, rows, 4)
+    assert _rref(field, first, 4) == first
 
 
 @pytest.mark.parametrize(
@@ -90,7 +105,6 @@ def test_rref_blocks_match_the_oracle(field, data):
         assert rank == len(want)
         assert tuple(map(tuple, got[:rank])) == want
         assert not any(map(any, got[rank:]))
-        assert linalg.rref_rows(field, rows, n) == want
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, GF4], ids=["GF2", "GF3", "GF4"])
@@ -102,7 +116,7 @@ def test_canonical_form_invariant_under_row_ops(field):
         (0, 1, 0, 1, 1),
         (0, 0, 1, 0, 1),
     ]
-    canon = linalg.Subspace.from_rows(field, n, base).rows
+    canon = _rref(field, base, n)
     for _ in range(200):
         rows = [list(r) for r in base]
         for _ in range(6):
@@ -118,18 +132,19 @@ def test_canonical_form_invariant_under_row_ops(field):
                 rows[i] = [
                     field.add(x, field.mul(c, y)) for x, y in zip(rows[i], rows[j])
                 ]
-        assert linalg.Subspace.from_rows(field, n, rows).rows == canon
+        assert _rref(field, rows, n) == canon
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int16])
 def test_numpy_integer_rows_give_the_int_result(dtype):
     rows = [(2, 1, 0, 3, 1), (0, 3, 2, 0, 1), (0, 0, 3, 3, 2)]
-    want = linalg.Subspace.from_rows(GF4, 5, rows)
+    want = subspace(GF4, 5, rows)
     assert want.dim == 3
     as_arrays = [np.array(r, dtype=dtype) for r in rows]
     as_scalars = [tuple(map(dtype, r)) for r in rows]
-    for given in (np.array(rows, dtype=dtype), as_arrays, as_scalars):
-        got = linalg.Subspace.from_rows(GF4, 5, given)
+    for given in (as_arrays, as_scalars):
+        doc = {"q": 4, "n": 5, "dim": 3, "rows": given}
+        (got,) = linalg.subspaces_from_dicts([doc])
         assert got == want
         assert all(type(x) is int for r in got.rows for x in r)
 
@@ -138,47 +153,47 @@ def test_numpy_integer_rows_give_the_int_result(dtype):
 
 
 def test_subspace_equality_is_structural():
-    a = linalg.Subspace.from_rows(GF2, 3, [(1, 1, 0), (0, 0, 1)])
-    b = linalg.Subspace.from_rows(GF2, 3, [(1, 1, 1), (0, 0, 1)])
+    a = subspace(GF2, 3, [(1, 1, 0), (0, 0, 1)])
+    b = subspace(GF2, 3, [(1, 1, 1), (0, 0, 1)])
     assert a == b
     assert hash(a) == hash(b)
 
 
 def test_intersect_planes_in_v3():
-    xz = linalg.Subspace.from_rows(GF2, 3, [(1, 0, 0), (0, 0, 1)])
-    yz = linalg.Subspace.from_rows(GF2, 3, [(0, 1, 0), (0, 0, 1)])
-    assert linalg.intersect_dim(xz, yz) == 1
+    xz = subspace(GF2, 3, [(1, 0, 0), (0, 0, 1)])
+    yz = subspace(GF2, 3, [(0, 1, 0), (0, 0, 1)])
+    assert intersect_dim(xz, yz) == 1
 
 
 def test_distinct_lines_are_disjoint():
-    a = linalg.Subspace.from_rows(GF3, 2, [(1, 0)])
-    b = linalg.Subspace.from_rows(GF3, 2, [(0, 1)])
-    assert linalg.intersect_dim(a, b) == 0
+    a = subspace(GF3, 2, [(1, 0)])
+    b = subspace(GF3, 2, [(0, 1)])
+    assert intersect_dim(a, b) == 0
 
 
 def test_self_intersection_is_dim():
-    s = linalg.Subspace.from_rows(GF3, 4, [(1, 0, 2, 1), (0, 1, 1, 0)])
-    assert linalg.intersect_dim(s, s) == 2
+    s = subspace(GF3, 4, [(1, 0, 2, 1), (0, 1, 1, 0)])
+    assert intersect_dim(s, s) == 2
 
 
 def test_ambient_mismatch():
-    a = linalg.Subspace.from_rows(GF2, 3, [(1, 0, 0)])
-    b = linalg.Subspace.from_rows(GF2, 4, [(1, 0, 0, 0)])
+    a = subspace(GF2, 3, [(1, 0, 0)])
+    b = subspace(GF2, 4, [(1, 0, 0, 0)])
     with pytest.raises(AmbientMismatchError):
-        linalg.intersect_dim(a, b)
+        linalg.check_in_space((a, b), GF2, 3, "member", "spread")
 
 
 def test_field_mismatch():
-    a = linalg.Subspace.from_rows(GF2, 3, [(1, 0, 0)])
-    b = linalg.Subspace.from_rows(GF3, 3, [(1, 0, 0)])
+    a = subspace(GF2, 3, [(1, 0, 0)])
+    b = subspace(GF3, 3, [(1, 0, 0)])
     with pytest.raises(FieldMismatchError):
-        linalg.intersect_dim(a, b)
+        linalg.check_in_space((a, b), GF2, 3, "member", "spread")
 
 
 def test_check_in_space_names_the_first_subspace_outside():
-    inside = linalg.Subspace.from_rows(GF2, 3, [(1, 0, 0)])
-    over_gf4 = linalg.Subspace.from_rows(GF4, 3, [(1, 0, 0)])
-    in_v4 = linalg.Subspace.from_rows(GF2, 4, [(1, 0, 0, 0)])
+    inside = subspace(GF2, 3, [(1, 0, 0)])
+    over_gf4 = subspace(GF4, 3, [(1, 0, 0)])
+    in_v4 = subspace(GF2, 4, [(1, 0, 0, 0)])
     linalg.check_in_space([inside] * 3, GF2, 3, "member", "spread")
     msg = r"^member 3 over GF\(4\), spread has q = 2$"
     with pytest.raises(FieldMismatchError, match=msg):
@@ -186,22 +201,19 @@ def test_check_in_space_names_the_first_subspace_outside():
     msg = "^part 1 in ambient 4, partition has n = 3$"
     with pytest.raises(AmbientMismatchError, match=msg):
         linalg.check_in_space([inside, in_v4], GF2, 3, "part", "partition")
-    msg = r"^operand 1 over GF\(3\), operand 0 has q = 2$"
-    with pytest.raises(FieldMismatchError, match=msg):
-        linalg.intersect_dim(inside, linalg.Subspace.from_rows(GF3, 3, [(1, 0, 0)]))
 
 
 def test_subspace_json_roundtrip():
-    s = linalg.Subspace.from_rows(GF4, 3, [(1, 2, 3), (2, 1, 1)])
-    d = s.to_dict()
+    s = subspace(GF4, 3, [(1, 2, 3), (2, 1, 1)])
+    (d,) = linalg.GroupedBases.of([s]).to_dicts()
     assert set(d) == {"q", "n", "dim", "rows"}
-    assert linalg.Subspace.from_dict(d) == s
+    assert linalg.subspaces_from_dicts([d]) == (s,)
 
 
 def test_subspace_from_dict_checks_dim():
     d = {"q": 2, "n": 3, "dim": 2, "rows": [[1, 0, 0], [1, 0, 0]]}
     with pytest.raises(InvalidParamsError):
-        linalg.Subspace.from_dict(d)
+        linalg.subspaces_from_dicts([d])
 
 
 # -- counting and enumeration --------------------------------------------------
@@ -237,7 +249,7 @@ def test_enumeration_count_matches_formula():
     assert len(set(subs)) == 35
     for s in subs:
         assert s.dim == 2
-        assert linalg.Subspace.from_rows(GF2, 4, s.rows) == s  # already canonical
+        assert _rref(GF2, s.rows, 4) == s.rows  # already canonical
 
 
 def test_enumeration_total_small_grids():
@@ -339,7 +351,7 @@ def _with_singles(s):
     inside = set(_points(s))
     # a normalized vector is already the RREF basis of its point
     singles = tuple(
-        linalg.Subspace(field, n, (linalg.decode_vector(e, n, field.q),))
+        linalg.Subspace(field, n, (decode(e, n, field.q),))
         for e in linalg.normalized_point_encodings(n, field.q).tolist()
         if e not in inside
     )
@@ -358,7 +370,7 @@ def _profile_containing(s):
 
 def test_hyperplane_count_v4():
     duals = [
-        linalg.decode_vector(int(e), 4, 2)
+        decode(int(e), 4, 2)
         for e in linalg.normalized_point_encodings(4, 2)
     ]
     assert len(duals) == 15
@@ -419,11 +431,11 @@ def test_annihilator_dims_and_orthogonality(field):
     # space, and the vectors orthogonal to all of them are the plane again
     q = field.q
     points = [
-        linalg.decode_vector(e, 4, q)
+        decode(e, 4, q)
         for e in linalg.normalized_point_encodings(4, q).tolist()
     ]
     for s in linalg.enumerate_subspaces(4, 2, field):
-        ann = [linalg.decode_vector(h, 4, q) for h in _profile_containing(s)]
+        ann = [decode(h, 4, q) for h in _profile_containing(s)]
         assert len(ann) == q + 1
         for w in ann:
             assert contains(field, w, s)
@@ -464,7 +476,7 @@ def _random_subspaces(field, n, d, count, seed):
     out = []
     while len(out) < count:
         rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(d)]
-        s = linalg.Subspace.from_rows(field, n, rows)
+        s = subspace(field, n, rows)
         if s.dim == d:
             out.append(s)
     return out
@@ -490,11 +502,11 @@ def test_normalized_span_matches_bruteforce(field):
 
 
 def test_full_span_size():
-    s = linalg.Subspace.from_rows(GF3, 3, [(1, 0, 2), (0, 1, 1)])
+    s = subspace(GF3, 3, [(1, 0, 2), (0, 1, 1)])
     (pts,) = _kernel_points([s])
     vecs = {(0, 0, 0)}
     for enc in pts:
-        v = linalg.decode_vector(enc, 3, 3)
+        v = decode(enc, 3, 3)
         vecs.update(tuple(GF3.mul(c, x) for x in v) for c in (1, 2))
     assert len(vecs) == 9
 

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import b_vector_groups, profile_b_vectors
+from oracles import b_vector_groups, decode, profile_b_vectors, subspace
+from spreadlab import linalg
 from spreadlab import partition as pt
 from spreadlab.bounds import SpreadParams, theta
 from spreadlab.construct import PartialSpread, build_lower_bound_spread
@@ -18,7 +19,6 @@ from spreadlab.errors import (
 from spreadlab.gf import field_for_order
 from spreadlab.linalg import (
     Subspace,
-    decode_vector,
     enumerate_subspaces,
     normalized_point_encodings,
     point_encodings_of_bases,
@@ -44,7 +44,7 @@ def with_singles(q, n, big):
         for e in b[0].tolist()
     }
     singles = tuple(
-        Subspace.from_rows(f, n, [decode_vector(e, n, q)])
+        Subspace(f, n, (decode(e, n, q),))
         for e in normalized_point_encodings(n, q).tolist()
         if e not in covered
     )
@@ -55,8 +55,8 @@ def _three_dimensions():
     """V(5, 2) as a plane, a line disjoint from it and the 21 points left."""
     f = field_for_order(2)
     eye = [tuple(int(i == j) for j in range(5)) for i in range(5)]
-    plane = Subspace.from_rows(f, 5, eye[:3])
-    line = Subspace.from_rows(f, 5, eye[3:])
+    plane = subspace(f, 5, eye[:3])
+    line = subspace(f, 5, eye[3:])
     return with_singles(2, 5, (plane, line))
 
 
@@ -77,7 +77,7 @@ class TestFromSpread:
         f = field_for_order(2)
         eye = [tuple(int(i == j) for j in range(24)) for i in range(24)]
         spread = PartialSpread(
-            P(2, 24, 2), (Subspace.from_rows(f, 24, eye[:2]),), verified=True
+            P(2, 24, 2), (subspace(f, 24, eye[:2]),), verified=True
         )
         with pytest.raises(BudgetExceededError):
             pt.partition_from_spread(spread)
@@ -89,9 +89,10 @@ class TestFromSpread:
             pt.partition_from_spread(raw)
 
     def test_roundtrip(self):
+        # parts of two dimensions parse back, in order, from their documents
         part = pt.partition_from_spread(build_lower_bound_spread(P(2, 5, 2)))
-        back = pt.partition_from_dict(json.loads(json.dumps(part.to_dict())))
-        assert back == part
+        docs = json.loads(json.dumps(part.parts.to_dicts()))
+        assert linalg.subspaces_from_dicts(docs) == part.parts
 
 
 class TestVerifyPartition:
@@ -105,7 +106,7 @@ class TestVerifyPartition:
 
     def test_double_cover_found(self):
         part = singles_partition(2, 3)
-        doubled = pt.SubspacePartition(2, 3, part.parts + (part.parts[0],))
+        doubled = pt.SubspacePartition(2, 3, (*part.parts, part.parts[0]))
         res = pt.verify_partition(doubled)
         assert not res.ok
         assert "parts 0 and 7" in res.reason
@@ -148,7 +149,7 @@ class TestProfile:
 
     def test_whole_space_part(self):
         f = field_for_order(2)
-        whole = Subspace.from_rows(f, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        whole = subspace(f, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
         prof = pt.hyperplane_profile(pt.SubspacePartition(2, 3, (whole,)))
         assert prof.s_b == {(0,): 7}
 
@@ -173,7 +174,7 @@ class TestProfile:
         # a line off the coordinate axes, over fields whose trace pairing on
         # the polynomial basis is no field multiplication
         for q in (8, 9):
-            line = Subspace.from_rows(field_for_order(q), 3, [(1, 0, 2), (0, 1, 3)])
+            line = subspace(field_for_order(q), 3, [(1, 0, 2), (0, 1, 3)])
             parts.append(with_singles(q, 3, (line,)))
         for part in parts:
             assert pt.verify_partition(part).ok
