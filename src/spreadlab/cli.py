@@ -37,29 +37,14 @@ from .construct import (
     verify_partial_spread,
 )
 from .errors import (
-    AmbientMismatchError,
-    BudgetExceededError,
     ConstructionSizeMismatchError,
-    FieldMismatchError,
-    HypothesisViolatedError,
     IdentityViolationError,
     InvalidParamsError,
-    NotPrimeError,
-    OutOfRegimeError,
-    OverflowLimitError,
+    SpreadLabError,
     UnverifiedSpreadError,
 )
 
-USAGE_ERRORS = (
-    InvalidParamsError,
-    FieldMismatchError,
-    AmbientMismatchError,
-    OutOfRegimeError,
-    HypothesisViolatedError,
-    NotPrimeError,
-    OverflowLimitError,
-    BudgetExceededError,
-)
+# every other SpreadLabError is a usage error
 VIOLATION_ERRORS = (
     IdentityViolationError,
     UnverifiedSpreadError,
@@ -352,12 +337,12 @@ def run(argv=None, stdin=None, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
         out = _Out(getattr(args, "out", "-"), stdout)
         return _COMMANDS[args.command](args, out, stdin)
-    except (_UsageError, *USAGE_ERRORS) as exc:
-        print(f"error: {exc}", file=stderr)
-        return 2
     except VIOLATION_ERRORS as exc:
         print(f"invalid: {exc}", file=stderr)
         return 1
+    except (_UsageError, SpreadLabError) as exc:
+        print(f"error: {exc}", file=stderr)
+        return 2
     except KeyError as exc:
         print(f"error: malformed input: missing key {exc}", file=stderr)
         return 2

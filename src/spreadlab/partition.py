@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -321,14 +321,6 @@ def _b_vector_groups(stacked: np.ndarray) -> tuple[tuple, dict]:
 # ---------------------------------------------------------------------------
 # tail bounds
 
-_CASE_NAMES = {
-    (False, False): "i",
-    (False, True): "ii",
-    (True, False): "iii",
-    (True, True): "iv",
-}
-
-
 @dataclass(frozen=True)
 class HedenCase:
     """Tail-theorem classification for n_d1 parts of minimal dimension d1
@@ -363,24 +355,11 @@ def heden_case(n_d1: int, d1: int, d2: int, q: int) -> HedenCase:
     gap = q ** (d2 - d1)
     divides = n_d1 % gap == 0
     wide = d2 >= 2 * d1
-    case = _CASE_NAMES[(divides, wide)]
-    exceptional = False
-    if case == "i":
-        required = q ** d1 + 1
-        satisfied = n_d1 >= required
-    elif case == "ii":
-        required = 2 * gap + 1
-        theta_form = (q ** d2 - 1) // (q ** d1 - 1) if (q ** d2 - 1) % (
-            q ** d1 - 1
-        ) == 0 else None
-        exceptional = n_d1 == theta_form
-        satisfied = exceptional or n_d1 >= required
-    elif case == "iii":
-        required = q ** d2 - q ** d1 + gap
-        satisfied = n_d1 >= required
-    else:
-        required = q ** d2
-        satisfied = n_d1 >= required
+    at = 2 * divides + wide
+    case = ("i", "ii", "iii", "iv")[at]
+    required = (q ** d1 + 1, 2 * gap + 1, q ** d2 - q ** d1 + gap, q ** d2)[at]
+    exceptional = case == "ii" and n_d1 * (q ** d1 - 1) == q ** d2 - 1
+    satisfied = exceptional or n_d1 >= required
     return HedenCase(case, divides, wide, required, satisfied, exceptional)
 
 
@@ -436,14 +415,51 @@ class DescentCertificate:
         return {**doc, "steps": list(doc["steps"])}
 
 
+# JSON types of parsed values; a certificate's fields are integers but four
+_JSON_TYPES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    list: "an array", dict: "an object", type(None): "null",
+}
+_FIELD_TYPES = {
+    "steps": list, "final": dict, "heden_case": str, "heden_satisfied": bool,
+}
+
+
+def _expect(value, kind: type, at: str) -> None:
+    if type(value) is not kind:
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise InvalidParamsError(f"{at} must be {_JSON_TYPES[kind]}, got {got}")
+
+
 def certificate_from_dict(d: dict) -> DescentCertificate:
-    steps = tuple(CertStep(**s) for s in d["steps"])
-    final = FinalCase(**d["final"])
-    scalars = {
-        k: d[k]
-        for k in ("q", "n", "t", "r", "x", "h", "ell", "claimed_bound", "n_t", "n_1")
-    }
-    return DescentCertificate(steps=steps, final=final, **scalars)
+    """Inverse of DescentCertificate.to_dict.  Raises InvalidParamsError
+    naming the first field whose key or type docs/schemas/certificate.schema.json
+    does not allow, by the dotted path that check_certificate reports."""
+    return _from_dict(DescentCertificate, d, "")
+
+
+def _from_dict(cls, d, path: str):
+    """The dataclass cls read from the object d at the dotted path."""
+    where = path or "certificate"
+    _expect(d, dict, where)
+    names = [f.name for f in fields(cls)]
+    for key in [*d, *names]:
+        if key not in names:
+            raise InvalidParamsError(f"{where} has unexpected key {key!r}")
+        if key not in d:
+            raise InvalidParamsError(f"{where} is missing key {key!r}")
+    values = {}
+    for name in names:
+        at, value = f"{path}.{name}" if path else name, d[name]
+        _expect(value, _FIELD_TYPES.get(name, int), at)
+        if name == "steps":
+            value = tuple(
+                _from_dict(CertStep, s, f"{at}[{i}]") for i, s in enumerate(value)
+            )
+        elif name == "final":
+            value = _from_dict(FinalCase, value, at)
+        values[name] = value
+    return cls(**values)
 
 
 def descent_certificate(

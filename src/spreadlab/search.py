@@ -2,17 +2,17 @@
 
 The exact solver is a depth-first subset grower over the full candidate
 list of t-subspaces, in enumeration order.  Candidates are kept as one
-numpy array of RREF bases (linalg.subspace_bases) with a point bitset
-each; the spread that is returned holds its members' rows of that array as
-grouped bases, and is verified.  Point coverage is tracked as a
-bitset over the theta_n projective points, and compatibility (trivial
-intersection) as bitsets over candidate indices, built from point
+numpy array of RREF bases (linalg.subspace_bases) with the ordinals of
+their points; the spread that is returned holds its members' rows of that
+array as grouped bases, and is verified.  Compatibility (trivial
+intersection) is kept as bitsets over candidate indices, built from point
 incidence: a candidate is compatible with every candidate through none of
 its points.  Three admissible prunes bound what a node can still reach,
 tried in this order, and each is counted when it fires:
 
   * chosen + available candidates;
-  * chosen + floor(uncovered points / theta_t);
+  * the point count floor(theta_n / theta_t): k disjoint members leave
+    theta_n - k theta_t points, room for floor(theta_n / theta_t) - k more;
   * chosen + the number of classes in a colour cover of the available
     candidates, built top down: each class lies in one star (the
     candidates through one point) of its seed, its highest candidate.
@@ -111,21 +111,14 @@ class SearchResult:
 
 def _candidates(params: SpreadParams):
     """The bases of all t-subspaces in enumeration order, as one
-    (count, t, n) array, the point bitset of each, and the point ordinals
-    of each as one (count, theta_t) array, ascending along each row."""
+    (count, t, n) array, and the point ordinals of each as one
+    (count, theta_t) array, ascending along each row."""
     q, n, t = params.q, params.n, params.t
     field = field_for_order(q)
     bases = subspace_bases(n, t, field)
-    total = theta(n, q)
-    masks, ords = [], []
-    for _, block in point_encodings_of_bases(field, bases):
-        points = np.sort(point_ordinals(block, n, q), axis=1)
-        bits = np.zeros((len(block), total), dtype=bool)
-        bits[np.arange(len(block))[:, None], points] = True
-        packed = np.packbits(bits, axis=1, bitorder="little")
-        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-        ords.append(points)
-    return bases, masks, np.concatenate(ords)
+    blocks = point_encodings_of_bases(field, bases)
+    ords = np.concatenate([point_ordinals(block, n, q) for _, block in blocks])
+    return bases, np.sort(ords, axis=1)
 
 
 def _members(params: SpreadParams, bases, chosen) -> PartialSpread:
@@ -203,9 +196,9 @@ def _colour_classes(avail, stars):
     return seeds, classes
 
 
-def _grow(chosen, avail, covered, masks, adj, stars, total_points, point_size, state):
+def _grow(chosen, avail, adj, stars, packing, state):
     """Explore the node ``chosen`` (a list this call restores on return)
-    whose remaining candidates are ``avail`` and covered points ``covered``.
+    whose remaining candidates are ``avail``; ``packing`` is the point count.
 
     The caller counts the node.  A pruned node is finished.  A node that
     branches stops at its first child c from which the colour classes with
@@ -219,7 +212,7 @@ def _grow(chosen, avail, covered, masks, adj, stars, total_points, point_size, s
     best = max(incumbent, k)
     if k + avail.bit_count() <= best:
         reason = "available"
-    elif k + (total_points - covered.bit_count()) // point_size <= best:
+    elif packing <= best:
         reason = "points"
     else:
         seeds, classes = _colour_classes(avail, stars)
@@ -268,8 +261,7 @@ def _grow(chosen, avail, covered, masks, adj, stars, total_points, point_size, s
                 state.prunes["cover"] += 1  # a leaf by its classes
                 continue
         chosen[-1] = c
-        _grow(chosen, child, covered | masks[c], masks, adj, stars,
-              total_points, point_size, state)
+        _grow(chosen, child, adj, stars, packing, state)
         if not state.exhausted:
             break
     chosen.pop()
@@ -308,7 +300,7 @@ def max_partial_spread(
             f"up to {most} candidates need {most * most} adjacency bits, "
             f"cap is {ADJACENCY_BIT_CAP}"
         )
-    bases, masks, ords = _candidates(params)
+    bases, ords = _candidates(params)
     seed_spread = build_lower_bound_spread(params) if warm_start else None
     state = _State(
         best_size=seed_spread.size if seed_spread else 0,
@@ -319,15 +311,14 @@ def max_partial_spread(
     # candidate disjoint from it (none when n < 2t: then one candidate is a
     # maximum); its other members come after c1, disjoint from both, and the
     # tree grows over those alone, renumbered in order
-    c1 = next((i for i, m in enumerate(masks) if not m & masks[0]), None)
-    root = [0] if c1 is None else [0, c1]
-    covered = masks[0] | masks[root[-1]]
-    rest = [i for i, m in enumerate(masks) if not m & covered]
-    total_points = theta(n, q)
-    adj, stars = _adjacency(ords[rest], total_points)
+    taken = np.zeros(theta(n, q), dtype=bool)  # the points of the root
+    taken[ords[0]] = True
+    root = [0, *np.flatnonzero(~taken[ords].any(axis=1))[:1].tolist()]
+    taken[ords[root[-1]]] = True
+    rest = np.flatnonzero(~taken[ords].any(axis=1)).tolist()
+    adj, stars = _adjacency(ords[rest], len(taken))
     state.nodes = 1  # the root; max_nodes is at least 1
-    _grow(root, (1 << len(rest)) - 1, covered, [masks[i] for i in rest], adj,
-          stars, total_points, theta(t, q), state)
+    _grow(root, (1 << len(rest)) - 1, adj, stars, len(taken) // theta(t, q), state)
 
     if state.best_chosen is not None:
         chosen = root + [rest[j] for j in state.best_chosen[len(root):]]
@@ -357,24 +348,24 @@ def _greedy_order(count: int, seed: int) -> np.ndarray:
 
 def greedy_spread(params: SpreadParams, seed: int = 0) -> PartialSpread:
     """First fit over all candidates in _greedy_order: each joins when none
-    of its points is covered yet.  A chunk of the order at a time, the
-    candidates with a covered basis row (an RREF row is a normalized vector,
+    of its points is taken yet.  A chunk of the order at a time, the
+    candidates with a taken basis row (an RREF row is a normalized vector,
     so a point) are dropped, and only the rest have their points listed."""
     q, n, t = params.q, params.n, params.t
     field = field_for_order(q)
     bases = subspace_bases(n, t, field)
     order = _greedy_order(len(bases), seed)
-    covered = np.zeros(theta(n, q), dtype=bool)
+    taken = np.zeros(theta(n, q), dtype=bool)
     picked = []
     per = max(1, _POINT_BLOCK // theta(t, q))
     for chunk in np.split(order, range(per, len(order), per)):
         rows = point_ordinals(bases[chunk] @ q ** np.arange(n), n, q)
-        chunk = chunk[~covered[rows].any(axis=1)]
+        chunk = chunk[~taken[rows].any(axis=1)]
         for at, block in point_encodings_of_bases(field, bases[chunk]):
             points = point_ordinals(block, n, q)
-            for i in np.flatnonzero(~covered[points].any(axis=1)).tolist():
-                if not covered[points[i]].any():
-                    covered[points[i]] = True
+            for i in np.flatnonzero(~taken[points].any(axis=1)).tolist():
+                if not taken[points[i]].any():
+                    taken[points[i]] = True
                     picked.append(chunk[at + i])
     return _members(params, bases, picked)
 

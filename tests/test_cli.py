@@ -251,6 +251,41 @@ def test_certify_tampered_bound_exits_one():
     assert json.loads(out)["mismatch"] == "claimed_bound"
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d.update(steps=None), "steps must be an array, got null"),
+        (lambda d: d.update(steps=[1]), "steps[0] must be an object, got an integer"),
+        (lambda d: d.update(final=None), "final must be an object, got null"),
+        (lambda d: d["steps"][0].update(extra=1),
+         "steps[0] has unexpected key 'extra'"),
+        (lambda d: d.update(x=None), "x must be an integer, got null"),
+        (lambda d: d["steps"][1].pop("cap"), "steps[1] is missing key 'cap'"),
+        (lambda d: d.pop("n_1"), "certificate is missing key 'n_1'"),
+        (lambda d: d.update(extra=1), "certificate has unexpected key 'extra'"),
+        (lambda d: d.update(q=True), "q must be an integer, got a boolean"),
+        (lambda d: d.update(x=2.0), "x must be an integer, got a number"),
+        (lambda d: d["final"].update(heden_case=4),
+         "final.heden_case must be a string, got an integer"),
+        (lambda d: d["final"].update(heden_satisfied=0),
+         "final.heden_satisfied must be a boolean, got an integer"),
+    ],
+    ids=["steps-null", "step-int", "final-null", "step-extra-key", "x-null",
+         "step-no-cap", "no-n_1", "extra-key", "q-bool", "x-float",
+         "heden-case-int", "heden-satisfied-int"],
+)
+def test_malformed_certificate_prints_a_sentence(edit, message):
+    # the schema's keys and types, checked before any field is replayed: an
+    # extra key, "x": 2.0 or "heden_satisfied": 0 would otherwise replay ok
+    _, cert_json, _ = go(["certify", "--q", "2", "--n", "8", "--t", "3"])
+    doc = json.loads(cert_json)
+    edit(doc)
+    rc, out, err = go(["certify", "--check", "-"], inp=json.dumps(doc))
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
+    for internal in ("__init__()", "argument after **", "NoneType"):
+        assert internal not in err
+
+
 def test_certify_out_of_regime_exits_two():
     rc, out, err = go(["certify", "--q", "2", "--n", "7", "--t", "3"])
     assert rc == 2

@@ -7,6 +7,7 @@ proportionate.
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 
@@ -15,6 +16,12 @@ from hypothesis import given, strategies as st
 
 from oracles import decode, encode
 from spreadlab import gf
+from spreadlab.bounds import SpreadParams
+from spreadlab.construct import (
+    build_lower_bound_spread,
+    spread_from_dict,
+    verify_partial_spread,
+)
 from spreadlab.errors import (
     FieldMismatchError,
     InvalidParamsError,
@@ -362,3 +369,22 @@ def test_largest_table_field_builds_fast(monkeypatch):
     field = gf.ext_field(gf.field_new(2), 16)
     assert time.monotonic() - start < 0.5
     assert field._exp is not None and field.q == 1 << 16
+
+
+def test_parse_and_verify_inverting_thousands_of_leads_is_fast():
+    # rref_blocks inverts each distinct lead through Field.inv, which reads
+    # the log tables.  Each of the 4,097 rows of the (4096, 2, 1) spread is
+    # scaled by a unit, all 4,095 units used, so about 4,095 leads are
+    # inverted: 0.05 s with the tables, about 5 s by polynomial powers
+    # (2-core Xeon, Python 3.11)
+    q = 4096
+    field = gf.field_for_order(q)
+    doc = build_lower_bound_spread(SpreadParams(q, 2, 1)).to_dict()
+    units = list(range(1, q))
+    random.Random(1).shuffle(units)
+    for member, c in zip(doc["members"], itertools.cycle(units)):
+        member["rows"] = [[field.mul(c, x) for x in row] for row in member["rows"]]
+    start = time.monotonic()
+    res = verify_partial_spread(spread_from_dict(doc))
+    assert time.monotonic() - start < 1.5
+    assert res.ok and len(doc["members"]) == 4097

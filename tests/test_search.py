@@ -40,6 +40,11 @@ def bits(a):
     return [i for i in range(a.bit_length()) if a >> i & 1]
 
 
+def point_masks(ords):
+    """Each candidate's point bitset, from its point ordinals."""
+    return [sum(1 << p for p in row) for row in ords.tolist()]
+
+
 EXACT_GOLDEN = [
     (2, 4, 2, 5),
     (2, 5, 2, 9),
@@ -89,7 +94,7 @@ class TestAdjacency:
     # (2,5,3) has no disjoint pair: every row is empty
     @pytest.mark.parametrize("q,n,t", [(2, 5, 2), (3, 4, 2), (2, 5, 3)])
     def test_every_pair_matches_is_disjoint(self, q, n, t):
-        _, _, ords = search._candidates(P(q, n, t))
+        _, ords = search._candidates(P(q, n, t))
         subs = subspaces(q, n, t)
         adj, _ = search._adjacency(ords, theta(n, q))
         assert len(adj) == len(subs)
@@ -101,7 +106,7 @@ class TestAdjacency:
                 assert bool(adj[j] >> i & 1) == want, (j, i)
 
     def test_gf4_rows(self):
-        _, _, ords = search._candidates(P(4, 4, 2))
+        _, ords = search._candidates(P(4, 4, 2))
         subs = subspaces(4, 4, 2)
         assert len(subs) == 357
         adj, _ = search._adjacency(ords, theta(4, 4))
@@ -115,8 +120,9 @@ class TestAdjacency:
 
     @pytest.mark.parametrize("q,n,t", [(2, 5, 2), (3, 4, 2)])
     def test_stars_hold_the_candidates_through_each_point(self, q, n, t):
-        _, masks, ords = search._candidates(P(q, n, t))
+        _, ords = search._candidates(P(q, n, t))
         _, stars = search._adjacency(ords, theta(n, q))
+        masks = point_masks(ords)
         for i, m in enumerate(masks):
             assert len(stars[i]) == theta(t, q)
             for p, star in zip(bits(m), stars[i], strict=True):
@@ -129,16 +135,13 @@ class TestCandidates:
         [(2, 5, 2), (2, 6, 3), (3, 4, 2), (4, 4, 2), (5, 3, 2), (8, 3, 2), (9, 3, 2)],
     )
     def test_bulk_matches_subspaces(self, q, n, t):
-        bases, masks, ords = search._candidates(P(q, n, t))
+        bases, ords = search._candidates(P(q, n, t))
         subs = subspaces(q, n, t)
         assert [tuple(map(tuple, b)) for b in bases.tolist()] == [s.rows for s in subs]
-        want, points = [], []
+        points = []
         bases = np.array([s.rows for s in subs])
         for _, block in point_encodings_of_bases(field_for_order(q), bases):
-            for row in point_ordinals(block, n, q).tolist():
-                want.append(sum(1 << p for p in row))
-                points.append(sorted(row))
-        assert masks == want
+            points.extend(sorted(row) for row in point_ordinals(block, n, q).tolist())
         assert ords.tolist() == points
 
 
@@ -152,7 +155,7 @@ class TestRoot:
         assert verify_partial_spread(res.witness).ok
 
     def test_cold_witness_holds_the_root_pair(self):
-        _, _, ords = search._candidates(P(2, 6, 3))
+        _, ords = search._candidates(P(2, 6, 3))
         subs = subspaces(2, 6, 3)
         adj, _ = search._adjacency(ords, theta(6, 2))
         c1 = bits(adj[0])[0]
@@ -185,9 +188,14 @@ class TestPrunes:
         # but may end its child loop by one tail cut
         assert sum(prunes.values()) <= res.nodes_explored
 
-    def test_warm_start_closes_at_root_by_points(self):
-        # the packing-bound spread of (2,6,2) is a full spread
-        res = search.max_partial_spread(P(2, 6, 2))
+    @pytest.mark.parametrize(
+        "q,n,t", [(2, 4, 2), (3, 4, 2), (4, 4, 2), (2, 6, 3), (2, 6, 2)]
+    )
+    def test_warm_start_closes_at_root_by_points(self, q, n, t):
+        # the packing-bound spread reaches the point count
+        # floor(theta_n / theta_t), so the root is pruned by it
+        res = search.max_partial_spread(P(q, n, t))
+        assert res.best_size == theta(n, q) // theta(t, q)
         assert res.nodes_explored == 1
         assert res.prunes == {"available": 0, "points": 1, "cover": 0}
 
@@ -201,8 +209,9 @@ class TestCover:
     @pytest.mark.parametrize("q,n,t", [(2, 5, 2), (3, 4, 2)])
     @given(data=st.data())
     def test_prune_is_admissible(self, q, n, t, data):
-        _, masks, ords = search._candidates(P(q, n, t))
+        _, ords = search._candidates(P(q, n, t))
         _, stars = search._adjacency(ords, theta(n, q))
+        masks = point_masks(ords)
         subs = subspaces(q, n, t)
         # candidates through a few points, where small covers exist, and a
         # few arbitrary ones
@@ -230,7 +239,7 @@ class TestCover:
             assert max_disjoint(tail) <= sum(seed >= c for seed in seeds)
 
     def test_prunes_a_star_and_keeps_a_disjoint_pair(self):
-        _, _, ords = search._candidates(P(2, 5, 2))
+        _, ords = search._candidates(P(2, 5, 2))
         adj, stars = search._adjacency(ords, theta(5, 2))
         star = stars[0][0]
         assert star.bit_count() == theta(4, 2)
@@ -326,6 +335,9 @@ class TestTree:
         assert res.status == search.EXACT
         assert res.nodes_explored == nodes
         assert tuple(res.prunes.values()) == prunes
+        # the point count is a constant, so it prunes only once it is met
+        if res.prunes["points"]:
+            assert res.best_size == theta(n, q) // theta(t, q)
 
     def test_every_small_budget_is_met_exactly(self):
         for budget in range(1, 301):
@@ -489,7 +501,8 @@ class TestGreedy:
         # a plain first fit over the candidate point bitsets, in the same
         # order, picks the same candidates; every candidate left out meets
         # the result, so it is maximal
-        bases, masks, _ = search._candidates(P(q, n, t))
+        bases, ords = search._candidates(P(q, n, t))
+        masks = point_masks(ords)
         for seed in range(16):
             covered, picked = 0, []
             for i in search._greedy_order(len(masks), seed).tolist():
