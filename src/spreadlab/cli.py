@@ -119,8 +119,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("search", help="exact or greedy maximum search")
     add_qnt(sp)
-    sp.add_argument("--budget", type=int, default=None, help="node budget")
-    sp.add_argument("--greedy", action="store_true")
+    exclusive = sp.add_mutually_exclusive_group()
+    exclusive.add_argument("--budget", type=int, default=None, help="node budget")
+    exclusive.add_argument("--greedy", action="store_true")
     sp.add_argument("--seed", type=int, default=0)
     add_out(sp)
 

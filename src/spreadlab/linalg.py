@@ -18,7 +18,7 @@ The d-subspaces of V(n, q) have one canonical order, defined once by
 set, the product of the rows' options (each row's free-cell fillings,
 listed once and shared), row 0 most significant.  ``enumerate_subspaces``
 yields Subspace objects in that order; ``subspace_bases`` stacks the same
-options into one numpy array of bases for bulk work such as the search.
+options, and the rows' point ordinals, into numpy arrays for bulk work.
 
 Vectors of V(n, q) are also handled as single integers via base-q positional
 encoding (digit i = coordinate i).  ``point_encodings_of_bases`` is the one
@@ -418,26 +418,35 @@ def enumerate_subspaces(n: int, d: int, field: Field) -> Iterator[Subspace]:
             yield Subspace(field, n, rows)
 
 
-def subspace_bases(n: int, d: int, field: Field) -> np.ndarray:
-    """The bases enumerate_subspaces yields, in its order, as one array of
-    shape (count, d, n) and dtype np.min_scalar_type(q - 1).
-
-    Each pivot set's block is the product of its rows' options, spread by
-    broadcasting; the budget is checked before anything is allocated."""
+def subspace_bases(n: int, d: int, field: Field) -> tuple[np.ndarray, np.ndarray]:
+    """The bases enumerate_subspaces yields, in its order, as one (count, d, n)
+    array of dtype np.min_scalar_type(q - 1), and their rows' point ordinals
+    (an RREF row is a normalized vector) as one (count, d) array of dtype
+    np.min_scalar_type(theta_n - 1).  Each pivot set's block is the product
+    of its rows' options, spread by broadcasting, as are the options'
+    ordinals; the budget is checked before anything is allocated."""
     q = field.q
     total = _check_enum_budget(n, d, q)
     bases = np.zeros((total, d, n), np.min_scalar_type(q - 1))
-    at = 0
-    for options in _row_options(n, d, q):
+    ords = np.zeros((total, d), np.min_scalar_type((q ** n - 1) // (q - 1) - 1))
+    place = np.array([q ** c for c in range(n)], np.int64 if q ** n < 1 << 63 else object)
+    walk = list(_row_options(n, d, q))  # every row option, listed once
+    every = np.array([*chain.from_iterable(chain(*walk))], place.dtype).reshape(-1, n)
+    found = point_ordinals(every @ place, n, q)
+    at = seen = 0
+    for options in walk:
         sizes = [len(o) for o in options]
         count = math.prod(sizes)
         block = bases[at:at + count].reshape(*sizes, d, n)
-        for i, rows in enumerate(options):
+        ord_block = ords[at:at + count].reshape(*sizes, d)
+        for i, size in enumerate(sizes):
             shape = [1] * d
-            shape[i] = sizes[i]
-            block[..., i, :] = np.reshape(rows, (*shape, n))
+            shape[i] = size
+            block[..., i, :] = every[seen:seen + size].reshape(*shape, n)
+            ord_block[..., i] = found[seen:seen + size].reshape(shape)
+            seen += size
         at += count
-    return bases
+    return bases, ords
 
 
 # ---------------------------------------------------------------------------
@@ -557,7 +566,7 @@ def point_ordinals(encs: np.ndarray, n: int, q: int) -> np.ndarray:
     the ordinal of E.
     """
     below = encs - 1
-    ords = np.full(encs.shape, n, dtype=np.int64)
+    ords = np.full(encs.shape, n, dtype=encs.dtype)
     for i in range(n):
         ords += (below - q ** i) // q ** (i + 1)
     return ords

@@ -49,7 +49,8 @@ search is deterministic: the same call gives the same witness and node
 count.  A search whose tree has at most max_nodes nodes ends EXACT; a node
 that would branch once the budget or the deadline is spent ends it before
 that node becomes the incumbent.  greedy_spread, a first fit over the
-candidates in a seeded order, gives a witness and never an optimality claim.
+candidates in a seeded order that picks a disjoint prefix at a time, gives a
+witness and never an optimality claim.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .construct import (
 from .errors import BudgetExceededError, InvalidParamsError
 from .gf import field_for_order
 from .linalg import (
-    _POINT_BLOCK,
     GroupedBases,
     gaussian_binomial,
     point_encodings_of_bases,
@@ -115,7 +115,7 @@ def _candidates(params: SpreadParams):
     (count, theta_t) array, ascending along each row."""
     q, n, t = params.q, params.n, params.t
     field = field_for_order(q)
-    bases = subspace_bases(n, t, field)
+    bases, _ = subspace_bases(n, t, field)
     blocks = point_encodings_of_bases(field, bases)
     ords = np.concatenate([point_ordinals(block, n, q) for _, block in blocks])
     return bases, np.sort(ords, axis=1)
@@ -341,32 +341,41 @@ def max_partial_spread(
 
 def _greedy_order(count: int, seed: int) -> np.ndarray:
     """greedy_spread's candidate order: one 64-bit key per candidate from
-    random.Random(seed), which takes |seed|, stably sorted."""
-    keys = np.frombuffer(random.Random(seed).randbytes(8 * count), dtype=np.uint64)
-    return np.argsort(keys, kind="stable")
+    random.Random(seed), which takes |seed|, with the index in its low bits,
+    sorted once in place; by the keys' top bits, ties by index."""
+    low = np.uint64((1 << (count - 1).bit_length()) - 1)
+    keys = np.frombuffer(random.Random(seed).randbytes(8 * count), np.uint64) & ~low
+    keys |= np.arange(count, dtype=np.uint64)
+    keys.sort()
+    return np.bitwise_and(keys, low, out=keys).view(np.int64)
 
 
 def greedy_spread(params: SpreadParams, seed: int = 0) -> PartialSpread:
     """First fit over all candidates in _greedy_order: each joins when none
-    of its points is taken yet.  A chunk of the order at a time, the
-    candidates with a taken basis row (an RREF row is a normalized vector,
-    so a point) are dropped, and only the rest have their points listed."""
+    of its points is taken yet.  Chunks of the order, doubling from 32, drop
+    the candidates with a taken basis row and list the points of the rest;
+    of those still free, the longest pairwise disjoint prefix joins at once,
+    until none is left.  Raises InvalidParamsError unless seed is an int."""
+    if not isinstance(seed, int) or isinstance(seed, bool):
+        raise InvalidParamsError(f"seed must be an integer, got {seed!r}")
     q, n, t = params.q, params.n, params.t
     field = field_for_order(q)
-    bases = subspace_bases(n, t, field)
+    bases, rows = subspace_bases(n, t, field)
     order = _greedy_order(len(bases), seed)
-    taken = np.zeros(theta(n, q), dtype=bool)
-    picked = []
-    per = max(1, _POINT_BLOCK // theta(t, q))
-    for chunk in np.split(order, range(per, len(order), per)):
-        rows = point_ordinals(bases[chunk] @ q ** np.arange(n), n, q)
-        chunk = chunk[~taken[rows].any(axis=1)]
-        for at, block in point_encodings_of_bases(field, bases[chunk]):
-            points = point_ordinals(block, n, q)
-            for i in np.flatnonzero(~taken[points].any(axis=1)).tolist():
-                if not taken[points[i]].any():
-                    taken[points[i]] = True
-                    picked.append(chunk[at + i])
+    taken, picked = np.zeros(theta(n, q), dtype=bool), []
+    edges = [32 * (2 ** k - 1) for k in range(1, (len(order) // 32).bit_length())]
+    for chunk in np.split(order, edges):
+        chunk = chunk[~taken[rows[chunk]].any(axis=1)]
+        for start, block in point_encodings_of_bases(field, bases[chunk]):
+            ids, points = chunk[start:start + len(block)], point_ordinals(block, n, q)
+            while len(ids):
+                free = ~taken[points].any(axis=1)
+                ids, points = ids[free], points[free]
+                # the prefix ends at the first point an earlier row holds
+                first = np.sort(np.unique(points, return_index=True)[1])
+                k = np.count_nonzero(first == np.arange(len(first))) // points.shape[1]
+                taken[points[:k]] = True  # the next filter drops these too
+                picked.extend(ids[:k].tolist())
     return _members(params, bases, picked)
 
 

@@ -340,6 +340,15 @@ def test_search_greedy_negative_seed():
     assert json.loads(out)["witness"] == json.loads(want)["witness"]
 
 
+def test_search_greedy_refuses_a_budget():
+    rc, out, err = go(["search", "--q", "2", "--n", "5", "--t", "2",
+                       "--greedy", "--budget", "5"])
+    assert rc == 2
+    assert out == ""
+    assert "--budget" in err and "--greedy" in err
+    assert "Traceback" not in err
+
+
 def test_out_writes_file(tmp_path):
     target = tmp_path / "report.json"
     rc, out, _ = go(["bounds", "--q", "2", "--n", "8", "--t", "3",

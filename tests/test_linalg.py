@@ -18,6 +18,7 @@ from oracles import (
     subspace,
 )
 from spreadlab import gf, linalg
+from spreadlab.bounds import theta
 from spreadlab import partition as pt
 from spreadlab.errors import (
     AmbientMismatchError,
@@ -307,10 +308,15 @@ def test_subspace_bases_follow_enumeration(field):
         for d in range(n + 1):
             subs = [s.rows for s in linalg.enumerate_subspaces(n, d, field)]
             assert subs == _grid_order(n, d, field.q)
-            bases = linalg.subspace_bases(n, d, field)
+            bases, ords = linalg.subspace_bases(n, d, field)
             assert bases.shape == (len(subs), d, n)
             assert bases.dtype == np.min_scalar_type(field.q - 1)
             assert [tuple(map(tuple, b)) for b in bases.tolist()] == subs
+            # each basis row is a point, numbered as point_ordinals does
+            encs = bases.astype(np.int64) @ field.q ** np.arange(n)
+            assert ords.shape == (len(subs), d)
+            assert ords.dtype == np.min_scalar_type(theta(n, field.q) - 1)
+            assert ords.tolist() == linalg.point_ordinals(encs, n, field.q).tolist()
 
 
 def test_subspace_bases_budget_before_allocation(monkeypatch):

@@ -496,7 +496,10 @@ class TestGreedy:
         sizes = {search.greedy_spread(P(3, 4, 2), s).size for s in range(32)}
         assert max(sizes) == 10
 
-    @pytest.mark.parametrize("q,n,t", [(2, 6, 3), (3, 4, 2), (4, 4, 2), (2, 7, 3)])
+    @pytest.mark.parametrize(
+        "q,n,t",
+        [(2, 6, 3), (3, 4, 2), (4, 4, 2), (2, 7, 3), (3, 7, 1), (7, 3, 1), (3, 5, 2)],
+    )
     def test_first_fit_over_its_order(self, q, n, t):
         # a plain first fit over the candidate point bitsets, in the same
         # order, picks the same candidates; every candidate left out meets
@@ -516,18 +519,47 @@ class TestGreedy:
             assert all(m & covered for m in masks), seed
 
     def test_tied_keys_keep_the_stable_order(self, monkeypatch):
-        # keys 0..7 repeated: equal keys keep their positions
-        keys = np.arange(64, dtype=np.uint64)[::-1] % 8
+        # the top bits repeat 0..7 and the low 6 bits, which the 64 indices
+        # replace, are noise: keys tied on their top bits keep their positions
+        noise = np.arange(64, dtype=np.uint64) * np.uint64(37) % np.uint64(64)
+        top = (np.arange(64, dtype=np.uint64)[::-1] % np.uint64(8)) << np.uint64(58)
+        keys = top | noise
         monkeypatch.setattr(search.random.Random, "randbytes",
                             lambda self, k: keys.tobytes()[:k])
         order = search._greedy_order(len(keys), 3)
-        assert order.tolist() == sorted(range(len(keys)), key=lambda i: (keys[i], i))
+        assert order.tolist() == sorted(range(len(keys)), key=lambda i: (top[i], i))
+
+    @pytest.mark.parametrize("count", [35, 1395, 97155])
+    def test_order_matches_the_stable_sort_of_the_keys(self, count):
+        # the keys that decide the order tie for none of these seeds
+        for seed in range(100):
+            keys = np.frombuffer(search.random.Random(seed).randbytes(8 * count),
+                                 dtype=np.uint64)
+            want = np.argsort(keys, kind="stable")
+            assert (search._greedy_order(count, seed) == want).all(), seed
 
     def test_order_is_a_permutation_and_ignores_the_sign(self):
         order = search._greedy_order(1000, 5)
         assert sorted(order.tolist()) == list(range(1000))
         assert (search._greedy_order(1000, -5) == order).all()
         assert not (search._greedy_order(1000, 6) == order).all()
+
+    @pytest.mark.parametrize("seed", [None, "x", 2.5, True, np.int64(1)])
+    def test_seed_must_be_an_int(self, seed):
+        # None would draw an order from the OS, so no two calls agree
+        with pytest.raises(InvalidParamsError, match="seed must be an integer"):
+            search.greedy_spread(P(2, 4, 2), seed)
+
+    @pytest.mark.parametrize("q,n,t,budget", [(256, 3, 1, 3.0), (2, 9, 3, 2.0)])
+    def test_large_triples_are_fast(self, q, n, t, budget):
+        # (256,3,1) picks all 65,793 candidates; a loop that picks one and
+        # then filters takes several seconds on it
+        start = time.monotonic()
+        sp = search.greedy_spread(P(q, n, t), seed=1)
+        assert time.monotonic() - start < budget
+        assert sp.verified is True
+        if t == 1:
+            assert sp.size == theta(n, q)
 
     def test_leaves_numpy_random_unloaded(self):
         # numpy.random's import alone costs several MiB of memory
