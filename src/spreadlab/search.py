@@ -360,12 +360,12 @@ def greedy_spread(params: SpreadParams, seed: int = 0) -> PartialSpread:
         raise InvalidParamsError(f"seed must be an integer, got {seed!r}")
     q, n, t = params.q, params.n, params.t
     field = field_for_order(q)
-    bases, rows = subspace_bases(n, t, field)
+    bases, row_ords = subspace_bases(n, t, field)
     order = _greedy_order(len(bases), seed)
     taken, picked = np.zeros(theta(n, q), dtype=bool), []
     edges = [32 * (2 ** k - 1) for k in range(1, (len(order) // 32).bit_length())]
     for chunk in np.split(order, edges):
-        chunk = chunk[~taken[rows[chunk]].any(axis=1)]
+        chunk = chunk[~taken[row_ords[chunk]].any(axis=1)]
         for start, block in point_encodings_of_bases(field, bases[chunk]):
             ids, points = chunk[start:start + len(block)], point_ordinals(block, n, q)
             while len(ids):
