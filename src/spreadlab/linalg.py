@@ -483,8 +483,8 @@ def point_encodings_of_bases(
     field: Field, rows: np.ndarray, lines: np.ndarray | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Normalized point encodings of the subspaces whose RREF bases are
-    rows[i], an (m, d, n) array over GF(q) such as subspace_bases returns or
-    a BasesGroup holds, in blocks; the rows are not checked.
+    rows[i], an (m, d, n) array over GF(q) such as the bases subspace_bases
+    returns or a BasesGroup holds, in blocks; the rows are not checked.
 
     Yields (i, encs) with encs an array whose row k lists the theta_d
     normalized point encodings of subspace i + k: int64 while q^n < 2^63,
