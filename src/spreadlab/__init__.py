@@ -37,6 +37,7 @@ from .bounds import (
     omega_floor,
     theta,
 )
+from .check import CertificateCheck, check_certificate
 from .construct import (
     PartialSpread,
     VerificationResult,
@@ -61,13 +62,11 @@ from .errors import (
 from .gf import Field, ext_field, field_for_order, field_new, prime_power
 from .linalg import Subspace, enumerate_subspaces, gaussian_binomial
 from .partition import (
-    CertificateCheck,
     DescentCertificate,
     HedenCase,
     HyperplaneProfile,
     SubspacePartition,
     certificate_from_dict,
-    check_certificate,
     descent_certificate,
     heden_case,
     hyperplane_profile,

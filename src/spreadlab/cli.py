@@ -31,6 +31,7 @@ import sys
 from . import partition as pt
 from . import search as srch
 from .bounds import SpreadParams, best_known
+from .check import check_certificate
 from .construct import (
     build_lower_bound_spread,
     spread_from_dict,
@@ -298,7 +299,7 @@ def _cmd_analyze(args, out, stdin):
 def _cmd_certify(args, out, stdin):
     if args.check is not None:
         cert = pt.certificate_from_dict(_load_json(args.check, stdin))
-        res = pt.check_certificate(cert)
+        res = check_certificate(cert)
         out.write_json(res.to_dict())
         return 0 if res.ok else 1
     if args.q is None or args.n is None or args.t is None:

@@ -21,8 +21,8 @@ q^(d2-d1) divides n_d1 and whether d2 >= 2*d1.
 `descent_certificate` packages the arithmetic trail of the supposition
 "a partial t-spread of size l*q^t + x + 1 exists": the induced partition,
 the residue chain delta_t, ..., delta_2 of its tail modulo falling powers
-of q, and the final clash with the tail theorem.  `check_certificate`
-recomputes every field independently.
+of q, and the final clash with the tail theorem.  `check.check_certificate`
+recomputes every field without this module.
 """
 
 from __future__ import annotations
@@ -434,7 +434,7 @@ def _expect(value, kind: type, at: str) -> None:
 def certificate_from_dict(d: dict) -> DescentCertificate:
     """Inverse of DescentCertificate.to_dict.  Raises InvalidParamsError
     naming the first field whose key or type docs/schemas/certificate.schema.json
-    does not allow, by the dotted path that check_certificate reports."""
+    does not allow, by the dotted path that check.check_certificate reports."""
     return _from_dict(DescentCertificate, d, "")
 
 
@@ -513,93 +513,3 @@ def descent_certificate(
     return DescentCertificate(
         q, n, t, r, x, h, ell, claimed, n_t, n_1, tuple(steps), final
     )
-
-
-@dataclass(frozen=True)
-class CertificateCheck:
-    ok: bool
-    mismatch: str | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
-def check_certificate(cert: DescentCertificate) -> CertificateCheck:
-    """Recompute every certificate field from (q, n, t, x) and report the
-    first disagreement as a dotted field path."""
-    q, n, t, x = cert.q, cert.n, cert.t, cert.x
-
-    def bad(path):
-        return CertificateCheck(False, path)
-
-    try:
-        params = SpreadParams(q, n, t)
-    except InvalidParamsError:
-        return bad("params")
-    if cert.r != params.r:
-        return bad("r")
-    if not 0 < x < q ** params.r:
-        return bad("x")
-    try:
-        claimed = lemma_main_bound(q, n, t, x)
-    except (HypothesisViolatedError, InvalidParamsError):
-        return bad("x")
-    r = params.r
-    if cert.claimed_bound != claimed:
-        return bad("claimed_bound")
-    try:
-        h = h_of(x, q, t)
-    except IdentityViolationError:
-        return bad("h")
-    if cert.h != h:
-        return bad("h")
-    ell = (q ** (n - t) - q ** r) // (q ** t - 1)
-    if cert.ell != ell or claimed != ell * q ** t + x:
-        return bad("ell")
-    if cert.n_t != claimed + 1:
-        return bad("n_t")
-    n_1 = q ** t * (theta(r, q) - h) + delta(x, t, q)
-    if cert.n_1 != n_1 or n_1 != theta(n, q) - cert.n_t * theta(t, q):
-        return bad("n_1")
-
-    if len(cert.steps) != t - 1:
-        return bad("steps")
-    for idx, step in enumerate(cert.steps):
-        path = f"steps[{idx}]"
-        if step.j != idx:
-            return bad(f"{path}.j")
-        i = t - idx
-        if step.i != i:
-            return bad(f"{path}.i")
-        d_i = delta(x, i, q)
-        if step.delta != d_i:
-            return bad(f"{path}.delta")
-        if step.cap != max(theta(r, q) - h - idx, 0):
-            return bad(f"{path}.cap")
-        if step.n1_residue != n_1 % q ** i or step.n1_residue != d_i:
-            return bad(f"{path}.n1_residue")
-        if (x + d_i) % q != 0:
-            return bad(f"{path}.next_delta")
-        recur = ((x + d_i) // q) % q ** (i - 1)
-        if step.next_delta != recur or step.next_delta != delta(x, i - 1, q):
-            return bad(f"{path}.next_delta")
-
-    fin = cert.final
-    d2 = delta(x, 2, q)
-    if fin.delta2 != d2 or fin.delta2 != cert.steps[-1].delta:
-        return bad("final.delta2")
-    if d2 % q != 0 or not 0 < d2 <= q * q - q:
-        return bad("final.delta2")
-    if fin.delta2_max != q * q - q:
-        return bad("final.delta2_max")
-    if fin.required_dim2 != q * q or not fin.required_dim2 > d2:
-        return bad("final.required_dim2")
-    alt = min(theta(3, q), 2 * q * q, q ** 3)
-    if fin.required_dim_ge3_min != alt or not alt > q * q - q:
-        return bad("final.required_dim_ge3_min")
-    hed = heden_case(d2, 1, 2, q)
-    if fin.heden_case != hed.case or hed.case != "iv":
-        return bad("final.heden_case")
-    if fin.heden_satisfied or hed.satisfied:
-        return bad("final.heden_satisfied")
-    return CertificateCheck(True)

@@ -47,10 +47,10 @@ warm-started with the packing-bound construction, which the search then
 tries to beat.  Exhausting the tree proves optimality either way.  The
 search is deterministic: the same call gives the same witness and node
 count.  A search whose tree has at most max_nodes nodes ends EXACT; a node
-that would branch once the budget or the deadline is spent ends it before
-that node becomes the incumbent.  greedy_spread, a first fit over the
-candidates in a seeded order that picks a disjoint prefix at a time, gives a
-witness and never an optimality claim.
+that would branch once the budget is spent ends it before that node becomes
+the incumbent.  greedy_spread, a first fit over the candidates in a seeded
+order that picks a disjoint prefix at a time, gives a witness and never an
+optimality claim.
 """
 
 from __future__ import annotations
@@ -135,11 +135,10 @@ def _members(params: SpreadParams, bases, chosen) -> PartialSpread:
 class _State:
     """Incumbent, node and prune counts and budgets of one search."""
 
-    def __init__(self, best_size, node_cap, deadline):
+    def __init__(self, best_size, node_cap):
         self.best_size = best_size
         self.best_chosen: tuple[int, ...] | None = None
         self.node_cap = node_cap
-        self.deadline = deadline
         self.nodes = 0
         self.prunes = {"available": 0, "points": 0, "cover": 0}
         self.exhausted = True
@@ -204,8 +203,8 @@ def _grow(chosen, avail, adj, stars, packing, state):
     branches stops at its first child c from which the colour classes with
     seed at least c cannot beat the incumbent, and finishes without a call
     a child that the available count or those classes prune.  A node that
-    would branch once max_nodes nodes are counted or the deadline has
-    passed ends the search before it becomes the incumbent.
+    would branch once max_nodes nodes are counted ends the search before
+    it becomes the incumbent.
     """
     k = len(chosen)
     incumbent = state.best_size
@@ -217,10 +216,7 @@ def _grow(chosen, avail, adj, stars, packing, state):
     else:
         seeds, classes = _colour_classes(avail, stars)
         reason = "cover" if k + len(seeds) <= best else None
-    if reason is None and (
-        state.nodes == state.node_cap
-        or (state.deadline is not None and time.monotonic() > state.deadline)
-    ):
+    if reason is None and state.nodes == state.node_cap:
         state.exhausted = False
         return
     if k > incumbent:
@@ -270,25 +266,21 @@ def _grow(chosen, avail, adj, stars, packing, state):
 def max_partial_spread(
     params: SpreadParams,
     max_nodes: int | None = None,
-    max_seconds: float | None = None,
     warm_start: bool = True,
 ) -> SearchResult:
     """Branch-and-bound for mu_q(n, t) over the explicit candidate list.
 
     Status EXACT means the tree was exhausted and best_size is the true
-    maximum; BUDGET_EXHAUSTED reports the best incumbent when max_nodes or
-    max_seconds cut the run short.  That incumbent is the empty spread when
-    the budget ends at the root of a cold start.  Raises
-    InvalidParamsError when max_nodes < 1 or max_seconds <= 0, and
-    BudgetExceededError, before anything is built, when the adjacency
-    bitsets over the candidates disjoint from the first (all candidates
-    when n < 2t) could exceed ADJACENCY_BIT_CAP bits.
+    maximum; BUDGET_EXHAUSTED reports the best incumbent when max_nodes cut
+    the run short.  That incumbent is the empty spread when the budget ends
+    at the root of a cold start.  Raises InvalidParamsError when
+    max_nodes < 1, and BudgetExceededError, before anything is built, when
+    the adjacency bitsets over the candidates disjoint from the first (all
+    candidates when n < 2t) could exceed ADJACENCY_BIT_CAP bits.
     """
     start = time.monotonic()
     if max_nodes is not None and max_nodes < 1:
         raise InvalidParamsError(f"node budget must be at least 1, got {max_nodes}")
-    if max_seconds is not None and not max_seconds > 0:
-        raise InvalidParamsError(f"time budget must be positive, got {max_seconds}")
     q, n, t = params.q, params.n, params.t
     # the tree grows over candidates disjoint from candidate 0, and
     # q^(t^2) [n - t, t]_q t-subspaces meet one t-subspace trivially; when
@@ -302,11 +294,7 @@ def max_partial_spread(
         )
     bases, ords = _candidates(params)
     seed_spread = build_lower_bound_spread(params) if warm_start else None
-    state = _State(
-        best_size=seed_spread.size if seed_spread else 0,
-        node_cap=max_nodes,
-        deadline=None if max_seconds is None else start + max_seconds,
-    )
+    state = _State(best_size=seed_spread.size if seed_spread else 0, node_cap=max_nodes)
     # some maximum partial spread holds candidate 0 and c1, the first
     # candidate disjoint from it (none when n < 2t: then one candidate is a
     # maximum); its other members come after c1, disjoint from both, and the

@@ -23,10 +23,10 @@ from spreadlab.bounds import (
     main_bound,
     theta,
 )
+from spreadlab.check import check_certificate
 from spreadlab.construct import build_lower_bound_spread, verify_partial_spread
 from spreadlab.partition import (
     certificate_from_dict,
-    check_certificate,
     descent_certificate,
     hyperplane_profile,
     partition_from_spread,

@@ -1,11 +1,14 @@
+import ast
 import copy
 import json
+import pathlib
 import random
 
 import pytest
 
-from spreadlab import bounds, partition as pt
+from spreadlab import bounds, check, partition as pt
 from spreadlab.bounds import theta
+from spreadlab.check import check_certificate
 from spreadlab.errors import HypothesisViolatedError, InvalidParamsError
 
 
@@ -40,7 +43,7 @@ class TestGolden283:
         assert pt.descent_certificate(2, 8, 3) == self.cert()
 
     def test_checks_out(self):
-        res = pt.check_certificate(self.cert())
+        res = check_certificate(self.cert())
         assert res.ok and res.mismatch is None
 
 
@@ -70,7 +73,7 @@ class TestGolden3104:
         assert not f.heden_satisfied
 
     def test_checks_out(self):
-        assert pt.check_certificate(self.cert()).ok
+        assert check_certificate(self.cert()).ok
 
 
 class TestHypotheses:
@@ -102,7 +105,7 @@ class TestSerialization:
         c = pt.descent_certificate(3, 10, 4)
         back = pt.certificate_from_dict(json.loads(json.dumps(c.to_dict())))
         assert back == c
-        assert pt.check_certificate(back).ok
+        assert check_certificate(back).ok
 
 
 def mutate_leaf(doc, path, bump):
@@ -131,11 +134,37 @@ def leaf_paths(doc, prefix=()):
             yield prefix + (k,)
 
 
+def dotted(path):
+    """("steps", 0, "delta") -> "steps[0].delta", as check_certificate names it."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+# q + 1 breaks the descent lemma's hypotheses on x; n + 1 and t + 1 change r
+REPORTED_AT = {"q": "x", "n": "r", "t": "r"}
+
+
 class TestTampering:
+    @pytest.mark.parametrize("qnt", [(2, 8, 3), (3, 10, 4)])
+    def test_each_leaf_bumped_is_reported_at_its_path(self, qnt):
+        base = pt.descent_certificate(*qnt).to_dict()
+        for path in leaf_paths(base):
+            doc = copy.deepcopy(base)
+            mutate_leaf(doc, path, 1)
+            res = check_certificate(pt.certificate_from_dict(doc))
+            at = dotted(path)
+            assert (res.ok, res.mismatch) == (False, REPORTED_AT.get(at, at))
+
+    def test_undecided_prime_power_is_a_params_mismatch(self):
+        # primality of 2^89 - 1 is past the deterministic Miller-Rabin range
+        doc = pt.descent_certificate(2, 8, 3).to_dict()
+        doc["q"] = 2 ** 89 - 1
+        res = check_certificate(pt.certificate_from_dict(doc))
+        assert (res.ok, res.mismatch) == (False, "params")
+
     def test_delta2_tamper_caught(self):
         doc = pt.descent_certificate(2, 8, 3).to_dict()
         doc["final"]["delta2"] = 3
-        res = pt.check_certificate(pt.certificate_from_dict(doc))
+        res = check_certificate(pt.certificate_from_dict(doc))
         assert not res.ok
         assert res.mismatch == "final.delta2"
 
@@ -143,14 +172,14 @@ class TestTampering:
         doc = pt.descent_certificate(2, 8, 3).to_dict()
         doc["claimed_bound"] = 33
         doc["n_t"] = 34  # even a consistent-looking shift must fail
-        res = pt.check_certificate(pt.certificate_from_dict(doc))
+        res = check_certificate(pt.certificate_from_dict(doc))
         assert not res.ok
         assert res.mismatch == "claimed_bound"
 
     def test_step_delta_tamper_caught(self):
         doc = pt.descent_certificate(3, 10, 4).to_dict()
         doc["steps"][1]["delta"] = 16
-        res = pt.check_certificate(pt.certificate_from_dict(doc))
+        res = check_certificate(pt.certificate_from_dict(doc))
         assert not res.ok
         assert res.mismatch == "steps[1].delta"
 
@@ -164,7 +193,7 @@ class TestTampering:
             doc = copy.deepcopy(base)
             mutate_leaf(doc, rng.choice(paths), rng.randint(1, 7))
             try:
-                res = pt.check_certificate(pt.certificate_from_dict(doc))
+                res = check_certificate(pt.certificate_from_dict(doc))
             except (TypeError, ValueError):
                 rejected += 1
                 continue
@@ -181,9 +210,24 @@ class TestSoundnessGrid:
                 for t in range(r + 1, min(theta(r, q), 16) + 1):
                     for n in (2 * t + r, 3 * t + r):
                         cert = pt.descent_certificate(q, n, t)
-                        assert pt.check_certificate(cert).ok, (q, n, t)
+                        assert check_certificate(cert).ok, (q, n, t)
                         assert cert.claimed_bound == bounds.main_bound(
                             bounds.SpreadParams(q, n, t)
                         )
                         cells += 1
         assert cells > 60
+
+
+def test_checker_imports_no_producer():
+    # a replay through the code that wrote the certificate would pass that
+    # code's own bugs
+    tree = ast.parse(pathlib.Path(check.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(a.name for a in node.names)  # from . import bounds
+        elif isinstance(node, ast.Import):
+            imported.update(part for a in node.names for part in a.name.split("."))
+    assert "gf" in imported
+    assert not imported & {"bounds", "partition", "search", "construct", "linalg"}

@@ -251,6 +251,14 @@ def test_certify_tampered_bound_exits_one():
     assert json.loads(out)["mismatch"] == "claimed_bound"
 
 
+def test_certify_undecided_prime_power_exits_one():
+    _, cert_json, _ = go(["certify", "--q", "2", "--n", "8", "--t", "3"])
+    doc = json.loads(cert_json)
+    doc["q"] = 2 ** 89 - 1
+    rc, out, _ = go(["certify", "--check", "-"], inp=json.dumps(doc))
+    assert (rc, json.loads(out)) == (1, {"ok": False, "mismatch": "params"})
+
+
 @pytest.mark.parametrize(
     "edit,message",
     [

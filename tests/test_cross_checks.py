@@ -32,12 +32,12 @@ from spreadlab.bounds import (
     omega_floor,
     theta,
 )
+from spreadlab.check import check_certificate
 from spreadlab.cli import run
 from spreadlab.errors import IdentityViolationError
 from spreadlab.partition import (
     SubspacePartition,
     certificate_from_dict,
-    check_certificate,
     descent_certificate,
     hyperplane_profile,
     partition_from_spread,

@@ -415,24 +415,14 @@ class TestBudgets:
         with pytest.raises(InvalidParamsError, match="node budget"):
             search.max_partial_spread(P(2, 5, 2), max_nodes=budget)
 
-    @pytest.mark.parametrize("seconds", [0, -1.0, float("nan")])
-    def test_time_budget_not_positive_rejected(self, seconds):
-        with pytest.raises(InvalidParamsError, match="time budget"):
-            search.max_partial_spread(P(2, 5, 2), max_seconds=seconds)
-
-    def test_time_budget(self):
-        # warm (2,7,3) does not close, so the deadline ends it on any host
-        res = search.max_partial_spread(P(2, 7, 3), max_seconds=0.02)
+    def test_node_budget_stops_the_cold_tree(self):
+        # cold (2,7,3) does not close; the budget ends it inside the tree
+        res = search.max_partial_spread(P(2, 7, 3), max_nodes=1000, warm_start=False)
         assert res.status == search.BUDGET_EXHAUSTED
-        assert res.wall_time < 5
-
-    def test_time_budget_stops_the_tree(self):
-        # cold (2,7,3) does not close; the deadline ends it inside the tree
-        res = search.max_partial_spread(P(2, 7, 3), max_seconds=1.0, warm_start=False)
-        assert res.status == search.BUDGET_EXHAUSTED
-        assert res.nodes_explored > 1
-        assert res.wall_time < 3
+        assert res.nodes_explored == 1000
+        assert res.best_size > 0
         assert verify_partial_spread(res.witness).ok
+        assert res.witness.size == res.best_size
 
 
 # greedy_spread(P(2, 8, 3), seed=1), member rows as bit strings; pinned
