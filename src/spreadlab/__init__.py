@@ -62,11 +62,9 @@ from .errors import (
 from .gf import Field, ext_field, field_for_order, field_new, prime_power
 from .linalg import Subspace, enumerate_subspaces, gaussian_binomial
 from .partition import (
-    DescentCertificate,
     HedenCase,
     HyperplaneProfile,
     SubspacePartition,
-    certificate_from_dict,
     descent_certificate,
     heden_case,
     hyperplane_profile,

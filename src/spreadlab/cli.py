@@ -297,15 +297,19 @@ def _cmd_analyze(args, out, stdin):
 
 
 def _cmd_certify(args, out, stdin):
+    params = (args.q, args.n, args.t, args.x)
     if args.check is not None:
-        cert = pt.certificate_from_dict(_load_json(args.check, stdin))
-        res = check_certificate(cert)
+        if params != (None,) * 4:
+            raise _UsageError(
+                "argument --check: not allowed with --q, --n, --t or --x; "
+                "the certificate gives its own parameters"
+            )
+        res = check_certificate(_load_json(args.check, stdin))
         out.write_json(res.to_dict())
         return 0 if res.ok else 1
-    if args.q is None or args.n is None or args.t is None:
+    if None in params[:3]:
         raise _UsageError("certify needs --q --n --t (or --check FILE)")
-    cert = pt.descent_certificate(args.q, args.n, args.t, args.x)
-    out.write_json(cert.to_dict())
+    out.write_json(pt.descent_certificate(*params))
     return 0
 
 

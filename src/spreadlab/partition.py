@@ -18,18 +18,19 @@ The tail theorem (`heden_case`) bounds the number n_d1 of minimal-dimension
 parts in terms of the second-smallest dimension d2, split by whether
 q^(d2-d1) divides n_d1 and whether d2 >= 2*d1.
 
-`descent_certificate` packages the arithmetic trail of the supposition
-"a partial t-spread of size l*q^t + x + 1 exists": the induced partition,
-the residue chain delta_t, ..., delta_2 of its tail modulo falling powers
-of q, and the final clash with the tail theorem.  `check.check_certificate`
-recomputes every field without this module.
+`descent_certificate` writes the arithmetic trail of the supposition
+"a partial t-spread of size l*q^t + x + 1 exists" as a JSON document: the
+induced partition, the residue chain delta_t, ..., delta_2 of its tail
+modulo falling powers of q, and the final clash with the tail theorem.
+`check.check_certificate` reads that document and recomputes every field
+without this module.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -367,106 +368,10 @@ def heden_case(n_d1: int, d1: int, d2: int, q: int) -> HedenCase:
 # descent certificates
 
 
-@dataclass(frozen=True)
-class CertStep:
-    """One rung of the residue descent: at step j the tail count satisfies
-    n_1 = delta_i (mod q^i) for i = t - j, and the next residue follows by
-    delta_(i-1) = ((x + delta_i) / q) mod q^(i-1)."""
-
-    j: int
-    i: int
-    delta: int
-    cap: int
-    n1_residue: int
-    next_delta: int
-
-
-@dataclass(frozen=True)
-class FinalCase:
-    """End of the descent: the tail of the final partition has delta2
-    singletons with q | delta2 and 0 < delta2 <= q^2 - q, but every branch
-    of the tail theorem demands more, whatever the second dimension is."""
-
-    delta2: int
-    delta2_max: int
-    required_dim2: int
-    required_dim_ge3_min: int
-    heden_case: str
-    heden_satisfied: bool
-
-
-@dataclass(frozen=True)
-class DescentCertificate:
-    q: int
-    n: int
-    t: int
-    r: int
-    x: int
-    h: int
-    ell: int
-    claimed_bound: int
-    n_t: int
-    n_1: int
-    steps: tuple[CertStep, ...]
-    final: FinalCase
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)  # the steps as a tuple of dicts
-        return {**doc, "steps": list(doc["steps"])}
-
-
-# JSON types of parsed values; a certificate's fields are integers but four
-_JSON_TYPES = {
-    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
-    list: "an array", dict: "an object", type(None): "null",
-}
-_FIELD_TYPES = {
-    "steps": list, "final": dict, "heden_case": str, "heden_satisfied": bool,
-}
-
-
-def _expect(value, kind: type, at: str) -> None:
-    if type(value) is not kind:
-        got = _JSON_TYPES.get(type(value), type(value).__name__)
-        raise InvalidParamsError(f"{at} must be {_JSON_TYPES[kind]}, got {got}")
-
-
-def certificate_from_dict(d: dict) -> DescentCertificate:
-    """Inverse of DescentCertificate.to_dict.  Raises InvalidParamsError
-    naming the first field whose key or type docs/schemas/certificate.schema.json
-    does not allow, by the dotted path that check.check_certificate reports."""
-    return _from_dict(DescentCertificate, d, "")
-
-
-def _from_dict(cls, d, path: str):
-    """The dataclass cls read from the object d at the dotted path."""
-    where = path or "certificate"
-    _expect(d, dict, where)
-    names = [f.name for f in fields(cls)]
-    for key in [*d, *names]:
-        if key not in names:
-            raise InvalidParamsError(f"{where} has unexpected key {key!r}")
-        if key not in d:
-            raise InvalidParamsError(f"{where} is missing key {key!r}")
-    values = {}
-    for name in names:
-        at, value = f"{path}.{name}" if path else name, d[name]
-        _expect(value, _FIELD_TYPES.get(name, int), at)
-        if name == "steps":
-            value = tuple(
-                _from_dict(CertStep, s, f"{at}[{i}]") for i, s in enumerate(value)
-            )
-        elif name == "final":
-            value = _from_dict(FinalCase, value, at)
-        values[name] = value
-    return cls(**values)
-
-
-def descent_certificate(
-    q: int, n: int, t: int, x: int | None = None
-) -> DescentCertificate:
+def descent_certificate(q: int, n: int, t: int, x: int | None = None) -> dict:
     """Build the full arithmetic trace refuting a partial t-spread of size
-    l*q^t + x + 1.  With x omitted, the strongest admissible value
+    l*q^t + x + 1, as the JSON document docs/schemas/certificate.schema.json
+    describes.  With x omitted, the strongest admissible value
     q^r - (q-1)(t-2) - c1 + c2 is used."""
     params = SpreadParams(q, n, t)
     r = params.r
@@ -485,31 +390,29 @@ def descent_certificate(
     n_1 = q ** t * (theta(r, q) - h) + delta(x, t, q)
     assert n_1 == theta(n, q) - n_t * theta(t, q)
 
-    steps = []
-    for j in range(t - 1):
-        i = t - j
-        d_i = delta(x, i, q)
-        steps.append(
-            CertStep(
-                j=j,
-                i=i,
-                delta=d_i,
-                cap=max(theta(r, q) - h - j, 0),
-                n1_residue=n_1 % q ** i,
-                next_delta=delta(x, i - 1, q),
-            )
-        )
-
+    steps = [
+        {
+            "j": j,
+            "i": t - j,
+            "delta": delta(x, t - j, q),
+            "cap": max(theta(r, q) - h - j, 0),
+            "n1_residue": n_1 % q ** (t - j),
+            "next_delta": delta(x, t - j - 1, q),
+        }
+        for j in range(t - 1)
+    ]
     d2 = delta(x, 2, q)
     hed = heden_case(d2, 1, 2, q)
-    final = FinalCase(
-        delta2=d2,
-        delta2_max=q * q - q,
-        required_dim2=q * q,
-        required_dim_ge3_min=min(theta(3, q), 2 * q * q, q ** 3),
-        heden_case=hed.case,
-        heden_satisfied=hed.satisfied,
-    )
-    return DescentCertificate(
-        q, n, t, r, x, h, ell, claimed, n_t, n_1, tuple(steps), final
-    )
+    final = {
+        "delta2": d2,
+        "delta2_max": q * q - q,
+        "required_dim2": q * q,
+        "required_dim_ge3_min": min(theta(3, q), 2 * q * q, q ** 3),
+        "heden_case": hed.case,
+        "heden_satisfied": hed.satisfied,
+    }
+    return {
+        "q": q, "n": n, "t": t, "r": r, "x": x, "h": h, "ell": ell,
+        "claimed_bound": claimed, "n_t": n_t, "n_1": n_1,
+        "steps": steps, "final": final,
+    }

@@ -26,7 +26,6 @@ def test_public_names_are_pinned():
         "CertificateCheck",
         "ConstructionSizeMismatchError",
         "DRAKE_FREEMAN",
-        "DescentCertificate",
         "EJSSS_EXACT",
         "Field",
         "FieldMismatchError",
@@ -56,7 +55,6 @@ def test_public_names_are_pinned():
         "best_known",
         "build_lower_bound_spread",
         "c1_c2",
-        "certificate_from_dict",
         "check_certificate",
         "compare_bounds",
         "delta",

@@ -294,6 +294,21 @@ def test_malformed_certificate_prints_a_sentence(edit, message):
         assert internal not in err
 
 
+@pytest.mark.parametrize(
+    "given", [["--q", "3", "--n", "10", "--t", "4"], ["--x", "2"]], ids=["qnt", "x"]
+)
+def test_certify_check_refuses_parameters(given):
+    # the certificate carries its own (q, n, t, x); others given next to it
+    # would be ignored, so a (2,8,3) certificate would check ok under (3,10,4)
+    _, cert_json, _ = go(["certify", "--q", "2", "--n", "8", "--t", "3"])
+    rc, out, err = go(["certify", *given, "--check", "-"], inp=cert_json)
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: argument --check: not allowed with --q, --n, --t or --x; "
+        "the certificate gives its own parameters\n"
+    )
+
+
 def test_certify_out_of_regime_exits_two():
     rc, out, err = go(["certify", "--q", "2", "--n", "7", "--t", "3"])
     assert rc == 2

@@ -37,7 +37,6 @@ from spreadlab.cli import run
 from spreadlab.errors import IdentityViolationError
 from spreadlab.partition import (
     SubspacePartition,
-    certificate_from_dict,
     descent_certificate,
     hyperplane_profile,
     partition_from_spread,
@@ -164,15 +163,15 @@ class TestCertificateBoundAgreement:
         n = 2 * t + 2
         params = SpreadParams(q, n, t)
         cert = descent_certificate(q, n, t)
-        assert cert.x == descent_x(q, t, 2)
-        assert cert.claimed_bound == main_bound(params)
+        assert cert["x"] == descent_x(q, t, 2)
+        assert cert["claimed_bound"] == main_bound(params)
         assert check_certificate(cert).ok
         uppers = {u.source: u.value for u in best_known(params).uppers}
-        assert uppers[MAIN_THEOREM] == cert.claimed_bound
+        assert uppers[MAIN_THEOREM] == cert["claimed_bound"]
 
     def test_mutated_certificates_rejected_gf5(self):
-        base = descent_certificate(5, 8, 3).to_dict()
-        assert check_certificate(certificate_from_dict(base)).ok
+        base = descent_certificate(5, 8, 3)
+        assert check_certificate(base).ok
         rng = random.Random(508)
         paths = list(_leaf_paths(base))
         for _ in range(60):
@@ -185,7 +184,7 @@ class TestCertificateBoundAgreement:
             else:
                 _set_path(doc, path, "iii" if value != "iii" else "ii")
             try:
-                res = check_certificate(certificate_from_dict(doc))
+                res = check_certificate(doc)
             except (ValueError, KeyError, TypeError):
                 continue
             assert not res.ok

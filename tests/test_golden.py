@@ -1,10 +1,10 @@
-"""Golden CLI output: sha256 digests of construct, verify and analyze.
+"""Golden CLI output: sha256 digests of construct, verify, analyze and certify.
 
-The digests pin every byte the commands print, so a change to how spreads
-and partitions are held inside the package can be checked to print exactly
-what it printed before.  A re-based document (members shuffled, each given
-another basis) describes the same spread, so it verifies and analyzes to
-the same bytes as the document it came from.
+The digests pin every byte the commands print, so a change to how spreads,
+partitions and certificates are held inside the package can be checked to
+print exactly what it printed before.  A re-based document (members
+shuffled, each given another basis) describes the same spread, so it
+verifies and analyzes to the same bytes as the document it came from.
 """
 
 import hashlib
@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from spreadlab import bounds, partition
 from spreadlab.cli import run
 from spreadlab.gf import field_for_order
 
@@ -48,6 +49,23 @@ GOLDEN = {
         "6287e60ec35d1929ce7af481273506b81b07dadd4aa2066118a2dc252d098603",
     ),
 }
+
+# (q, n, t): digest of certify, whose document certify --check prints as
+# CERTIFIED
+CERTIFICATES = {
+    (2, 8, 3): "8533c06558dd9fb6e4cb248196b838fd6282245f27ae4aec011c50da7cd0b4e5",
+    (3, 10, 4): "3737edee021369423012f6cb225b8c54769bc684e21d5e096a3b675e31f01848",
+    (9, 14, 4): "bd986b94d704b7eb47362b2826e6f5ed0373e89df21074d7d9d6e3d28c0a45c5",
+    (5, 12, 5): "7d4e101526500c42d76c756fa603c076ed255f676c40aa07f97985a2aa6b1b13",
+}
+CERTIFIED = '{\n  "ok": true,\n  "mismatch": null\n}\n'
+
+# edits to the (2,8,3) certificate, each with the field certify --check reports
+TAMPERED = [
+    (lambda d: d["final"].update(delta2=3), "final.delta2"),
+    (lambda d: d.update(claimed_bound=35, n_t=36), "claimed_bound"),
+    (lambda d: d.update(q=2 ** 89 - 1), "params"),
+]
 
 # one re-based document per q, from the first triple above with that q
 REBASED = [(2, 7, 3), (3, 5, 2), (4, 6, 3), (5, 5, 2)]
@@ -141,3 +159,57 @@ def test_overlap_reason_and_exit_code():
         "clash": [4, 9],
         "reason": "members 4 and 9 share a nonzero vector",
     }
+
+
+def certify(q, n, t) -> str:
+    rc, out, err = go(["certify", "--q", str(q), "--n", str(n), "--t", str(t)])
+    assert (rc, err) == (0, "")
+    return out
+
+
+@pytest.mark.parametrize("q,n,t", list(CERTIFICATES))
+def test_certify_and_check(q, n, t):
+    doc = certify(q, n, t)
+    assert digest(doc) == CERTIFICATES[q, n, t]
+    assert go(["certify", "--check", "-"], doc) == (0, CERTIFIED, "")
+
+
+def test_check_runs_no_producer_code(monkeypatch):
+    # certify --check must read and replay a document without the code that
+    # wrote it: every function and class of partition.py and bounds.py is
+    # made to raise, under each name any spreadlab module holds it by
+    docs = [certify(*qnt) for qnt in CERTIFICATES]
+    tampered = []
+    for edit, at in TAMPERED:
+        doc = json.loads(docs[0])
+        edit(doc)
+        tampered.append((json.dumps(doc), at))
+
+    def producer(*args, **kwargs):
+        raise AssertionError("certify --check ran producer code")
+
+    producers = [
+        value
+        for module in (partition, bounds)
+        for name, value in vars(module).items()
+        if not name.startswith("_") and callable(value)
+        and getattr(value, "__module__", None) == module.__name__
+    ]
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "spreadlab":
+            continue
+        for attr, value in list(vars(module).items()):
+            if any(value is p for p in producers):
+                monkeypatch.setattr(module, attr, producer)
+                patched += 1
+    assert "descent_certificate" in {p.__name__ for p in producers}
+    assert patched > len(producers)  # cli and the package hold some too
+
+    for doc in docs:
+        assert go(["certify", "--check", "-"], doc) == (0, CERTIFIED, "")
+    for doc, at in tampered:
+        rc, out, err = go(["certify", "--check", "-"], doc)
+        assert (rc, json.loads(out), err) == (1, {"ok": False, "mismatch": at}, "")
+    with pytest.raises(AssertionError, match="producer code"):
+        go(["certify", "--q", "2", "--n", "8", "--t", "3"])
