@@ -105,13 +105,15 @@ def lower_bound(params: SpreadParams) -> int:
 def omega_floor(q: int, t: int, r: int) -> int:
     """floor(omega) where 2*omega = sqrt(4 q^t (q^t - q^r) + 1) - (2 q^t - 2 q^r + 1).
 
-    Integer-only: with s = isqrt(D) we have sqrt(D) in [s, s+1), so
-    (sqrt(D) - m)/2 lies in [(s-m)/2, (s-m+1)/2), an interval containing no
-    integer boundary beyond its left end; the floor is (s - m) // 2.
-    For r >= 1 and t >= 2r this collapses to floor(q^r / 2) - 1.
+    For t >= 2r it is floor(q^r / 2) - 1, given without the isqrt of D (which
+    costs by q^t).  Else sqrt(D) is in [s, s+1) for s = isqrt(D), so
+    (sqrt(D) - m)/2 is in [(s-m)/2, (s-m+1)/2), with no integer boundary
+    beyond its left end: the floor is (s - m) // 2.
     """
     if r < 1 or t <= r:
         raise InvalidParamsError(f"need t > r >= 1, got t={t} r={r}")
+    if t >= 2 * r:
+        return q ** r // 2 - 1
     D = 4 * q ** t * (q ** t - q ** r) + 1
     m = 2 * q ** t - 2 * q ** r + 1
     return (isqrt(D) - m) // 2

@@ -1,31 +1,27 @@
 """Exact linear algebra over finite fields: RREF, subspaces, points.
 
-Rows are tuples of field-element encodings.  A Subspace stores its
-reduced-row-echelon basis with zero rows dropped, so structural equality is
-subspace equality and instances are hashable.  A hyperplane is named by
+A Subspace stores its RREF basis, zero rows dropped, as tuples of field
+element encodings, so equality is subspace equality.  Many subspaces, such
+as a spread's members or a partition's parts, are a GroupedBases: one numpy
+array of RREF bases per (field, ambient, dim), read as a tuple of Subspace
+built on first read; the kernels read the arrays.  A hyperplane is named by
 its normalized dual vector, so hyperplanes are numbered like points.
-Many subspaces, such as a spread's members or a partition's parts, are a
-GroupedBases: one numpy array of RREF bases per (field, ambient, dim).  It
-reads as a tuple of Subspace built on first read; the kernels read arrays.
 
-``rref_blocks`` is the one elimination: it reduces a whole (m, k, n) array
-of bases at once, with numpy on GF(p) digits, q = p^e, so one arithmetic
-serves every q; one basis is the block rows[None].  ``subspaces_from_dicts``
-parses documents through it into a GroupedBases.
+``rref_blocks`` is the one elimination: it reduces an (m, k, n) array of
+bases at once, on GF(p) digits for q = p^e; one basis is rows[None].
+``subspaces_from_dicts`` parses documents through it into a GroupedBases.
 
-The d-subspaces of V(n, q) have one canonical order, defined once by
-``_row_options``: RREF pivot sets in combinations order, then, per pivot
-set, the product of the rows' options (each row's free-cell fillings,
-listed once and shared), row 0 most significant.  ``enumerate_subspaces``
-yields Subspace objects in that order; ``subspace_bases`` stacks the same
-options, and the rows' point ordinals, into numpy arrays for bulk work.
+The d-subspaces of V(n, q) have one canonical order, set by _row_options
+(RREF pivot sets in combinations order, then the product of the rows'
+free-cell fillings, row 0 most significant), in which enumerate_subspaces
+yields Subspace objects and subspace_bases arrays of bases and ordinals.
 
-Vectors of V(n, q) are also handled as single integers via base-q positional
-encoding (digit i = coordinate i).  ``point_encodings_of_bases`` is the one
-place that lists the points of subspaces, from an array of bases, with
-numpy on GF(p) digits for every q; verification, partition fill,
-hyperplane profiles and search candidates all run on it.
-``point_ordinals`` numbers the points of V(n, q) for all of them, and
+A vector of V(n, q) is also one integer, its base-q encoding (digit i =
+coordinate i).  ``point_encodings_of_bases`` is the one place that lists
+the points, or GF(p)-lines, of subspaces, for verification, partition
+fill, hyperplane profiles and search candidates: by XOR of the rows'
+integer encodings for p = 2, on GF(p) digits for odd p, expanding only the
+rows it reads.  ``point_ordinals`` numbers the points, and
 ``least_shared_pair`` sorts them to find subspaces that meet.
 """
 
@@ -87,7 +83,7 @@ def rref_blocks(field: Field, rows) -> tuple[np.ndarray, np.ndarray]:
     of rank r so far, the first column nonzero in a row from r on, swaps
     that row up, scales it by the inverse of its lead and clears the column
     in the other rows: all blocks at once, on GF(p) digits as in
-    _expanded_rows.  So ``field`` is GF(p) or field_new(p, e), one
+    _span_rows.  So ``field`` is GF(p) or field_new(p, e), one
     arithmetic serves every q, and only the distinct leads are inverted
     through the field.
     """
@@ -452,25 +448,28 @@ def subspace_bases(n: int, d: int, field: Field) -> tuple[np.ndarray, np.ndarray
 # ---------------------------------------------------------------------------
 # the point kernel
 
-# Points listed per block by point_encodings_of_bases; bounds its scratch
-# memory.
+# points listed per block by point_encodings_of_bases; bounds its memory
 _POINT_BLOCK = 1 << 14
 
 
-def _expanded_rows(field: Field, rows: np.ndarray) -> np.ndarray:
-    """GF(p) digit vectors of x^k * b for every basis row b and every k < e.
-
-    ``rows`` holds m bases of d rows in V(n, q), q = p^e.  Digit j*e + l of
-    a vector is digit l of its coordinate j, so the base-p encoding of the
-    n*e digits is the base-q encoding of the vector; and the GF(q)-span of
-    the rows is the GF(p)-span of their x^k multiples.  Returns an array of
-    shape (d, e, n*e, m).
-    """
-    p, e = field.p, field.e
-    m, d, n = rows.shape
-    digits = _mod(rows // p ** np.arange(e).reshape(e, 1, 1, 1), p)  # digit l at [l]
-    powers = np.stack(_x_powers(field, digits))  # (k, l, m, d, n)
-    return powers.transpose(3, 0, 4, 1, 2).reshape(d, e, n * e, m)
+def _span_rows(field: Field, rows: np.ndarray, lines: np.ndarray | None) -> np.ndarray:
+    """The GF(p)-rows R_0, R_1, ... that point_encodings_of_bases spans, for
+    m bases in V(n, q), q = p^e, as (count, n*e, m) GF(p) digits: digit
+    j*e + l is digit l of coordinate j, so a row's base-p encoding is its
+    base-q encoding.  The rows are the x^k * b_i, k < e, from the last basis
+    row up (their GF(p)-span is the GF(q)-span of the b_i); for points b_0
+    comes last with k = 0 only, as its multiples are never read, so a
+    1-subspace's row is not expanded.  ``lines`` maps each coordinate."""
+    p, e, (m, _, n) = field.p, field.e, rows.shape
+    digits = _mod(rows[:, ::-1] // p ** np.arange(e).reshape(e, 1, 1, 1), p)
+    spanned = digits if lines is not None else digits[:, :, :-1]
+    out = np.stack(_x_powers(field, spanned)).transpose(3, 0, 4, 1, 2)
+    out = out.reshape(-1, n, e, m)  # (row, coordinate, digit, base)
+    if lines is not None:
+        out = _mod(np.einsum("kl,ajlm->ajkm", lines, out), p)
+    else:
+        out = np.concatenate([out, digits[:, :, -1].transpose(2, 0, 1)[None]])
+    return out.reshape(-1, n * e, m)
 
 
 def _add_mod(a, b, p: int):
@@ -479,29 +478,47 @@ def _add_mod(a, b, p: int):
     return np.minimum(s, s - p)  # s - p wraps around where s < p
 
 
+def _digit_listing(span: np.ndarray, leads: range, p: int, dtype) -> np.ndarray:
+    """Odd p: the listing of point_encodings_of_bases, grown as GF(p) digit
+    arrays one row at a time, then read as base-p integers."""
+    top, (_, width, m) = leads[0], span.shape
+    digit = np.min_scalar_type(2 * p - 2)  # holds a digit sum before reduction
+    vecs = np.zeros((width, p ** top, m), digit)
+    for j, w in enumerate(span[:top]):  # vecs[:, :p^j] lists span(R_0, ..., R_(j-1))
+        multiples = _mod(w[:, None] * np.arange(p)[:, None], p).astype(digit)
+        grown = _add_mod(vecs[:, None, :p ** j], multiples[:, :, None], p)
+        vecs[:, :p ** (j + 1)] = grown.reshape(width, -1, m)
+    first = _add_mod(vecs, span[top][:, None, :].astype(digit), p)
+    later = (vecs[:, p ** j:2 * p ** j] for j in leads[1:])
+    digits = np.concatenate([first, *later], axis=1)
+    encs = np.zeros(digits.shape[1:], dtype)
+    for row in digits[::-1]:
+        encs *= p
+        encs += row
+    return encs.T
+
+
 def point_encodings_of_bases(
     field: Field, rows: np.ndarray, lines: np.ndarray | None = None
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Normalized point encodings of the subspaces whose RREF bases are
-    rows[i], an (m, d, n) array over GF(q) such as the bases subspace_bases
-    returns or a BasesGroup holds, in blocks; the rows are not checked.
+    rows[i], an (m, d, n) array over GF(q) such as subspace_bases returns or
+    a BasesGroup holds, in blocks; the rows are not checked.
 
     Yields (i, encs) with encs an array whose row k lists the theta_d
     normalized point encodings of subspace i + k: int64 while q^n < 2^63,
-    else Python ints (dtype object), which are exact at any size but list
-    points about ten times slower.  A block holds about _POINT_BLOCK
-    points, or one subspace if that has more.  Given
-    ``lines``, an e x e matrix M over GF(p), q = p^e, a row lists one vector
-    of each GF(p)-line instead, (q^d - 1)/(p - 1) of them, with the e digits
-    of each coordinate mapped by M (the listing is GF(p)-linear: M maps the
-    rows).
+    else Python ints (dtype object), exact at any size but about ten times
+    slower.  A block holds about _POINT_BLOCK points, or one subspace if
+    that has more.  Given ``lines``, an e x e matrix M over GF(p), q = p^e,
+    a row lists one vector of each GF(p)-line instead, (q^d - 1)/(p - 1) of
+    them, the e digits of each coordinate mapped by M (M maps the rows).
 
-    One code path serves every q.  The x^k * b_i (see _expanded_rows) are
-    GF(p)-rows R_0, ..., R_(de-1), from the last basis row up; lead R_j gives
-    R_j + span(R_0, ..., R_(j-1)).  Every R_j leads for lines, the x^0 * b_i
-    for points (a combination whose first nonzero coefficient is 1 has first
-    nonzero coordinate 1 in RREF).  Spans are listed as GF(p)-digit vectors,
-    one row at a time, then read as base-p integers.
+    Lead R_j of the rows R_0, ..., R_top of _span_rows lists R_j +
+    span(R_0, ..., R_(j-1)), from R_top down: every R_j for lines, the
+    x^0 * b_i for points (a combination whose first nonzero coefficient is
+    1 has first nonzero coordinate 1 in RREF).  For p = 2 a row's base-2
+    encoding is its base-q encoding and adding is XOR, so spans grow by XOR
+    of the rows' integers; odd p grows GF(p) digits (_digit_listing).
     """
     _, d, n = rows.shape
     if d == 0:
@@ -509,39 +526,19 @@ def point_encodings_of_bases(
     p, e, width = field.p, field.e, n * field.e
     top = (d - 1) * e if lines is None else d * e - 1
     leads = range(top, -1, -e if lines is None else -1)
-    count = sum(p ** j for j in leads)
-    dtype = np.min_scalar_type(2 * p - 2)  # holds a digit sum before reduction
-    scalars = np.arange(p)[:, None, None]
-    per = max(1, _POINT_BLOCK // count)
+    dtype = np.int64 if p ** width < 1 << 63 else object
+    per = max(1, _POINT_BLOCK // sum(p ** j for j in leads))
     for start in range(0, len(rows), per):
-        basis = _expanded_rows(field, rows[start:start + per])
-        m = basis.shape[-1]
-        if lines is not None:
-            split = basis.reshape(d, e, n, e, m)  # digit l of coordinate j
-            basis = np.einsum("kl,abjlm->abjkm", lines, split).reshape(basis.shape)
-            basis = _mod(basis, p)
-        order = [w for row in basis[::-1] for w in row]  # R_0, ..., R_(de-1)
-        # vecs[:, :p^j] lists span(R_0, ..., R_(j-1)) once R_j is added, and
-        # vecs[:, p^j:2 p^j] is then R_j + that span
-        vecs = np.zeros((width, p ** top, m), dtype)
-        size = 1
-        for w in order[:top]:
-            multiples = _mod(scalars * w, p).astype(dtype).transpose(1, 0, 2)
-            grown = _add_mod(vecs[:, None, :size], multiples[:, :, None], p)
-            vecs[:, :p * size] = grown.reshape(width, p * size, m)
-            size *= p
-        digits = np.empty((width, count, m), dtype)
-        digits[:, :size] = _add_mod(vecs, order[top][:, None, :].astype(dtype), p)
-        at = size
-        for j in leads[1:]:
-            size = p ** j
-            digits[:, at:at + size] = vecs[:, size:2 * size]
-            at += size
-        encs = np.zeros((count, m), dtype=np.int64 if p ** width < 1 << 63 else object)
-        for j in range(width - 1, -1, -1):
-            encs *= p
-            encs += digits[j]
-        yield start, encs.T
+        span = _span_rows(field, rows[start:start + per], lines)
+        if p > 2:
+            yield start, _digit_listing(span, leads, p, dtype)
+            continue
+        r = 2 ** np.arange(width, dtype=dtype) @ span
+        vecs = np.zeros((r.shape[1], 1 << top), dtype)
+        for j in range(top):  # vecs[:, :2^j] lists span(R_0, ..., R_(j-1))
+            vecs[:, 1 << j:2 << j] = vecs[:, :1 << j] ^ r[j, :, None]
+        later = (vecs[:, 1 << j:2 << j] for j in leads[1:])
+        yield start, np.concatenate([vecs ^ r[top, :, None], *later], axis=1)
 
 
 def normalized_point_encodings(n: int, q: int) -> np.ndarray:
