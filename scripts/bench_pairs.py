@@ -45,6 +45,10 @@ PAIR_SHARE = 0.9
 DIGITS = 4
 # seeds of the traced runs behind the per-layer medians
 TRACE_SEEDS = [1, 2, 3]
+# environment variables that move setup_s (no bytecode written) and
+# peak_rss_mib (the allocator); the runs inherit them, and the output holds
+# each value, null when unset
+ENV_RECORDED = ("PYTHONDONTWRITEBYTECODE", "PYTHONMALLOC")
 
 
 def _quartiles(values):
@@ -194,6 +198,7 @@ def _machine() -> dict:
         "nproc": os.cpu_count(),
         "cpu": cpu,
         "platform": platform.platform(),
+        **{name: os.environ.get(name) for name in ENV_RECORDED},
     }
 
 

@@ -507,7 +507,7 @@ def point_encodings_of_bases(
 
     Yields (i, encs) with encs an array whose row k lists the theta_d
     normalized point encodings of subspace i + k: int64 while q^n < 2^63,
-    else Python ints (dtype object), exact at any size but about ten times
+    else Python ints (dtype object), exact at any size but tens of times
     slower.  A block holds about _POINT_BLOCK points, or one subspace if
     that has more.  Given ``lines``, an e x e matrix M over GF(p), q = p^e,
     a row lists one vector of each GF(p)-line instead, (q^d - 1)/(p - 1) of

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -98,11 +100,16 @@ class TestOmegaFloor:
                     assert bounds.omega_floor(q, t, r) == omega_floor_oracle(q, t, r)
 
     def test_closed_form_when_t_large(self):
-        # t >= 2r pushes the root close to q^t - q^r + q^r/2
-        for q in (2, 3, 4, 5, 7):
-            for r in range(1, 5):
-                for t in range(max(2 * r, r + 1), 2 * r + 4):
-                    assert bounds.omega_floor(q, t, r) == q ** r // 2 - 1
+        # t >= 2r pushes the root close to q^t - q^r + q^r/2; omega_floor
+        # returns the closed form there, and it agrees with the isqrt of D
+        for q in range(2, 257):
+            for r in range(1, 12):
+                for t in range(2 * r, 2 * r + 15):
+                    D = 4 * q ** t * (q ** t - q ** r) + 1
+                    m = 2 * q ** t - 2 * q ** r + 1
+                    closed = q ** r // 2 - 1
+                    assert (isqrt(D) - m) // 2 == closed
+                    assert bounds.omega_floor(q, t, r) == closed
 
     def test_rejects_r0(self):
         with pytest.raises(InvalidParamsError):

@@ -438,6 +438,16 @@ def test_bounds_on_a_large_prime_power_is_fast(q):
     assert f"mu_{q}(3, 2) = 1 [TRIVIAL_OVERLAP]" in out
 
 
+def test_bounds_with_t_at_least_2r_is_fast():
+    # omega_floor's closed form, not an isqrt of a 3-million-digit number
+    start = time.perf_counter()
+    rc, out, _ = go(["bounds", "--q", "3", "--n", "1000000", "--t", "999999"])
+    assert time.perf_counter() - start < 2
+    assert rc == 0
+    assert out.startswith("mu_3(1000000, 999999) = 1 [TRIVIAL_OVERLAP]\n")
+    assert "DRAKE_FREEMAN=2" in out
+
+
 def test_large_non_prime_power_exits_two():
     rc, _, err = go(["bounds", "--q", str(3 * 2 ** 61), "--n", "3", "--t", "2"])
     assert rc == 2

@@ -33,8 +33,10 @@ GF4 = gf.field_new(2, 2)
 GF5 = gf.field_new(5)
 GF8 = gf.field_new(2, 3)
 GF9 = gf.field_new(3, 2)
-KERNEL_FIELDS = [GF2, GF3, GF4, GF5, GF8, GF9]
-KERNEL_IDS = ["GF2", "GF3", "GF4", "GF5", "GF8", "GF9"]
+GF16 = gf.field_new(2, 4)
+GF256 = gf.field_new(2, 8)
+KERNEL_FIELDS = [GF2, GF3, GF4, GF5, GF8, GF9, GF16]
+KERNEL_IDS = ["GF2", "GF3", "GF4", "GF5", "GF8", "GF9", "GF16"]
 
 
 # -- rref ---------------------------------------------------------------------
@@ -488,12 +490,21 @@ def _random_subspaces(field, n, d, count, seed):
     return out
 
 
-@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
-def test_normalized_span_matches_bruteforce(field):
+# (field, n, dims): every dimension of a small space, then spaces with
+# q^n >= 2^63, whose points the kernel lists as Python ints
+SPAN_CASES = [(f, 4 if f.q <= 5 else 3, None) for f in KERNEL_FIELDS] + [
+    (GF2, 64, [2]), (GF256, 8, [1, 2]), (GF3, 40, [2]),
+]
+SPAN_IDS = KERNEL_IDS + ["GF2-V64", "GF256-V8", "GF3-V40"]
+
+
+@pytest.mark.parametrize("field,n,dims", SPAN_CASES, ids=SPAN_IDS)
+def test_normalized_span_matches_bruteforce(field, n, dims):
     q = field.q
-    n = 4 if q <= 5 else 3
-    for d in range(1, n + 1):
+    for d in dims or range(1, n + 1):
         subs = _random_subspaces(field, n, d, 4, seed=q * 10 + d)
+        (_, block), = linalg.point_encodings_of_bases(field, _bases(subs))
+        assert block.dtype == (object if q ** n >= 2 ** 63 else np.int64)
         for s, pts in zip(subs, _kernel_points(subs)):
             nonzero = _brute_span(field, s) - {(0,) * n}
             assert len(nonzero) == q ** d - 1
@@ -524,6 +535,72 @@ def test_point_blocks_do_not_change_points(field, monkeypatch):
     for block in (1, 7, 2 * (field.q + 1)):
         monkeypatch.setattr(linalg, "_POINT_BLOCK", block)
         assert _kernel_points(subs) == want
+
+
+def _mapped(field, matrix, a):
+    """The element whose base-p digits are matrix times those of a."""
+    p, e = field.p, field.e
+    digits = [a // p ** l % p for l in range(e)]
+    return sum(
+        sum(matrix[k][l] * digits[l] for l in range(e)) % p * p ** k for k in range(e)
+    )
+
+
+def _scaled(enc, c, p):
+    """c times the vector with encoding enc, digit by base-p digit."""
+    out, place = 0, 1
+    while enc:
+        out += enc % p * c % p * place
+        enc, place = enc // p, place * p
+    return out
+
+
+LINE_FIELDS = [GF2, GF4, GF8, GF16, GF3, GF9]
+
+
+@pytest.mark.parametrize("field", LINE_FIELDS, ids=[f"GF{f.q}" for f in LINE_FIELDS])
+def test_lines_list_one_vector_per_gf_p_line(field):
+    # with lines=M, a subspace lists one vector of each GF(p)-line of its
+    # span with each coordinate's digits mapped by M: for M invertible,
+    # (q^d - 1)/(p - 1) distinct lines that cover the mapped span
+    p, e, q, n = field.p, field.e, field.q, 3
+    rng = random.Random(q)
+    matrices = [np.eye(e, dtype=np.int64)]
+    while len(matrices) < 3:
+        m = np.array([[rng.randrange(p) for _ in range(e)] for _ in range(e)])
+        if linalg.rref_blocks(gf.field_new(p), m[None])[1][0] == e:
+            matrices.append(m)
+    for d in range(1, n + 1):
+        subs = _random_subspaces(field, n, d, 2, seed=q + d)
+        for m in matrices:
+            listed = {}
+            for start, block in linalg.point_encodings_of_bases(
+                field, _bases(subs), lines=m
+            ):
+                assert block.dtype == np.int64
+                listed.update({start + k: r for k, r in enumerate(block.tolist())})
+            for i, s in enumerate(subs):
+                span = {
+                    encode([_mapped(field, m, a) for a in v], q)
+                    for v in _brute_span(field, s)
+                } - {0}
+                assert len(span) == q ** d - 1
+                lines = {
+                    frozenset(_scaled(x, c, p) for c in range(1, p)) for x in listed[i]
+                }
+                assert len(listed[i]) == len(lines) == (q ** d - 1) // (p - 1)
+                assert set(listed[i]) <= span
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (4, 3), (9, 3), (256, 2)])
+def test_point_of_a_1_subspace_is_its_rref_row(q, n):
+    field = gf.field_for_order(q)
+    bases, _ = linalg.subspace_bases(n, 1, field)
+    blocks = linalg.point_encodings_of_bases(field, bases)
+    listed = np.concatenate([block for _, block in blocks])
+    assert listed.shape == (len(bases), 1)
+    assert listed.dtype == np.int64
+    assert listed[:, 0].tolist() == (bases[:, 0] @ q ** np.arange(n)).tolist()
 
 
 def test_zero_subspace_has_no_points():

@@ -289,3 +289,19 @@ def test_bench_pairs_run_keeps_values_and_correctness(tmp_path):
     assert bench._run(tmp_path, "only", 1, 7, trace=0) == {
         "run_s": 0.5, "correct": False, "attempted": 3, "failed": 1,
     }
+
+
+def test_bench_pairs_records_the_environment_the_runs_inherit(monkeypatch):
+    # setup_s and peak_rss_mib depend on both variables
+    bench = load_script("bench_pairs")
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.delenv("PYTHONMALLOC", raising=False)
+    machine = bench._machine()
+    assert machine["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert machine["PYTHONMALLOC"] is None
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    monkeypatch.setenv("PYTHONMALLOC", "malloc")
+    machine = bench._machine()
+    assert machine["PYTHONDONTWRITEBYTECODE"] is None
+    assert machine["PYTHONMALLOC"] == "malloc"
+    assert json.loads(json.dumps(machine)) == machine
