@@ -94,9 +94,11 @@ def lower_bound(params: SpreadParams) -> int:
     """Packing lower bound (q^n - q^(t+r))/(q^t - 1) + 1.
 
     Equality with mu is known exactly when r in {0, 1}; for r = 0 the value
-    is theta_n / theta_t.
+    is theta_n / theta_t.  For n < 2t it is 1, as t + r = n.
     """
     q, n, t, r = params.q, params.n, params.t, params.r
+    if n < 2 * t:
+        return 1
     num = q ** n - q ** (t + r)
     assert num % (q ** t - 1) == 0
     return num // (q ** t - 1) + 1

@@ -13,22 +13,20 @@ once fewer than 2t coordinates remain.
 Counting levels gives q^(n-t) + q^(n-2t) + ... + q^(t+r) + 1 members, which
 is exactly the packing lower bound.  A PartialSpread holds its members as
 bases arrays (linalg.GroupedBases), which the builder, verification and
-JSON output read and write; ``members`` builds Subspaces when read.
+JSON output read and write.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .bounds import SpreadParams, lower_bound, theta
-from .errors import BudgetExceededError, ConstructionSizeMismatchError
+from .errors import BudgetExceededError, ConstructionSizeMismatchError, InvalidParamsError
 from .gf import Field, ext_field, field_for_order
 from .linalg import (
     GroupedBases,
-    Subspace,
     check_in_space,
     least_shared_pair,
     subspaces_from_dicts,
@@ -49,11 +47,13 @@ class PartialSpread:
     checked)."""
 
     params: SpreadParams
-    members: Sequence[Subspace]
+    members: GroupedBases
     verified: bool | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "members", GroupedBases.of(self.members))
+        if not isinstance(self.members, GroupedBases):
+            got = type(self.members).__name__
+            raise InvalidParamsError(f"PartialSpread takes GroupedBases, got {got}")
 
     @property
     def size(self) -> int:

@@ -3,8 +3,8 @@
 A Subspace stores its RREF basis, zero rows dropped, as tuples of field
 element encodings, so equality is subspace equality.  Many subspaces, such
 as a spread's members or a partition's parts, are a GroupedBases: one numpy
-array of RREF bases per (field, ambient, dim), read as a tuple of Subspace
-built on first read; the kernels read the arrays.  A hyperplane is named by
+array of RREF bases per (field, ambient, dim), which the kernels read;
+iterating it yields a Subspace record per member.  A hyperplane is named by
 its normalized dual vector, so hyperplanes are numbered like points.
 
 ``rref_blocks`` is the one elimination: it reduces an (m, k, n) array of
@@ -28,9 +28,7 @@ rows it reads.  ``point_ordinals`` numbers the points, and
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations, product
 from typing import Iterator, NamedTuple
 
@@ -131,10 +129,6 @@ class Subspace:
     ambient: int
     rows: tuple[tuple[int, ...], ...]
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
 
 class BasesGroup(NamedTuple):
     """Subspaces of one dimension in V(ambient, q): their RREF bases, an
@@ -151,10 +145,10 @@ class BasesGroup(NamedTuple):
         return self.rows.shape[1]
 
 
-class GroupedBases(Sequence):
+class GroupedBases:
     """Subspaces in order, held as one BasesGroup per (field, ambient, dim):
-    the kernels read ``groups``.  Reads as a tuple of Subspace (indexing,
-    slicing, iteration, ==), built when first read."""
+    the kernels read ``groups``.  Iterating builds one Subspace per member,
+    in order; == and hash compare the groups and build none."""
 
     def __init__(self, groups: list[BasesGroup]):
         """Groups that share (field, ambient, dim) are joined, their members
@@ -171,20 +165,6 @@ class GroupedBases(Sequence):
             if len(index):
                 self.groups.append(BasesGroup(field, n, rows, index[order]))
 
-    @classmethod
-    def of(cls, subspaces) -> "GroupedBases":
-        """The subspaces as grouped bases; a GroupedBases is returned as is."""
-        if isinstance(subspaces, GroupedBases):
-            return subspaces
-        subspaces, keys = tuple(subspaces), {}
-        for i, s in enumerate(subspaces):
-            keys.setdefault((s.field, s.ambient, s.dim), []).append(i)
-        return cls([
-            BasesGroup(f, n, np.reshape([subspaces[i].rows for i in index],
-                                        (len(index), d, n)), index)
-            for (f, n, d), index in keys.items()
-        ])
-
     def extended(self, field: Field, ambient: int, rows: np.ndarray) -> "GroupedBases":
         """These subspaces, then the ones whose RREF bases are rows, an
         (m, d, ambient) array."""
@@ -196,33 +176,25 @@ class GroupedBases(Sequence):
         subspace; None when there is none."""
         return min(filter(where, self.groups), key=lambda g: g.index[0], default=None)
 
-    @cached_property
-    def subspaces(self) -> tuple[Subspace, ...]:
-        out = [None] * self.size
-        for g in self.groups:
-            for i, basis in zip(g.index.tolist(), g.rows.tolist()):
-                out[i] = Subspace(g.field, g.ambient, tuple(map(tuple, basis)))
-        return tuple(out)
-
     def __len__(self) -> int:
         return self.size
 
-    def __getitem__(self, key):
-        return self.subspaces[key]
+    def __iter__(self) -> Iterator[Subspace]:
+        out = [None] * self.size
+        for g in self.groups:
+            for i, basis in zip(g.index.tolist(), g.rows.tolist()):
+                out[i] = g, basis
+        return (Subspace(g.field, g.ambient, tuple(map(tuple, b))) for g, b in out)
 
-    def __iter__(self):
-        return iter(self.subspaces)
+    def _key(self) -> list[tuple]:
+        groups = sorted(self.groups, key=lambda g: g.index[0])
+        return [(g.field, g.ambient, g.index.tobytes(), g.rows.tobytes()) for g in groups]
 
     def __eq__(self, other):
-        if isinstance(other, (GroupedBases, tuple)):
-            return self.subspaces == tuple(other)
-        return NotImplemented
+        return isinstance(other, GroupedBases) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self.subspaces)
-
-    def __repr__(self) -> str:
-        return repr(self.subspaces)
+        return hash(tuple(self._key()))
 
     def to_dicts(self) -> list[dict]:
         """The document of every subspace, {"q", "n", "dim", "rows"}, one
@@ -337,9 +309,9 @@ def subspaces_from_dicts(docs) -> GroupedBases:
 
 
 def check_in_space(subspaces, field: Field, n: int, item: str, owner: str) -> None:
-    """Raise unless every subspace lies in V(n, q) over ``field``; the error
-    names the first one outside, e.g. "member 3 over GF(4), spread has q = 2"."""
-    g = GroupedBases.of(subspaces).first(lambda g: (g.field, g.ambient) != (field, n))
+    """Raise unless all the grouped bases lie in V(n, q) over ``field``; the
+    error names the first outside, e.g. "member 3 over GF(4), spread has q = 2"."""
+    g = subspaces.first(lambda g: (g.field, g.ambient) != (field, n))
     if g is not None and g.field != field:
         raise FieldMismatchError(
             f"{item} {g.index[0]} over {g.field}, {owner} has q = {field.q}"

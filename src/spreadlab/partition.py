@@ -4,8 +4,7 @@ A partition of V(n, q) is a set of nonzero subspaces covering every nonzero
 vector exactly once.  Partial t-spreads induce partitions by filling the
 uncovered points with 1-dimensional parts; the resulting tail is what the
 counting arguments below squeeze.  Parts are held as bases arrays
-(linalg.GroupedBases), a spread's holes as one (h, 1, n) array; Subspace
-objects are built only when ``parts`` is read.
+(linalg.GroupedBases), a spread's holes as one (h, 1, n) array.
 
 Two counting identities constrain how parts sit inside hyperplanes.  With
 b_(H,d) = number of d-dimensional parts contained in the hyperplane H and
@@ -29,7 +28,6 @@ without this module.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +44,6 @@ from .errors import (
 from .gf import digits, field_for_order
 from .linalg import (
     GroupedBases,
-    Subspace,
     check_in_space,
     least_shared_pair,
     normalized_point_encodings,
@@ -64,10 +61,12 @@ class SubspacePartition:
 
     q: int
     n: int
-    parts: Sequence[Subspace]
+    parts: GroupedBases
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", GroupedBases.of(self.parts))
+        if not isinstance(self.parts, GroupedBases):
+            got = type(self.parts).__name__
+            raise InvalidParamsError(f"SubspacePartition takes GroupedBases, got {got}")
 
     @property
     def dim_counts(self) -> dict[int, int]:

@@ -314,7 +314,7 @@ def max_partial_spread(
     elif seed_spread is not None:
         witness = seed_spread
     else:
-        witness = PartialSpread(params, (), verified=True)
+        witness = PartialSpread(params, GroupedBases([]), verified=True)
     status = EXACT if state.exhausted else BUDGET_EXHAUSTED
     return SearchResult(
         params=params,

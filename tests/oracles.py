@@ -11,7 +11,8 @@ from ``intersect_dim`` alone, without the search's point bitsets.
 arithmetic, against the package's batched elimination over GF(p) digits,
 and ``intersect_dim`` ranks two stacked bases with it, so neither leans
 on the package's elimination; ``subspace`` builds a Subspace from any
-spanning rows with it.  ``mult_map_matrix`` builds the construction's
+spanning rows with it, and ``grouped`` turns Subspace records into the
+grouped bases that spreads and partitions hold.  ``mult_map_matrix`` builds the construction's
 matrices M_a one element at a time with field.mul, against its bulk rows.
 """
 
@@ -21,7 +22,9 @@ from collections import Counter
 from functools import lru_cache
 from itertools import product
 
-from spreadlab.linalg import Subspace
+import numpy as np
+
+from spreadlab.linalg import BasesGroup, GroupedBases, Subspace
 
 
 def encode(vec, q: int) -> int:
@@ -68,10 +71,11 @@ def contains(field, dual, subspace) -> bool:
 def profile_b_vectors(field, n: int, parts) -> list[tuple[int, ...]]:
     """For every hyperplane, in hyperplane_duals order, the number of parts
     of each dimension inside it, dimensions largest first."""
-    dims = sorted({s.dim for s in parts}, reverse=True)
+    parts = list(parts)
+    dims = sorted({len(s.rows) for s in parts}, reverse=True)
     out = []
     for h in hyperplane_duals(n, field):
-        inside = [s.dim for s in parts if contains(field, h, s)]
+        inside = [len(s.rows) for s in parts if contains(field, h, s)]
         out.append(tuple(inside.count(d) for d in dims))
     return out
 
@@ -86,7 +90,7 @@ def b_vector_groups(columns) -> tuple[list[tuple[int, ...]], dict]:
 
 def intersect_dim(a, b) -> int:
     """dim(A meet B) = dim A + dim B - rank of the stacked bases."""
-    return a.dim + b.dim - len(rref_rows(a.field, a.rows + b.rows, a.ambient))
+    return len(a.rows) + len(b.rows) - len(rref_rows(a.field, a.rows + b.rows, a.ambient))
 
 
 def max_disjoint(subspaces) -> int:
@@ -136,6 +140,19 @@ def rref_rows(field, rows, ncols: int) -> tuple[tuple[int, ...], ...]:
 def subspace(field, n: int, rows) -> Subspace:
     """The subspace of V(n, q) that the rows span."""
     return Subspace(field, n, rref_rows(field, rows, n))
+
+
+def grouped(subspaces) -> GroupedBases:
+    """Subspace records, in order, as grouped bases: one group per (field,
+    ambient, dim); their rows are taken to be RREF bases, unchecked."""
+    subspaces, keys = tuple(subspaces), {}
+    for i, s in enumerate(subspaces):
+        keys.setdefault((s.field, s.ambient, len(s.rows)), []).append(i)
+    return GroupedBases([
+        BasesGroup(f, n, np.reshape([subspaces[i].rows for i in index], (len(index), d, n)),
+                   np.array(index))
+        for (f, n, d), index in keys.items()
+    ])
 
 
 def mult_map_matrix(ext, a: int, t: int) -> tuple[tuple[int, ...], ...]:

@@ -73,6 +73,15 @@ class TestLowerBound:
         assert bounds.lower_bound(P(2, 5, 3)) == 1
         assert bounds.lower_bound(P(3, 7, 4)) == 1
 
+    def test_trivial_case_agrees_with_the_packing_formula(self):
+        # t + r = n when t < n < 2t, so the numerator q^n - q^(t+r) is 0
+        for q in (2, 3, 4, 5):
+            for t in range(2, 7):
+                for n in range(t + 1, 2 * t):
+                    r = n % t
+                    assert (q ** n - q ** (t + r)) // (q ** t - 1) + 1 == 1
+                    assert bounds.lower_bound(P(q, n, t)) == 1
+
 
 def omega_floor_oracle(q, t, r):
     # largest w with (2w + m)^2 <= D, found by unbounded upward scan

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -448,6 +449,18 @@ def test_bounds_with_t_at_least_2r_is_fast():
     assert "DRAKE_FREEMAN=2" in out
 
 
+def test_bounds_with_n_below_2t_is_fast():
+    # lower_bound is 1 when n < 2t, with no power of q computed
+    start = time.perf_counter()
+    rc, out, _ = go(["bounds", "--q", "3", "--n", "3000000", "--t", "2999999"])
+    assert time.perf_counter() - start < 2
+    assert rc == 0
+    assert out == (
+        "mu_3(3000000, 2999999) = 1 [TRIVIAL_OVERLAP]\n"
+        "  sources: TRIVIAL_OVERLAP=1 BHP_EXACT=1 NS_EXACT=1 DRAKE_FREEMAN=2\n"
+    )
+
+
 def test_large_non_prime_power_exits_two():
     rc, _, err = go(["bounds", "--q", str(3 * 2 ** 61), "--n", "3", "--t", "2"])
     assert rc == 2
@@ -617,6 +630,24 @@ def test_unknown_command_exits_two():
 def test_missing_required_flag_exits_two():
     rc, _, err = go(["bounds", "--q", "2", "--n", "8"])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "argv,rc,text",
+    [
+        (["bounds", "--q", "2", "--n", "8", "--t", "3"], 0, "mu_2(8, 3) = 34 [EJSSS_EXACT]\n"),
+        (["frobnicate"], 2, ""),
+    ],
+)
+def test_python_m_spreadlab_runs_from_the_source_tree(argv, rc, text):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "spreadlab", *argv], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == rc, proc.stderr
+    assert proc.stdout.startswith(text)
 
 
 def test_console_entry_point():

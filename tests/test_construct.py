@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import intersect_dim, mult_map_matrix, subspace
-from spreadlab import construct, linalg
+from oracles import grouped, intersect_dim, mult_map_matrix, subspace
+from spreadlab import construct, linalg, search
 from spreadlab import partition as pt
 from spreadlab.bounds import SpreadParams, lower_bound, theta
 from spreadlab.construct import (
@@ -58,7 +58,7 @@ class TestMultMap:
         mats = [mult_map_matrix(ext, a, t) for a in range(ext.q)]
         for c in range(1, ext.q):
             diff = mats[c]  # M_a - M_b = M_{a-b}, so checking M_c suffices
-            assert subspace(base, m, diff).dim == t
+            assert len(subspace(base, m, diff).rows) == t
         # and subtraction really does land back in the family
         a, b = ext.q - 1, 1
         sub = tuple(
@@ -105,7 +105,8 @@ class TestBuild:
     def test_trivial_ambient(self):
         sp = build_lower_bound_spread(P(2, 5, 3))
         assert sp.size == 1
-        assert sp.members[0].dim == 3
+        (member,) = sp.members
+        assert len(member.rows) == 3
         assert sp.verified is True
 
     def test_grid_verifies_and_hits_bound(self):
@@ -147,16 +148,17 @@ class TestBuild:
         # first member is [I_t | 0]; later same-level members keep the
         # identity block and vary the tail
         sp = build_lower_bound_spread(P(2, 6, 2))
-        rows0 = sp.members[0].rows
-        assert rows0 == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
-        for s in sp.members[:16]:
+        members = tuple(sp.members)
+        assert members[0].rows == ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))
+        for s in members[:16]:
             assert [r[:2] for r in s.rows] == [(1, 0), (0, 1)]
 
 
 class TestVerify:
     def test_duplicate_member_reported(self):
         sp = build_lower_bound_spread(P(2, 6, 3))
-        bad = PartialSpread(sp.params, (*sp.members, sp.members[2]))
+        members = tuple(sp.members)
+        bad = PartialSpread(sp.params, grouped((*members, members[2])))
         res = verify_partial_spread(bad)
         assert not res.ok
         assert res.clash == (2, 9)
@@ -166,28 +168,30 @@ class TestVerify:
         s1 = subspace(f, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
         s2 = subspace(f, 4, [(0, 0, 1, 0), (0, 0, 0, 1)])
         s3 = subspace(f, 4, [(1, 0, 0, 0), (0, 0, 1, 0)])
-        res = verify_partial_spread(PartialSpread(P(2, 4, 2), (s1, s2, s3)))
+        res = verify_partial_spread(PartialSpread(P(2, 4, 2), grouped((s1, s2, s3))))
         assert not res.ok
         assert res.clash == (0, 2)
 
     def test_wrong_dimension_rejected(self):
         f = field_for_order(2)
         line = subspace(f, 6, [(1, 0, 0, 0, 0, 0)])
-        res = verify_partial_spread(PartialSpread(P(2, 6, 2), (line,)))
+        res = verify_partial_spread(PartialSpread(P(2, 6, 2), grouped((line,))))
         assert not res.ok
         assert "dimension" in res.reason
         assert res.clash is None
 
     def test_point_cover_path_agrees(self):
         sp = build_lower_bound_spread(P(2, 7, 3))
-        bad = PartialSpread(sp.params, (*sp.members, sp.members[5]))
+        members = tuple(sp.members)
+        bad = PartialSpread(sp.params, grouped((*members, members[5])))
         res = verify_partial_spread(bad)
         assert res.ok is False
         assert res.clash == (5, 17)
         # over GF(4), two clashing pairs: the pair with the smaller second
         # index, (9, 17), is not the lexicographically least one, (3, 18)
         sp4 = build_lower_bound_spread(P(4, 4, 2))
-        members = (*sp4.members, sp4.members[9], sp4.members[3])
+        built = tuple(sp4.members)
+        members = (*built, built[9], built[3])
         pairs = [
             (i, j)
             for i in range(len(members))
@@ -195,13 +199,14 @@ class TestVerify:
             if intersect_dim(members[i], members[j]) > 0
         ]
         assert pairs == [(3, 18), (9, 17)]
-        res = verify_partial_spread(PartialSpread(sp4.params, members))
+        res = verify_partial_spread(PartialSpread(sp4.params, grouped(members)))
         assert res.ok is False
         assert res.clash == (3, 18)
 
     def test_inserted_copy_clashes_with_its_original(self):
         sp = build_lower_bound_spread(P(3, 6, 2))
-        bad = PartialSpread(sp.params, sp.members[:40] + (sp.members[7],) + sp.members[40:])
+        members = tuple(sp.members)
+        bad = PartialSpread(sp.params, grouped(members[:40] + (members[7],) + members[40:]))
         res = verify_partial_spread(bad)
         assert (res.ok, res.clash) == (False, (7, 40))
         assert res.reason == "members 7 and 40 share a nonzero vector"
@@ -212,8 +217,9 @@ class TestVerify:
         # (3, 18) is the lexicographically least pair and (3, 19) shares its
         # first index; small point blocks list the members over many blocks
         sp = build_lower_bound_spread(P(4, 4, 2))
-        planted = (sp.members[9], sp.members[3], sp.members[3])
-        bad = PartialSpread(sp.params, (*sp.members, *planted))
+        members = tuple(sp.members)
+        planted = (members[9], members[3], members[3])
+        bad = PartialSpread(sp.params, grouped((*members, *planted)))
         want = verify_partial_spread(bad)
         monkeypatch.setattr(linalg, "_POINT_BLOCK", point_block)
         res = verify_partial_spread(bad)
@@ -228,7 +234,7 @@ class TestVerify:
         halves = (Subspace(f, 44, tuple(eye[:22])), Subspace(f, 44, tuple(eye[22:])))
         start = time.monotonic()
         with pytest.raises(BudgetExceededError, match="8388606 points, point budget"):
-            verify_partial_spread(PartialSpread(P(2, 44, 22), halves))
+            verify_partial_spread(PartialSpread(P(2, 44, 22), grouped(halves)))
         assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("q,n", [(2, 64), (3, 41), (4, 32)])
@@ -239,11 +245,11 @@ class TestVerify:
         rng = random.Random(n)
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(7)]
         lines = [subspace(f, n, rows[i:i + 2]) for i in (0, 2, 4)]
-        assert verify_partial_spread(PartialSpread(P(q, n, 2), lines)).ok
+        assert verify_partial_spread(PartialSpread(P(q, n, 2), grouped(lines))).ok
         # a multiple of member 1's first row lies in the new member 3
         multiple = [f.mul(q - 1, x) for x in rows[2]]
         meets = subspace(f, n, [rows[6], multiple])
-        res = verify_partial_spread(PartialSpread(P(q, n, 2), lines + [meets]))
+        res = verify_partial_spread(PartialSpread(P(q, n, 2), grouped(lines + [meets])))
         assert (res.ok, res.clash) == (False, (1, 3))
 
     def test_ambient_mismatch_raises(self):
@@ -251,17 +257,17 @@ class TestVerify:
         s = subspace(f, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
         msg = "^member 0 in ambient 5, spread has n = 6$"
         with pytest.raises(AmbientMismatchError, match=msg):
-            verify_partial_spread(PartialSpread(P(2, 6, 2), (s,)))
+            verify_partial_spread(PartialSpread(P(2, 6, 2), grouped((s,))))
 
     def test_field_mismatch_raises(self):
         f3 = field_for_order(3)
         s = subspace(f3, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
         msg = r"^member 0 over GF\(3\), spread has q = 2$"
         with pytest.raises(FieldMismatchError, match=msg):
-            verify_partial_spread(PartialSpread(P(2, 4, 2), (s,)))
+            verify_partial_spread(PartialSpread(P(2, 4, 2), grouped((s,))))
 
     def test_empty_ok(self):
-        res = verify_partial_spread(PartialSpread(P(2, 6, 2), ()))
+        res = verify_partial_spread(PartialSpread(P(2, 6, 2), grouped(())))
         assert res.ok
 
 
@@ -280,6 +286,77 @@ class TestSerialization:
         back = spread_from_dict(sp.to_dict())
         assert back.members == sp.members
         assert verify_partial_spread(back).ok
+
+
+class TestGroupedMembers:
+    """What the benchmark's output checks read: iterating a spread's members,
+    a partition's parts or a search witness yields Subspace records, in
+    position order, whose rows are tuples of ints as in to_dicts(); == and
+    hash compare the arrays and build no Subspace."""
+
+    @staticmethod
+    def _assert_records(bases):
+        records = list(bases)
+        assert len(records) == len(bases)
+        want = [tuple(map(tuple, d["rows"])) for d in bases.to_dicts()]
+        assert [s.rows for s in records] == want
+        for s in records:
+            hash(s.rows)
+            assert all(type(x) is int for r in s.rows for x in r)
+
+    @pytest.mark.parametrize("q,n,t", [(2, 7, 3), (3, 5, 2), (4, 5, 2)])
+    def test_iteration_yields_rows_in_position_order(self, q, n, t):
+        spread = build_lower_bound_spread(P(q, n, t))
+        part = pt.partition_from_spread(spread)
+        assert len(part.parts.groups) == 2  # t-members and holes
+        # parts of two dimensions shuffled, so the groups interleave
+        docs = part.parts.to_dicts()
+        random.Random(q).shuffle(docs)
+        shuffled = linalg.subspaces_from_dicts(docs)
+        assert [s.rows for s in shuffled] == [tuple(map(tuple, d["rows"])) for d in docs]
+        witness = search.max_partial_spread(P(2, 5, 2)).witness
+        for bases in (spread.members, part.parts, shuffled, witness.members):
+            self._assert_records(bases)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("q,n,t", [(2, 7, 3), (3, 5, 2), (4, 7, 2)])
+    def test_equality_and_hash_follow_the_members(self, q, n, t, seed, monkeypatch):
+        doc = build_lower_bound_spread(P(q, n, t)).to_dict()
+        moved = spread_from_dict(checks.rebase_spread_doc(doc, random.Random(seed)))
+        # the built documents in the rebased copy's member order
+        by_rows = {tuple(map(tuple, d["rows"])): d for d in doc["members"]}
+        members = [by_rows[s.rows] for s in moved.members]
+        same = spread_from_dict({**doc, "members": members})
+        swapped = spread_from_dict({**doc, "members": [members[1], members[0], *members[2:]]})
+        repeated = spread_from_dict({**doc, "members": [members[1], *members[1:]]})
+        records = tuple(moved.members)
+
+        def no_subspace(*args, **kwargs):
+            raise AssertionError("== or hash built a Subspace")
+
+        monkeypatch.setattr(linalg, "Subspace", no_subspace)
+        assert same.members == moved.members
+        assert hash(same.members) == hash(moved.members)
+        assert same == moved and hash(same) == hash(moved)
+        for other in (swapped, repeated):
+            assert other.members != moved.members
+            assert hash(other.members) != hash(moved.members)
+        assert moved.members != records  # no tuple view to compare with
+
+    @pytest.mark.parametrize(
+        "name,make",
+        [
+            ("PartialSpread", lambda bases: PartialSpread(P(2, 4, 2), bases)),
+            ("SubspacePartition", lambda bases: pt.SubspacePartition(2, 4, bases)),
+        ],
+    )
+    def test_only_grouped_bases_are_taken(self, name, make):
+        members = build_lower_bound_spread(P(2, 4, 2)).members
+        make(members)
+        for given, got in [(tuple(members), "tuple"), (members.to_dicts(), "list")]:
+            msg = f"^{name} takes GroupedBases, got {got}$"
+            with pytest.raises(InvalidParamsError, match=msg):
+                make(given)
 
 
 def _doc_with(edit):

@@ -12,6 +12,7 @@ from oracles import (
     contains,
     decode,
     encode,
+    grouped,
     hyperplane_duals,
     intersect_dim,
     rref_rows,
@@ -142,7 +143,7 @@ def test_canonical_form_invariant_under_row_ops(field):
 def test_numpy_integer_rows_give_the_int_result(dtype):
     rows = [(2, 1, 0, 3, 1), (0, 3, 2, 0, 1), (0, 0, 3, 3, 2)]
     want = subspace(GF4, 5, rows)
-    assert want.dim == 3
+    assert len(want.rows) == 3
     as_arrays = [np.array(r, dtype=dtype) for r in rows]
     as_scalars = [tuple(map(dtype, r)) for r in rows]
     for given in (as_arrays, as_scalars):
@@ -183,34 +184,34 @@ def test_ambient_mismatch():
     a = subspace(GF2, 3, [(1, 0, 0)])
     b = subspace(GF2, 4, [(1, 0, 0, 0)])
     with pytest.raises(AmbientMismatchError):
-        linalg.check_in_space((a, b), GF2, 3, "member", "spread")
+        linalg.check_in_space(grouped((a, b)), GF2, 3, "member", "spread")
 
 
 def test_field_mismatch():
     a = subspace(GF2, 3, [(1, 0, 0)])
     b = subspace(GF3, 3, [(1, 0, 0)])
     with pytest.raises(FieldMismatchError):
-        linalg.check_in_space((a, b), GF2, 3, "member", "spread")
+        linalg.check_in_space(grouped((a, b)), GF2, 3, "member", "spread")
 
 
 def test_check_in_space_names_the_first_subspace_outside():
     inside = subspace(GF2, 3, [(1, 0, 0)])
     over_gf4 = subspace(GF4, 3, [(1, 0, 0)])
     in_v4 = subspace(GF2, 4, [(1, 0, 0, 0)])
-    linalg.check_in_space([inside] * 3, GF2, 3, "member", "spread")
+    linalg.check_in_space(grouped([inside] * 3), GF2, 3, "member", "spread")
     msg = r"^member 3 over GF\(4\), spread has q = 2$"
     with pytest.raises(FieldMismatchError, match=msg):
-        linalg.check_in_space([inside] * 3 + [over_gf4], GF2, 3, "member", "spread")
+        linalg.check_in_space(grouped([inside] * 3 + [over_gf4]), GF2, 3, "member", "spread")
     msg = "^part 1 in ambient 4, partition has n = 3$"
     with pytest.raises(AmbientMismatchError, match=msg):
-        linalg.check_in_space([inside, in_v4], GF2, 3, "part", "partition")
+        linalg.check_in_space(grouped([inside, in_v4]), GF2, 3, "part", "partition")
 
 
 def test_subspace_json_roundtrip():
     s = subspace(GF4, 3, [(1, 2, 3), (2, 1, 1)])
-    (d,) = linalg.GroupedBases.of([s]).to_dicts()
+    (d,) = grouped([s]).to_dicts()
     assert set(d) == {"q", "n", "dim", "rows"}
-    assert linalg.subspaces_from_dicts([d]) == (s,)
+    assert tuple(linalg.subspaces_from_dicts([d])) == (s,)
 
 
 def test_subspace_from_dict_checks_dim():
@@ -251,7 +252,7 @@ def test_enumeration_count_matches_formula():
     assert len(subs) == 35
     assert len(set(subs)) == 35
     for s in subs:
-        assert s.dim == 2
+        assert len(s.rows) == 2
         assert _rref(GF2, s.rows, 4) == s.rows  # already canonical
 
 
@@ -282,7 +283,7 @@ def test_enumeration_budget(monkeypatch):
 def test_enumeration_dim_zero():
     subs = list(linalg.enumerate_subspaces(3, 0, GF2))
     assert len(subs) == 1
-    assert subs[0].dim == 0
+    assert subs[0].rows == ()
 
 
 def _grid_order(n, d, q):
@@ -343,7 +344,7 @@ def test_subspace_bases_budget_before_allocation(monkeypatch):
 def _bases(subspaces):
     """The bases of subspaces of one field, ambient space and dimension, as
     one (m, d, n) array."""
-    d, n = subspaces[0].dim, subspaces[0].ambient
+    d, n = len(subspaces[0].rows), subspaces[0].ambient
     return np.array([s.rows for s in subspaces]).reshape(len(subspaces), d, n)
 
 
@@ -363,15 +364,15 @@ def _with_singles(s):
         for e in linalg.normalized_point_encodings(n, field.q).tolist()
         if e not in inside
     )
-    return pt.SubspacePartition(field.q, n, (s,) + singles)
+    return pt.SubspacePartition(field.q, n, grouped((s,) + singles))
 
 
 def _profile_containing(s):
     """Dual encodings of the hyperplanes that hyperplane_profile counts s in,
     for s of dimension 0 or at least 2."""
     prof = pt.hyperplane_profile(_with_singles(s))
-    assert prof.dim_counts[s.dim] == 1
-    k = prof.dims.index(s.dim)
+    assert prof.dim_counts[len(s.rows)] == 1
+    k = prof.dims.index(len(s.rows))
     duals = linalg.normalized_point_encodings(s.ambient, s.field.q).tolist()
     return [h for h, b in zip(duals, prof.b_vectors) if b[k]]
 
@@ -485,7 +486,7 @@ def _random_subspaces(field, n, d, count, seed):
     while len(out) < count:
         rows = [[rng.randrange(field.q) for _ in range(n)] for _ in range(d)]
         s = subspace(field, n, rows)
-        if s.dim == d:
+        if len(s.rows) == d:
             out.append(s)
     return out
 

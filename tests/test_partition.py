@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import b_vector_groups, decode, profile_b_vectors, subspace
+from oracles import b_vector_groups, decode, grouped, profile_b_vectors, subspace
 from spreadlab import linalg
 from spreadlab import partition as pt
 from spreadlab.bounds import SpreadParams, theta
@@ -48,7 +48,7 @@ def with_singles(q, n, big):
         for e in normalized_point_encodings(n, q).tolist()
         if e not in covered
     )
-    return pt.SubspacePartition(q, n, tuple(big) + singles)
+    return pt.SubspacePartition(q, n, grouped(tuple(big) + singles))
 
 
 def _three_dimensions():
@@ -77,7 +77,7 @@ class TestFromSpread:
         f = field_for_order(2)
         eye = [tuple(int(i == j) for j in range(24)) for i in range(24)]
         spread = PartialSpread(
-            P(2, 24, 2), (subspace(f, 24, eye[:2]),), verified=True
+            P(2, 24, 2), grouped([subspace(f, 24, eye[:2])]), verified=True
         )
         with pytest.raises(BudgetExceededError):
             pt.partition_from_spread(spread)
@@ -106,7 +106,8 @@ class TestVerifyPartition:
 
     def test_double_cover_found(self):
         part = singles_partition(2, 3)
-        doubled = pt.SubspacePartition(2, 3, (*part.parts, part.parts[0]))
+        parts = tuple(part.parts)
+        doubled = pt.SubspacePartition(2, 3, grouped((*parts, parts[0])))
         res = pt.verify_partition(doubled)
         assert not res.ok
         assert "parts 0 and 7" in res.reason
@@ -114,14 +115,14 @@ class TestVerifyPartition:
 
     def test_missing_point_found(self):
         part = singles_partition(2, 3)
-        res = pt.verify_partition(pt.SubspacePartition(2, 3, part.parts[1:]))
+        res = pt.verify_partition(pt.SubspacePartition(2, 3, grouped(tuple(part.parts)[1:])))
         assert not res.ok
         assert res.reason == "point not covered"
         assert res.witness == (1, 0, 0)
 
     def test_budget(self):
         with pytest.raises(BudgetExceededError):
-            pt.verify_partition(pt.SubspacePartition(2, 23, ()))
+            pt.verify_partition(pt.SubspacePartition(2, 23, grouped(())))
 
 
 class TestProfile:
@@ -150,7 +151,7 @@ class TestProfile:
     def test_whole_space_part(self):
         f = field_for_order(2)
         whole = subspace(f, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        prof = pt.hyperplane_profile(pt.SubspacePartition(2, 3, (whole,)))
+        prof = pt.hyperplane_profile(pt.SubspacePartition(2, 3, grouped((whole,))))
         assert prof.s_b == {(0,): 7}
 
     def test_generic_path_gf4(self):
@@ -185,7 +186,7 @@ class TestProfile:
 
     def test_non_partition_rejected(self):
         part = singles_partition(2, 3)
-        broken = pt.SubspacePartition(2, 3, part.parts[1:])
+        broken = pt.SubspacePartition(2, 3, grouped(tuple(part.parts)[1:]))
         # every hyperplane breaks 1 + 2 b_1 = 6; the first is (1, 0, 0)
         with pytest.raises(IdentityViolationError, match=r"hyperplane \(1, 0, 0\):"):
             pt.hyperplane_profile(broken)
@@ -209,7 +210,7 @@ class TestProfile:
 
     def test_point_cap(self):
         with pytest.raises(BudgetExceededError):
-            pt.hyperplane_profile(pt.SubspacePartition(2, 30, ()))
+            pt.hyperplane_profile(pt.SubspacePartition(2, 30, grouped(())))
 
     # parts outside the declared V(3, 2): seven points of V(4, 2) or V(2, 2),
     # or a point of V(3, 4); verify_partition and the profile share the check
@@ -217,15 +218,15 @@ class TestProfile:
     @pytest.mark.parametrize("ambient", [4, 2])
     def test_part_in_other_ambient_rejected(self, check, ambient):
         point = Subspace(field_for_order(2), ambient, ((1,) + (0,) * (ambient - 1),))
-        part = pt.SubspacePartition(2, 3, (point,) * 7)
+        part = pt.SubspacePartition(2, 3, grouped((point,) * 7))
         with pytest.raises(AmbientMismatchError, match=f"part 0 in ambient {ambient}"):
             check(part)
 
     @pytest.mark.parametrize("check", [pt.hyperplane_profile, pt.verify_partition])
     def test_part_over_other_field_rejected(self, check):
-        singles = singles_partition(2, 3).parts
+        singles = tuple(singles_partition(2, 3).parts)
         point = Subspace(field_for_order(4), 3, ((1, 0, 0),))
-        part = pt.SubspacePartition(2, 3, singles[:6] + (point,))
+        part = pt.SubspacePartition(2, 3, grouped(singles[:6] + (point,)))
         with pytest.raises(FieldMismatchError, match=r"part 6 over GF\(4\)"):
             check(part)
 

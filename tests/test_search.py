@@ -15,6 +15,7 @@ from spreadlab.construct import verify_partial_spread
 from spreadlab.errors import BudgetExceededError, InvalidParamsError
 from spreadlab.gf import field_for_order
 from spreadlab.linalg import (
+    GroupedBases,
     enumerate_subspaces,
     gaussian_binomial,
     point_encodings_of_bases,
@@ -160,7 +161,7 @@ class TestRoot:
         adj, _ = search._adjacency(ords, theta(6, 2))
         c1 = bits(adj[0])[0]
         res = search.max_partial_spread(P(2, 6, 3), warm_start=False)
-        assert res.witness.members[:2] == (subs[0], subs[c1])
+        assert tuple(res.witness.members)[:2] == (subs[0], subs[c1])
 
     # (2,5,3) has no disjoint pair, so its root fixes one member
     @pytest.mark.parametrize(
@@ -362,7 +363,8 @@ class TestBudgets:
         assert res.status == search.BUDGET_EXHAUSTED
         assert res.nodes_explored == 1
         assert res.best_size == 0
-        assert res.witness.members == ()
+        assert len(res.witness.members) == 0
+        assert res.witness.members == GroupedBases([])
         assert res.witness.verified is True
         assert verify_partial_spread(res.witness).ok
         assert res.to_dict()["witness"]["members"] == []
