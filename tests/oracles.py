@@ -12,8 +12,9 @@ arithmetic, against the package's batched elimination over GF(p) digits,
 and ``intersect_dim`` ranks two stacked bases with it, so neither leans
 on the package's elimination; ``subspace`` builds a Subspace from any
 spanning rows with it, and ``grouped`` turns Subspace records into the
-grouped bases that spreads and partitions hold.  ``mult_map_matrix`` builds the construction's
-matrices M_a one element at a time with field.mul, against its bulk rows.
+grouped bases that spreads and partitions hold.  ``mult_map_matrix``
+builds the construction's matrices M_a one element at a time with
+field.mul, against its bulk rows.
 """
 
 from __future__ import annotations

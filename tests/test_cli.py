@@ -450,7 +450,7 @@ def test_bounds_with_t_at_least_2r_is_fast():
 
 
 def test_bounds_with_n_below_2t_is_fast():
-    # lower_bound is 1 when n < 2t, with no power of q computed
+    # lower_bound returns 1 for n < 2t without computing q^n
     start = time.perf_counter()
     rc, out, _ = go(["bounds", "--q", "3", "--n", "3000000", "--t", "2999999"])
     assert time.perf_counter() - start < 2
