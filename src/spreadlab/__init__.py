@@ -62,14 +62,11 @@ from .errors import (
 from .gf import Field, ext_field, field_for_order, field_new, prime_power
 from .linalg import Subspace, enumerate_subspaces, gaussian_binomial
 from .partition import (
-    HedenCase,
     HyperplaneProfile,
     SubspacePartition,
     descent_certificate,
-    heden_case,
     hyperplane_profile,
     partition_from_spread,
-    verify_partition,
 )
 from .search import SearchResult, greedy_result, greedy_spread, max_partial_spread
 

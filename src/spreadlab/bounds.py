@@ -9,8 +9,9 @@ bound (math.isqrt plus an interval argument).
 
 Upper-bound sources
 -------------------
-DRAKE_FREEMAN   classical upper bound, any r > 0
-MAIN_THEOREM    descent upper bound for the regime 2 <= r < t <= theta_r
+DRAKE_FREEMAN   classical upper bound, any r > 0 with n >= 2t
+MAIN_THEOREM    descent upper bound for the regime 2 <= r < t <= theta_r,
+                n >= 2t
 TRIVIAL_OVERLAP n < 2t forces any two t-subspaces to meet: mu = 1
 SPREAD_EXACT    r = 0: perfect spreads exist, mu = theta_n / theta_t
 BHP_EXACT       r in {0, 1}: the packing lower bound is tight
@@ -277,7 +278,8 @@ def best_known(params: SpreadParams) -> BoundReport:
 
     Exactness precedence: trivial overlap (n < 2t), perfect spread (r = 0),
     packing-tight r = 1, the q = 2 t = 3 family, the q = 2 r = 2 family,
-    then t > theta_r.  All applicable sources are recorded in ``uppers``.
+    then t > theta_r.  All applicable sources are recorded in ``uppers``;
+    for n < 2t only the exactness rows are.
     """
     q, n, t, r = params.q, params.n, params.t, params.r
     packing = lower_bound(params)
@@ -297,10 +299,11 @@ def best_known(params: SpreadParams) -> BoundReport:
         exact_rows.append(UpperBound(packing, NS_EXACT))
 
     uppers = list(exact_rows)
-    if r > 0:
-        uppers.append(UpperBound(drake_freeman(params), DRAKE_FREEMAN))
-    if in_main_regime(params):
-        uppers.append(UpperBound(main_bound(params), MAIN_THEOREM))
+    if n >= 2 * t:  # below, mu = 1 and these bounds are of order q^(n-t)
+        if r > 0:
+            uppers.append(UpperBound(drake_freeman(params), DRAKE_FREEMAN))
+        if in_main_regime(params):
+            uppers.append(UpperBound(main_bound(params), MAIN_THEOREM))
 
     exact = exact_rows[0] if exact_rows else None
     lower = exact.value if exact else packing

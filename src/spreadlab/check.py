@@ -1,9 +1,11 @@
 """Replay of descent certificates without the code that writes them.
 
 A certificate is the JSON document `partition.descent_certificate` returns,
-derived through bounds.py and `partition.heden_case`.  This module imports
-neither: it checks the document's keys and JSON types, then recomputes every
-field with its own integer forms, so a bug they share cannot pass both sides.
+derived through bounds.py; its tail step is the tail theorem's case (iv) at
+part dimensions (1, 2).  This module imports neither partition.py nor
+bounds.py: it checks the document's keys and JSON types, then recomputes
+every field with its own integer forms, so a bug they share cannot pass
+both sides.
 """
 
 from __future__ import annotations

@@ -559,11 +559,10 @@ def least_shared_pair(subspaces: GroupedBases) -> tuple[int, int, int] | None:
     owners = np.concatenate(owners)
     order = np.lexsort((owners, encs))
     encs, owners = encs[order], owners[order]
-    repeat = np.flatnonzero(encs[1:] == encs[:-1]) + 1
-    # first owner of each run of equal encodings, carried along the run
-    head = np.ones(len(encs), dtype=bool)
-    head[repeat] = False
-    first = np.maximum.accumulate(np.where(head, np.arange(len(encs)), 0))
-    a, b, shared = owners[first[repeat]], owners[repeat], encs[repeat]
+    # a subspace lists each of its points once, so the owners of a run of
+    # equal encodings ascend strictly and its first two give its least pair
+    same = encs[1:] == encs[:-1]
+    second = np.flatnonzero(same & ~np.concatenate([[False], same[:-1]])) + 1
+    a, b, shared = owners[second - 1], owners[second], encs[second]
     best = np.lexsort((shared, b, a))[0]
     return int(a[best]), int(b[best]), int(shared[best])

@@ -13,9 +13,11 @@ n_d = number of d-dimensional parts:
     (1)  1 + sum_d b_(H,d) q^d  =  number of parts, for every H;
     (2)  sum_H b_(H,d)  =  n_d * theta_(n-d), for every d.
 
-The tail theorem (`heden_case`) bounds the number n_d1 of minimal-dimension
-parts in terms of the second-smallest dimension d2, split by whether
-q^(d2-d1) divides n_d1 and whether d2 >= 2*d1.
+The tail theorem (Heden 2009) bounds the number n_d1 of minimal-dimension
+parts in terms of the second-smallest dimension d2.  The descent applies it
+at (d1, d2) = (1, 2) to a tail of delta_2 points, a nonzero multiple of q
+below q^2: that is its case (iv), q^(d2-d1) | n_d1 and d2 >= 2*d1, which
+needs n_d1 >= q^d2 and so fails.
 
 `descent_certificate` writes the arithmetic trail of the supposition
 "a partial t-spread of size l*q^t + x + 1 exists" as a JSON document: the
@@ -45,7 +47,6 @@ from .gf import digits, field_for_order
 from .linalg import (
     GroupedBases,
     check_in_space,
-    least_shared_pair,
     normalized_point_encodings,
     point_encodings_of_bases,
     point_ordinals,
@@ -77,15 +78,6 @@ class SubspacePartition:
         return dict(sorted(counts.items(), reverse=True))
 
 
-def _covered(parts: GroupedBases, n: int, q: int) -> np.ndarray:
-    """Flags, by point ordinal, of the points of V(n, q) the parts cover."""
-    covered = np.zeros(theta(n, q), dtype=bool)
-    for g in parts.groups:
-        for _, block in point_encodings_of_bases(g.field, g.rows):
-            covered[point_ordinals(block, n, q)] = True
-    return covered
-
-
 def partition_from_spread(spread: PartialSpread) -> SubspacePartition:
     """Extend a verified partial spread to a partition by adding one
     1-dimensional part per uncovered point, in ascending encoding order."""
@@ -97,44 +89,15 @@ def partition_from_spread(spread: PartialSpread) -> SubspacePartition:
     q, n = params.q, params.n
     check_verify_budget(f"V({n}, {q})", theta(n, q))
     field = field_for_order(q)
-    holes = normalized_point_encodings(n, q)[~_covered(spread.members, n, q)]
+    covered = np.zeros(theta(n, q), dtype=bool)
+    for g in spread.members.groups:
+        for _, block in point_encodings_of_bases(g.field, g.rows):
+            covered[point_ordinals(block, n, q)] = True
+    holes = normalized_point_encodings(n, q)[~covered]
     # a normalized vector is already the RREF basis of its point
     singles = holes[:, None, None] // q ** np.arange(n) % q
     parts = spread.members.extended(field, n, singles.astype(np.min_scalar_type(q - 1)))
     return SubspacePartition(q, n, parts)
-
-
-@dataclass(frozen=True)
-class PartitionCheck:
-    ok: bool
-    reason: str = ""
-    witness: tuple[int, ...] | None = None
-
-
-def verify_partition(partition: SubspacePartition) -> PartitionCheck:
-    """Exact cover check on the parts' points.
-
-    Reports the lexicographically least pair of parts sharing a point, else
-    the least point no part covers."""
-    q, n = partition.q, partition.n
-    total = theta(n, q)
-    check_verify_budget("partition", total)
-    parts = partition.parts
-    check_in_space(parts, field_for_order(q), n, "part", "partition")
-    if any(g.dim == 0 for g in parts.groups):
-        return PartitionCheck(False, "zero-dimensional part")
-
-    shared = least_shared_pair(parts)
-    if shared is not None:
-        j, i, enc = shared
-        return PartitionCheck(
-            False, f"point covered by parts {j} and {i}", digits(enc, q, n)
-        )
-    if sum(len(g.rows) * theta(g.dim, q) for g in parts.groups) < total:
-        covered = _covered(parts, n, q)
-        enc = int(normalized_point_encodings(n, q)[np.argmin(covered)])
-        return PartitionCheck(False, "point not covered", digits(enc, q, n))
-    return PartitionCheck(True)
 
 
 # ---------------------------------------------------------------------------
@@ -319,51 +282,6 @@ def _b_vector_groups(stacked: np.ndarray) -> tuple[tuple, dict]:
 
 
 # ---------------------------------------------------------------------------
-# tail bounds
-
-@dataclass(frozen=True)
-class HedenCase:
-    """Tail-theorem classification for n_d1 parts of minimal dimension d1
-    next to second-smallest dimension d2.
-
-    ``required_min`` is the threshold n_d1 must meet in its case; in case
-    (ii) equality with (q^d2 - 1)/(q^d1 - 1) is the one escape below the
-    threshold, flagged by ``exceptional``.
-    """
-
-    case: str
-    divides: bool
-    wide: bool
-    required_min: int
-    satisfied: bool
-    exceptional: bool
-
-
-def heden_case(n_d1: int, d1: int, d2: int, q: int) -> HedenCase:
-    """Classify the tail count n_d1 against the tail theorem.
-
-    Cases by (q^(d2-d1) divides n_d1, d2 >= 2*d1):
-      (i)   no/no:   n_d1 >= q^d1 + 1
-      (ii)  no/yes:  n_d1 = (q^d2 - 1)/(q^d1 - 1), or n_d1 > 2*q^(d2-d1)
-      (iii) yes/no:  n_d1 >= q^d2 - q^d1 + q^(d2-d1)
-      (iv)  yes/yes: n_d1 >= q^d2
-    """
-    if n_d1 < 1 or not 1 <= d1 < d2:
-        raise InvalidParamsError(
-            f"need n_d1 >= 1 and 1 <= d1 < d2, got n_d1={n_d1} d1={d1} d2={d2}"
-        )
-    gap = q ** (d2 - d1)
-    divides = n_d1 % gap == 0
-    wide = d2 >= 2 * d1
-    at = 2 * divides + wide
-    case = ("i", "ii", "iii", "iv")[at]
-    required = (q ** d1 + 1, 2 * gap + 1, q ** d2 - q ** d1 + gap, q ** d2)[at]
-    exceptional = case == "ii" and n_d1 * (q ** d1 - 1) == q ** d2 - 1
-    satisfied = exceptional or n_d1 >= required
-    return HedenCase(case, divides, wide, required, satisfied, exceptional)
-
-
-# ---------------------------------------------------------------------------
 # descent certificates
 
 
@@ -401,14 +319,14 @@ def descent_certificate(q: int, n: int, t: int, x: int | None = None) -> dict:
         for j in range(t - 1)
     ]
     d2 = delta(x, 2, q)
-    hed = heden_case(d2, 1, 2, q)
+    assert d2 % q == 0 < d2  # the tail theorem's case (iv) at dimensions (1, 2)
     final = {
         "delta2": d2,
         "delta2_max": q * q - q,
         "required_dim2": q * q,
         "required_dim_ge3_min": min(theta(3, q), 2 * q * q, q ** 3),
-        "heden_case": hed.case,
-        "heden_satisfied": hed.satisfied,
+        "heden_case": "iv",
+        "heden_satisfied": d2 >= q * q,
     }
     return {
         "q": q, "n": n, "t": t, "r": r, "x": x, "h": h, "ell": ell,

@@ -14,7 +14,11 @@ on the package's elimination; ``subspace`` builds a Subspace from any
 spanning rows with it, and ``grouped`` turns Subspace records into the
 grouped bases that spreads and partitions hold.  ``mult_map_matrix``
 builds the construction's matrices M_a one element at a time with
-field.mul, against its bulk rows.
+field.mul, against its bulk rows.  ``points`` lists a subspace's points
+from the field tables alone; ``cover_faults`` checks with it that parts
+partition the space, against the package's point numbering, and
+``pairwise_least_shared`` finds the least pair of subspaces that meet,
+against the package's sort of every point listed.
 """
 
 from __future__ import annotations
@@ -79,6 +83,41 @@ def profile_b_vectors(field, n: int, parts) -> list[tuple[int, ...]]:
         inside = [len(s.rows) for s in parts if contains(field, h, s)]
         out.append(tuple(inside.count(d) for d in dims))
     return out
+
+
+def points(field, subspace) -> frozenset[int]:
+    """Encodings of the subspace's points: every nonzero combination of its
+    rows, scaled so its first nonzero coordinate is 1."""
+    add, mul = _tables(field)
+    out = set()
+    for coeffs in product(range(field.q), repeat=len(subspace.rows)):
+        vec = [0] * subspace.ambient
+        for c, row in zip(coeffs, subspace.rows):
+            vec = [add[v][mul[c][x]] for v, x in zip(vec, row)]
+        if any(vec):
+            inv = mul[next(x for x in vec if x)].index(1)
+            out.add(encode([mul[inv][x] for x in vec], field.q))
+    return frozenset(out)
+
+
+def cover_faults(field, n: int, parts) -> tuple[list[int], list[int]]:
+    """The points of V(n, q) that the parts cover more than once, and the
+    points they miss, each by ascending encoding: both empty iff the parts
+    partition the space."""
+    counts = Counter(e for s in parts for e in points(field, s))
+    every = [encode(v, field.q) for v in hyperplane_duals(n, field)]
+    return sorted(e for e, c in counts.items() if c > 1), [e for e in every if e not in counts]
+
+
+def pairwise_least_shared(subspaces) -> tuple[int, int, int] | None:
+    """The least index pair (a, b), a < b, of subspaces sharing a point,
+    with the least such point's encoding, by comparing every pair."""
+    listed = [points(s.field, s) for s in subspaces]
+    for a, first in enumerate(listed):
+        for b in range(a + 1, len(listed)):
+            if first & listed[b]:
+                return a, b, min(first & listed[b])
+    return None
 
 
 def b_vector_groups(columns) -> tuple[list[tuple[int, ...]], dict]:

@@ -29,7 +29,6 @@ def test_public_names_are_pinned():
         "EJSSS_EXACT",
         "Field",
         "FieldMismatchError",
-        "HedenCase",
         "HyperplaneProfile",
         "HypothesisViolatedError",
         "IdentityViolationError",
@@ -69,7 +68,6 @@ def test_public_names_are_pinned():
         "greedy_result",
         "greedy_spread",
         "h_of",
-        "heden_case",
         "hyperplane_profile",
         "in_main_regime",
         "lemma_main_bound",
@@ -82,7 +80,6 @@ def test_public_names_are_pinned():
         "spread_from_dict",
         "theta",
         "verify_partial_spread",
-        "verify_partition",
     ]
 
 

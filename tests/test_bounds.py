@@ -1,3 +1,4 @@
+import time
 from math import isqrt
 
 import pytest
@@ -119,6 +120,12 @@ class TestOmegaFloor:
                     closed = q ** r // 2 - 1
                     assert (isqrt(D) - m) // 2 == closed
                     assert bounds.omega_floor(q, t, r) == closed
+
+    def test_closed_form_is_fast(self):
+        # t >= 2r: no isqrt of a 3-million-digit number
+        start = time.perf_counter()
+        assert bounds.omega_floor(3, 999999, 1) == 0
+        assert time.perf_counter() - start < 2
 
     def test_rejects_r0(self):
         with pytest.raises(InvalidParamsError):
@@ -418,9 +425,9 @@ class TestBestKnown:
                     if rep.exact:
                         assert rep.lower == rep.best_upper == rep.exact.value
                     r = n % t
-                    assert (bounds.DRAKE_FREEMAN in srcs) == (r > 0)
+                    assert (bounds.DRAKE_FREEMAN in srcs) == (r > 0 and n >= 2 * t)
                     assert (bounds.MAIN_THEOREM in srcs) == (
-                        2 <= r < t <= theta(r, q)
+                        2 <= r < t <= theta(r, q) and n >= 2 * t
                     )
 
     def test_to_dict_shape(self):

@@ -437,7 +437,7 @@ class TestParse:
             verify_partial_spread(spread)
         partition = pt.SubspacePartition(2, 4, spread.members)
         with pytest.raises(error, match=rf"^part 2 {text}, partition has [qn] = \d$"):
-            pt.verify_partition(partition)
+            pt.hyperplane_profile(partition)
 
     @pytest.mark.parametrize(
         "key,value,got",

@@ -220,7 +220,7 @@ class TestBestKnownCoherence:
                     srcs = {u.source: u.value for u in rep.uppers}
                     assert rep.best_upper == min(srcs.values())
                     assert all(v >= rep.lower for v in srcs.values())
-                    assert (DRAKE_FREEMAN in srcs) == (params.r > 0)
+                    assert (DRAKE_FREEMAN in srcs) == (params.r > 0 and n >= 2 * t)
                     if rep.exact:
                         assert rep.exact.value == rep.lower == rep.best_upper
                         assert srcs[rep.exact.source] == rep.exact.value

@@ -15,6 +15,7 @@ from oracles import (
     grouped,
     hyperplane_duals,
     intersect_dim,
+    pairwise_least_shared,
     rref_rows,
     subspace,
 )
@@ -619,3 +620,23 @@ def test_normalized_point_encodings_ascending():
 def test_point_ordinals_invert_the_listing(q, n):
     encs = linalg.normalized_point_encodings(n, q)
     assert linalg.point_ordinals(encs, n, q).tolist() == list(range(len(encs)))
+
+
+def test_least_shared_pair_matches_the_pairwise_oracle():
+    # random sets of subspaces of mixed dimension, most with a shared point
+    rng = random.Random(562)
+    met = 0
+    for _ in range(300):
+        q, n = rng.choice([2, 3, 4, 5]), rng.randint(2, 6)
+        field = gf.field_for_order(q)
+        size, members = rng.randint(1, 7), []
+        while len(members) < size:
+            rows = [[rng.randrange(q) for _ in range(n)]
+                    for _ in range(rng.randint(1, min(n - 1, 3)))]
+            s = subspace(field, n, rows)
+            if s.rows:
+                members.append(s)
+        want = pairwise_least_shared(members)
+        assert linalg.least_shared_pair(grouped(members)) == want, (q, n, members)
+        met += want is not None
+    assert 100 < met < 300

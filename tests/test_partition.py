@@ -3,17 +3,24 @@ import json
 import numpy as np
 import pytest
 
-from oracles import b_vector_groups, decode, grouped, profile_b_vectors, subspace
+from oracles import (
+    b_vector_groups,
+    cover_faults,
+    decode,
+    grouped,
+    profile_b_vectors,
+    subspace,
+)
 from spreadlab import linalg
 from spreadlab import partition as pt
 from spreadlab.bounds import SpreadParams, theta
+from spreadlab.check import check_certificate
 from spreadlab.construct import PartialSpread, build_lower_bound_spread
 from spreadlab.errors import (
     AmbientMismatchError,
     BudgetExceededError,
     FieldMismatchError,
     IdentityViolationError,
-    InvalidParamsError,
     UnverifiedSpreadError,
 )
 from spreadlab.gf import field_for_order
@@ -96,33 +103,31 @@ class TestFromSpread:
 
 
 class TestVerifyPartition:
+    # the exact-cover oracle lists points from its own field tables, against
+    # the package's point numbering and hole fill
+
     def test_spread_induced_ok(self):
-        for q, n, t in [(2, 5, 2), (2, 7, 3), (3, 5, 2)]:
+        for q, n, t in [(2, 5, 2), (2, 7, 3), (3, 5, 2), (2, 8, 3), (3, 6, 3), (4, 5, 2)]:
             part = pt.partition_from_spread(build_lower_bound_spread(P(q, n, t)))
-            assert pt.verify_partition(part).ok
+            assert cover_faults(field_for_order(q), n, part.parts) == ([], [])
 
     def test_all_singles_ok(self):
-        assert pt.verify_partition(singles_partition(3, 3)).ok
+        part = singles_partition(3, 3)
+        assert cover_faults(field_for_order(3), 3, part.parts) == ([], [])
 
     def test_double_cover_found(self):
         part = singles_partition(2, 3)
         parts = tuple(part.parts)
         doubled = pt.SubspacePartition(2, 3, grouped((*parts, parts[0])))
-        res = pt.verify_partition(doubled)
-        assert not res.ok
-        assert "parts 0 and 7" in res.reason
-        assert res.witness == (1, 0, 0)
+        assert cover_faults(field_for_order(2), 3, doubled.parts) == ([1], [])
+        # each hyperplane holds 3 or 4 of the 8 parts, so 1 + 2 b_1 != 8
+        with pytest.raises(IdentityViolationError, match=r"hyperplane \(1, 0, 0\):"):
+            pt.hyperplane_profile(doubled)
 
     def test_missing_point_found(self):
         part = singles_partition(2, 3)
-        res = pt.verify_partition(pt.SubspacePartition(2, 3, grouped(tuple(part.parts)[1:])))
-        assert not res.ok
-        assert res.reason == "point not covered"
-        assert res.witness == (1, 0, 0)
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            pt.verify_partition(pt.SubspacePartition(2, 23, grouped(())))
+        missing = pt.SubspacePartition(2, 3, grouped(tuple(part.parts)[1:]))
+        assert cover_faults(field_for_order(2), 3, missing.parts) == ([], [1])
 
 
 class TestProfile:
@@ -178,9 +183,9 @@ class TestProfile:
             line = subspace(field_for_order(q), 3, [(1, 0, 2), (0, 1, 3)])
             parts.append(with_singles(q, 3, (line,)))
         for part in parts:
-            assert pt.verify_partition(part).ok
-            prof = pt.hyperplane_profile(part)
             field = field_for_order(part.q)
+            assert cover_faults(field, part.n, part.parts) == ([], [])
+            prof = pt.hyperplane_profile(part)
             want = profile_b_vectors(field, part.n, part.parts)
             assert list(prof.b_vectors) == want, (part.q, part.n, part.dim_counts)
 
@@ -213,8 +218,8 @@ class TestProfile:
             pt.hyperplane_profile(pt.SubspacePartition(2, 30, grouped(())))
 
     # parts outside the declared V(3, 2): seven points of V(4, 2) or V(2, 2),
-    # or a point of V(3, 4); verify_partition and the profile share the check
-    @pytest.mark.parametrize("check", [pt.hyperplane_profile, pt.verify_partition])
+    # or a point of V(3, 4)
+    @pytest.mark.parametrize("check", [pt.hyperplane_profile])
     @pytest.mark.parametrize("ambient", [4, 2])
     def test_part_in_other_ambient_rejected(self, check, ambient):
         point = Subspace(field_for_order(2), ambient, ((1,) + (0,) * (ambient - 1),))
@@ -222,7 +227,7 @@ class TestProfile:
         with pytest.raises(AmbientMismatchError, match=f"part 0 in ambient {ambient}"):
             check(part)
 
-    @pytest.mark.parametrize("check", [pt.hyperplane_profile, pt.verify_partition])
+    @pytest.mark.parametrize("check", [pt.hyperplane_profile])
     def test_part_over_other_field_rejected(self, check):
         singles = tuple(singles_partition(2, 3).parts)
         point = Subspace(field_for_order(4), 3, ((1, 0, 0),))
@@ -289,51 +294,33 @@ class TestGrouping:
 
 class TestHeden:
     def test_case_iv_unsatisfied(self):
-        c = pt.heden_case(2, 1, 2, 2)
-        assert (c.case, c.required_min, c.satisfied) == ("iv", 4, False)
-        assert c.divides and c.wide and not c.exceptional
-
-    def test_case_ii_exceptional(self):
-        c = pt.heden_case(7, 1, 3, 2)
-        assert c.case == "ii"
-        assert c.satisfied and c.exceptional
-
-    def test_case_ii_generic_branch(self):
-        c = pt.heden_case(8, 1, 2, 3)
-        assert c.case == "ii"
-        assert c.satisfied and not c.exceptional
-        c = pt.heden_case(5, 1, 2, 3)
-        assert c.case == "ii"
-        assert not c.satisfied
-        c = pt.heden_case(4, 1, 2, 3)  # theta-form (9-1)/(3-1)
-        assert c.satisfied and c.exceptional
-
-    def test_case_iv_satisfied(self):
-        c = pt.heden_case(8, 1, 3, 2)
-        assert (c.case, c.satisfied) == ("iv", True)
-
-    def test_case_i(self):
-        c = pt.heden_case(5, 2, 3, 2)
-        assert (c.case, c.required_min, c.satisfied) == ("i", 5, True)
-        assert not pt.heden_case(3, 2, 3, 2).satisfied
-
-    def test_case_iii(self):
-        c = pt.heden_case(4, 2, 3, 2)
-        assert (c.case, c.required_min, c.satisfied) == ("iii", 6, False)
-        assert pt.heden_case(6, 2, 3, 2).satisfied
-
-    def test_rejects(self):
-        with pytest.raises(InvalidParamsError):
-            pt.heden_case(0, 1, 2, 2)
-        with pytest.raises(InvalidParamsError):
-            pt.heden_case(3, 2, 2, 2)
-        with pytest.raises(InvalidParamsError):
-            pt.heden_case(3, 0, 2, 2)
+        # q | x and q^2 does not divide x make delta_2 = -x(q+1) mod q^2 a
+        # nonzero multiple of q below q^2: the tail theorem's case (iv) at
+        # dimensions (1, 2), which needs q^2 points; n = 2t + r, every
+        # admissible x
+        docs = 0
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+            for t in range(3, 12):
+                for r in range(2, t):
+                    if q ** r > 5000:
+                        break
+                    for x in range(q, q ** r, q):
+                        h = -(-x // (q - 1))
+                        if x % (q * q) == 0 or t < theta(r, q) - h + 2:
+                            continue
+                        doc = pt.descent_certificate(q, 2 * t + r, t, x)
+                        fin = doc["final"]
+                        assert (fin["heden_case"], fin["heden_satisfied"]) == ("iv", False)
+                        assert check_certificate(doc).ok
+                        docs += 1
+        assert docs == 1050
 
     def test_v42_brute_force_agrees(self):
         # the tail theorem says no partition of V(4, 2) can pair one solid
-        # and two lines with a 2-point tail: case (iv) demands 4 singletons.
-        assert not pt.heden_case(2, 1, 2, 2).satisfied
+        # and two lines with a 2-point tail: case (iv) demands 4 singletons,
+        # and the (2, 8, 3) certificate ends on that tail
+        fin = pt.descent_certificate(2, 8, 3)["final"]
+        assert (fin["delta2"], fin["heden_satisfied"]) == (2, False)
         f = field_for_order(2)
         all_pts = set(normalized_point_encodings(4, 2).tolist())
         lines = list(enumerate_subspaces(4, 2, f))
