@@ -541,6 +541,37 @@ def point_ordinals(encs: np.ndarray, n: int, q: int) -> np.ndarray:
     return ords
 
 
+def point_images(field: Field, matrices) -> np.ndarray:
+    """The points of V(n, q) under invertible n x n matrices over GF(q).
+
+    For an (m, n, n) array of matrices g_k, row k of the (m, theta_n)
+    result holds at ordinal i the ordinal of the point v_i g_k, v_i the
+    normalized vector of ordinal i read as a row.  The products run on GF(p)
+    digits as in rref_blocks, so every q = p^e takes the field's own
+    arithmetic; each image is normalized by the inverse of its first nonzero
+    coordinate.
+    """
+    matrices = np.asarray(matrices, dtype=np.int64)
+    m, n, _ = matrices.shape
+    p, e, q = field.p, field.e, field.q
+    place = p ** np.arange(e, dtype=np.int64)
+    coords = normalized_point_encodings(n, q)[:, None] // q ** np.arange(n) % q
+    v = _mod(coords // place[:, None, None], p)  # (e, points, n): digits
+    g = _mod(matrices // place[:, None, None, None], p)  # (e, m, n, n)
+    w = 0
+    for j in range(n):  # v g = the sum of v_j times row j of g
+        w = w + _mul(field, v[:, None, :, j, None], g[:, :, None, j])
+    w = _mod(w, p)  # (e, m, points, n)
+    elems = (place @ w.reshape(e, -1)).reshape(w.shape[1:])
+    leads = np.take_along_axis(elems, (elems != 0).argmax(axis=2)[..., None], 2)
+    inverse = {x: field.inv(x) for x in set(leads.ravel().tolist())}
+    inv = np.array([inverse[x] for x in leads.ravel().tolist()], dtype=np.int64)
+    inv = _mod(inv // place[:, None], p).reshape(e, *leads.shape)
+    w = _mod(_mul(field, inv, w), p)
+    encs = (place @ w.reshape(e, -1)).reshape(w.shape[1:]) @ q ** np.arange(n)
+    return point_ordinals(encs, n, q)
+
+
 def least_shared_pair(subspaces: GroupedBases) -> tuple[int, int, int] | None:
     """Lexicographically least index pair (a, b), a < b, of subspaces that
     share a point, with the least encoding of a point they share; None when

@@ -28,11 +28,11 @@ available count prunes or whose candidates meet too few of those classes
 (a cover prune).
 
 A cut fires only when the bound is at most the incumbent, so it removes
-only subtrees that hold no larger spread: the incumbent changes at the
-same nodes in the same order with or without it, and so do the witness
-and the status.  No prune reads the upper bounds of bounds.py, which the
-search is meant to check independently; it takes only SpreadParams and
-theta from there.
+only subtrees that hold no larger spread.  So, with or without it, the
+incumbent takes the same sizes in the same DFS order, each first reached
+by the same spread, and the witness and the status are the same.  No
+prune reads the upper bounds of bounds.py, which the search is meant to
+check independently; it takes only SpreadParams and theta from there.
 
 GL(n, q) is transitive on ordered pairs of trivially intersecting
 t-subspaces, so when a partial spread of two members exists some maximum
@@ -44,8 +44,25 @@ tree renumbers them in order, which keeps its bitsets short.  When n < 2t
 no two t-subspaces meet trivially and the root fixes the first candidate
 only (GL(n, q) is transitive on t-subspaces).  By default the incumbent is
 warm-started with the packing-bound construction, which the search then
-tries to beat.  Exhausting the tree proves optimality either way.  The
-search is deterministic: the same call gives the same witness and node
+tries to beat.  Exhausting the tree proves optimality either way.
+
+The root also cuts by symmetry.  The stabilizer G of its pair (U, W) in
+GL(n, q), the block matrices [[A,0,0],[0,B,0],[X,Y,D]] in a basis
+U + W + C, permutes the tree candidates.  Once the root has finished a
+child, it drops what is left of that child's G-orbit from its available
+candidates.  What it has dropped is then a union of orbits O_1, ..., O_j,
+G-invariant, and the children it explored are their least members
+c_1 < ... < c_j.  A spread through the root whose first orbit met is O_i
+has, under some g in G, an image through c_i that avoids O_1, ...,
+O_(i-1), so every member of it is at least c_i: branch c_i holds it.  So
+the maximum is unchanged.  The first maximum spread in DFS order is in
+the cut tree too, since an image of it in an earlier branch would come
+first, so the witness is unchanged.  The orbits (_orbit_labels) are built
+only when the root is about to count a second child, so a search that
+closes at the root, or whose tail cut ends the root after one child,
+builds none.  Deeper nodes do not cut by symmetry.
+
+The search is deterministic: the same call gives the same witness and node
 count.  A search whose tree has at most max_nodes nodes ends EXACT; a node
 that would branch once the budget is spent ends it before that node becomes
 the incumbent.  greedy_spread, a first fit over the candidates in a seeded
@@ -55,6 +72,7 @@ optimality claim.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, replace
@@ -73,7 +91,9 @@ from .linalg import (
     GroupedBases,
     gaussian_binomial,
     point_encodings_of_bases,
+    point_images,
     point_ordinals,
+    rref_blocks,
     subspace_bases,
 )
 
@@ -140,7 +160,7 @@ class _State:
         self.best_chosen: tuple[int, ...] | None = None
         self.node_cap = node_cap
         self.nodes = 0
-        self.prunes = {"available": 0, "points": 0, "cover": 0}
+        self.prunes = {"available": 0, "points": 0, "cover": 0, "symmetry": 0}
         self.exhausted = True
 
 
@@ -195,7 +215,99 @@ def _colour_classes(avail, stars):
     return seeds, classes
 
 
-def _grow(chosen, avail, adj, stars, packing, state):
+def _bitset(mask: np.ndarray) -> int:
+    """The bitset of the true positions of a boolean array."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _primitive(field) -> int:
+    """The least generator of the unit group of field; 1 for GF(2)."""
+    for a in range(2, field.q):
+        x, order = a, 1
+        while x != 1:
+            x, order = field.mul(x, a), order + 1
+        if order == field.q - 1:
+            return a
+    return 1
+
+
+def _stabilizer_generators(field, n: int, t: int) -> np.ndarray:
+    """Generators of the block matrices [[A,0,0],[0,B,0],[X,Y,D]] acting on
+    rows, the stabilizer of the span U of the first t unit vectors and the
+    span W of the next t, as an (m, n, n) array.  For each block GL(t),
+    GL(t) and GL(n - 2t): the transvections I + E_ij, i != j, and
+    diag(w, 1, ...) with w primitive; then I + E_(2t,0) and I + E_(2t,t),
+    which map C, the span of the last n - 2t, into U and into W."""
+    omega, gens = _primitive(field), []
+
+    def unit_plus(i, j, a):
+        g = np.eye(n, dtype=np.int64)
+        g[i, j] = a
+        return g
+
+    for lo, hi in ((0, t), (t, 2 * t), (2 * t, n)):
+        block = range(lo, hi)
+        gens += [unit_plus(i, j, 1) for i in block for j in block if i != j]
+        if hi > lo and omega != 1:
+            gens.append(unit_plus(lo, lo, omega))
+    if n > 2 * t:
+        gens += [unit_plus(2 * t, 0, 1), unit_plus(2 * t, t, 1)]
+    return np.array(gens, dtype=np.int64).reshape(-1, n, n)
+
+
+def _stabilizer_points(field, pair: np.ndarray) -> np.ndarray:
+    """The generators of G, the stabilizer in GL(n, q) of the root pair
+    (U, W), as permutations of the points: an (m, theta_n) array of point
+    ordinals.
+
+    pair holds the RREF bases of U and W.  G is written in the basis of U,
+    W and the unit vectors off their pivots, C (_stabilizer_generators),
+    and each generator is carried to the unit basis through the points:
+    point_images of the change of basis and of the generators.
+    """
+    t, n = pair.shape[1:]
+    basis = pair.reshape(2 * t, n).astype(np.int64)
+    pivots = set((rref_blocks(field, basis[None])[0][0] != 0).argmax(axis=1).tolist())
+    off = [j for j in range(n) if j not in pivots]
+    change = np.concatenate([basis, np.eye(n, dtype=np.int64)[off]])  # x -> x change
+    gens = _stabilizer_generators(field, n, t)
+    images = point_images(field, np.concatenate([change[None], gens]))
+    return images[0][images[1:, np.argsort(images[0])]]
+
+
+def _orbit_labels(field, pair: np.ndarray, ords: np.ndarray) -> np.ndarray:
+    """The orbits of the tree candidates under G, the stabilizer of the
+    root pair (U, W) whose RREF bases pair holds: each candidate's label is
+    the least index in its orbit.
+
+    ords holds the candidates' point ordinals, ascending along each row.
+    The image of each candidate's points under each generator
+    (_stabilizer_points) is looked up among the candidates by one
+    lexicographic sort of all the rows, checked element by element.  Labels
+    fall to the least along every generator until none changes.
+    """
+    count = len(ords)
+    points = _stabilizer_points(field, pair)
+    rows = np.concatenate([ords[None], np.sort(points[:, ords], axis=2)])
+    rows = rows.reshape(-1, ords.shape[1])
+    # a stable sort puts each candidate first among its len(points) images
+    runs = np.lexsort(rows.T[::-1]).reshape(count, -1)
+    heads = runs[:, 0]
+    assert (heads < count).all() and (rows[runs] == rows[heads, None]).all()
+    perms = np.empty((len(points), count), dtype=np.int64)
+    perms.reshape(-1)[runs[:, 1:].ravel() - count] = np.repeat(heads, len(points))
+    label = np.arange(count)
+    while True:
+        old = label
+        for perm in perms:
+            label = np.minimum(label, label[perm])
+            label[perm] = np.minimum(label[perm], label)
+        label = label[label]
+        if (label == old).all():
+            return label
+
+
+def _grow(chosen, avail, adj, stars, packing, state, orbit=None):
     """Explore the node ``chosen`` (a list this call restores on return)
     whose remaining candidates are ``avail``; ``packing`` is the point count.
 
@@ -204,7 +316,10 @@ def _grow(chosen, avail, adj, stars, packing, state):
     seed at least c cannot beat the incumbent, and finishes without a call
     a child that the available count or those classes prune.  A node that
     would branch once max_nodes nodes are counted ends the search before
-    it becomes the incumbent.
+    it becomes the incumbent.  ``orbit``, given at the root only, maps a
+    candidate to the bitset of its orbit: before it counts the next child,
+    the root drops what is left of the last finished child's orbit from
+    avail, and skips that child if it was in it.
     """
     k = len(chosen)
     incumbent = state.best_size
@@ -227,6 +342,7 @@ def _grow(chosen, avail, adj, stars, packing, state):
         return
     chosen.append(-1)
     above = len(seeds)  # the classes whose seed is at least c
+    last = None  # the root's last finished child, until its orbit is dropped
     while avail:
         low = avail & -avail
         avail ^= low
@@ -236,10 +352,19 @@ def _grow(chosen, avail, adj, stars, packing, state):
         if k + above <= state.best_size:
             state.prunes["cover"] += 1  # the tail cut: no child from c on
             break
+        if last is not None:
+            drop = orbit(last) & (avail | low)
+            state.prunes["symmetry"] += drop.bit_count()
+            avail &= ~drop
+            last = None
+            if drop & low:
+                continue
         if state.nodes == state.node_cap:
             state.exhausted = False
             break
         state.nodes += 1
+        if orbit is not None:
+            last = c
         # avail now holds the candidates after c
         child = avail & adj[c]
         if k + 1 + child.bit_count() <= state.best_size:
@@ -306,7 +431,17 @@ def max_partial_spread(
     rest = np.flatnonzero(~taken[ords].any(axis=1)).tolist()
     adj, stars = _adjacency(ords[rest], len(taken))
     state.nodes = 1  # the root; max_nodes is at least 1
-    _grow(root, (1 << len(rest)) - 1, adj, stars, len(taken) // theta(t, q), state)
+    orbit = None
+    if len(root) == 2:
+        pair, tree = bases[root], ords[rest]
+        labels = functools.cache(lambda: _orbit_labels(field_for_order(q), pair, tree))
+
+        def orbit(c):
+            return _bitset(labels() == labels()[c])
+
+    _grow(
+        root, (1 << len(rest)) - 1, adj, stars, len(taken) // theta(t, q), state, orbit
+    )
 
     if state.best_chosen is not None:
         chosen = root + [rest[j] for j in state.best_chosen[len(root):]]
@@ -378,5 +513,5 @@ def greedy_result(params: SpreadParams, seed: int = 0) -> SearchResult:
         status=LOWER_WITNESS_ONLY,
         nodes_explored=0,
         wall_time=time.monotonic() - start,
-        prunes={"available": 0, "points": 0, "cover": 0},
+        prunes={"available": 0, "points": 0, "cover": 0, "symmetry": 0},
     )

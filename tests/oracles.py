@@ -18,7 +18,8 @@ field.mul, against its bulk rows.  ``points`` lists a subspace's points
 from the field tables alone; ``cover_faults`` checks with it that parts
 partition the space, against the package's point numbering, and
 ``pairwise_least_shared`` finds the least pair of subspaces that meet,
-against the package's sort of every point listed.
+against the package's sort of every point listed.  ``image`` maps one
+point through a matrix, against the package's point permutations.
 """
 
 from __future__ import annotations
@@ -59,6 +60,17 @@ def _tables(field):
     add = [[field.add(a, b) for b in elems] for a in elems]
     mul = [[field.mul(a, b) for b in elems] for a in elems]
     return add, mul
+
+
+def image(field, vec, matrix) -> tuple[int, ...]:
+    """The row vector vec times matrix, scaled so its first nonzero
+    coordinate is 1, from the field tables alone."""
+    add, mul = _tables(field)
+    out = [0] * len(matrix[0])
+    for c, row in zip(vec, matrix):
+        out = [add[v][mul[c][x]] for v, x in zip(out, row)]
+    inv = mul[next(x for x in out if x)].index(1)
+    return tuple(mul[inv][x] for x in out)
 
 
 def contains(field, dual, subspace) -> bool:

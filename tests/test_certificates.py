@@ -287,6 +287,18 @@ def test_key_and_type_checks_agree_with_the_schema(qnt):
     assert seen == {False, True}
 
 
+def test_schema_refuses_every_tail_case_but_iv():
+    # descent_certificate writes case (iv) only, and the replay refuses any
+    # other, so the schema does too
+    schema = jsonschema.Draft202012Validator(SCHEMA)
+    doc = pt.descent_certificate(2, 8, 3)
+    assert schema.is_valid(doc)
+    for case in ("i", "ii", "iii"):
+        doc["final"]["heden_case"] = case
+        assert not schema.is_valid(doc)
+        assert not check_certificate(doc).ok
+
+
 def test_checker_imports_no_producer():
     # a replay through the code that wrote the certificate would pass that
     # code's own bugs

@@ -14,6 +14,7 @@ from oracles import (
     encode,
     grouped,
     hyperplane_duals,
+    image,
     intersect_dim,
     pairwise_least_shared,
     rref_rows,
@@ -620,6 +621,29 @@ def test_normalized_point_encodings_ascending():
 def test_point_ordinals_invert_the_listing(q, n):
     encs = linalg.normalized_point_encodings(n, q)
     assert linalg.point_ordinals(encs, n, q).tolist() == list(range(len(encs)))
+
+
+@pytest.mark.parametrize("field,n", [
+    (GF2, 4), (GF3, 3), (GF4, 3), (GF5, 2), (GF8, 2), (GF9, 3), (GF16, 2),
+])
+def test_point_images_match_the_oracle(field, n):
+    # random invertible matrices, and the identity: every image is the
+    # oracle's, every row a permutation of the points
+    rng = random.Random(field.q * 10 + n)
+    mats = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    while len(mats) < 4:
+        m = tuple(tuple(rng.randrange(field.q) for _ in range(n)) for _ in range(n))
+        if len(rref_rows(field, m, n)) == n:
+            mats.append(m)
+    encs = linalg.normalized_point_encodings(n, field.q).tolist()
+    ordinal = {e: i for i, e in enumerate(encs)}
+    images = linalg.point_images(field, np.array(mats))
+    assert images.shape == (len(mats), len(encs))
+    assert images[0].tolist() == list(range(len(encs)))
+    for m, row in zip(mats, images.tolist()):
+        want = [ordinal[encode(image(field, decode(e, n, field.q), m), field.q)]
+                for e in encs]
+        assert row == want
 
 
 def test_least_shared_pair_matches_the_pairwise_oracle():

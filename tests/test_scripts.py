@@ -44,11 +44,11 @@ def test_search_cases_agree():
     assert [line.split()[1] for line in lines[1:]] == ["warm", "cold"] * 3
     # the warm starts close at the root: (2,4,2) and (3,4,2) by the point
     # count, (2,5,3) by the available count; the cold starts walk a tree
-    prunes = [line.split()[-3:] for line in lines[1:]]
+    prunes = [line.split()[-4:] for line in lines[1:]]
     assert prunes[::2] == [
-        ["available=0", "points=1", "cover=0"],
-        ["available=1", "points=0", "cover=0"],
-        ["available=0", "points=1", "cover=0"],
+        ["available=0", "points=1", "cover=0", "symmetry=0"],
+        ["available=1", "points=0", "cover=0", "symmetry=0"],
+        ["available=0", "points=1", "cover=0", "symmetry=0"],
     ]
     assert [int(line.split()[4]) for line in lines[2::2]] == [4, 1, 9]
 

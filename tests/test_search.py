@@ -79,10 +79,11 @@ class TestExact:
         assert verify_partial_spread(cold.witness).ok
 
     def test_cold_start_explores(self):
-        # without the warm incumbent the tree is actually walked
-        res = search.max_partial_spread(P(2, 5, 2), warm_start=False)
-        assert res.nodes_explored > 10_000
-        assert res.best_size == 9
+        # without the warm incumbent the tree is walked further
+        warm = search.max_partial_spread(P(2, 5, 2))
+        cold = search.max_partial_spread(P(2, 5, 2), warm_start=False)
+        assert cold.nodes_explored > warm.nodes_explored
+        assert cold.best_size == warm.best_size == 9
 
     def test_deterministic_at_one_thread(self):
         a = search.max_partial_spread(P(2, 6, 3), warm_start=False)
@@ -183,11 +184,12 @@ class TestPrunes:
     def test_counts_by_reason(self):
         res = search.max_partial_spread(P(2, 6, 2), warm_start=False)
         prunes = res.to_dict()["prunes"]
-        assert set(prunes) == {"available", "points", "cover"}
+        assert set(prunes) == {"available", "points", "cover", "symmetry"}
         assert all(v > 0 for v in prunes.values()), prunes
         # a node is pruned at most once, and a node that branches is not,
-        # but may end its child loop by one tail cut
-        assert sum(prunes.values()) <= res.nodes_explored
+        # but may end its child loop by one tail cut; the symmetry cut drops
+        # root children before they become nodes
+        assert sum(prunes.values()) - prunes["symmetry"] <= res.nodes_explored
 
     @pytest.mark.parametrize(
         "q,n,t", [(2, 4, 2), (3, 4, 2), (4, 4, 2), (2, 6, 3), (2, 6, 2)]
@@ -198,11 +200,13 @@ class TestPrunes:
         res = search.max_partial_spread(P(q, n, t))
         assert res.best_size == theta(n, q) // theta(t, q)
         assert res.nodes_explored == 1
-        assert res.prunes == {"available": 0, "points": 1, "cover": 0}
+        assert res.prunes == {"available": 0, "points": 1, "cover": 0, "symmetry": 0}
 
     def test_greedy_reports_zeros(self):
         res = search.greedy_result(P(2, 6, 3), seed=1)
-        assert res.to_dict()["prunes"] == {"available": 0, "points": 0, "cover": 0}
+        assert res.to_dict()["prunes"] == {
+            "available": 0, "points": 0, "cover": 0, "symmetry": 0
+        }
 
 
 
@@ -293,11 +297,11 @@ class TestIncumbents:
 
     def test_node_counts_without_the_cover_prune(self, monkeypatch):
         # without the colour classes the node loop walks the tree that the
-        # available-count and point-count prunes leave
+        # available-count and point-count prunes and the symmetry cut leave
         monkeypatch.setattr(search, "_colour_classes", never_cuts)
         warm = search.max_partial_spread(P(2, 5, 2))
         cold = search.max_partial_spread(P(2, 5, 2), warm_start=False)
-        assert (warm.nodes_explored, cold.nodes_explored) == (276_999, 277_119)
+        assert (warm.nodes_explored, cold.nodes_explored) == (28_434, 28_554)
         assert warm.prunes["cover"] == cold.prunes["cover"] == 0
         assert rows(cold.witness) == COLD_252
 
@@ -312,17 +316,17 @@ class TestIncumbents:
         assert rows(res.witness) == rows(plain.witness)
 
 
-# (nodes, prunes available/points/cover) of each exhausted tree: the node
-# loop counts a leaf that the available count or the colour classes prune
-# without calling itself, and must count it exactly as the call would
+# (nodes, prunes available/points/cover/symmetry) of each exhausted tree:
+# the node loop counts a leaf that the available count or the colour classes
+# prune without calling itself, and must count it exactly as the call would
 TREES = [
-    (2, 5, 2, True, 12_964, (2_575, 0, 10_389)),
-    (2, 5, 2, False, 12_974, (2_577, 0, 10_397)),
-    (2, 6, 3, False, 8, (1, 0, 6)),
-    (3, 4, 2, False, 9, (1, 0, 7)),
-    (2, 6, 2, False, 1_274, (4, 1_214, 55)),
-    (2, 4, 2, False, 4, (1, 0, 2)),
-    (4, 4, 2, False, 21, (1, 2, 17)),
+    (2, 5, 2, True, 1_070, (156, 0, 913, 76)),
+    (2, 5, 2, False, 1_080, (158, 0, 921, 76)),
+    (2, 6, 3, False, 8, (1, 0, 6, 0)),
+    (3, 4, 2, False, 9, (1, 0, 7, 0)),
+    (2, 6, 2, False, 987, (4, 926, 55, 475)),
+    (2, 4, 2, False, 4, (1, 0, 2, 0)),
+    (4, 4, 2, False, 21, (1, 2, 17, 0)),
 ]
 
 
@@ -346,6 +350,115 @@ class TestTree:
                 P(2, 5, 2), max_nodes=budget, warm_start=False
             )
             assert (res.status, res.nodes_explored) == (search.BUDGET_EXHAUSTED, budget)
+
+
+def root_pair(q, n, t):
+    """The bases and point ordinals of all candidates, the root pair's
+    indices and the tree candidates', as max_partial_spread picks them."""
+    bases, ords = search._candidates(P(q, n, t))
+    subs = subspaces(q, n, t)
+    c1 = next(j for j in range(1, len(subs)) if intersect_dim(subs[0], subs[j]) == 0)
+    tree = [
+        j for j in range(len(subs))
+        if intersect_dim(subs[0], subs[j]) == intersect_dim(subs[c1], subs[j]) == 0
+    ]
+    return bases, ords, [0, c1], tree
+
+
+def singletons(field, pair, ords):
+    """Orbit labels that put each candidate alone: no symmetry cut."""
+    return np.arange(len(ords))
+
+
+class TestSymmetry:
+    @pytest.mark.parametrize(
+        "q,n,t", [(2, 4, 2), (2, 5, 2), (2, 6, 3), (3, 4, 2), (4, 4, 2), (3, 5, 2),
+                  (9, 4, 2), (8, 3, 1)],
+    )
+    def test_generators_fix_the_root_and_permute_the_tree(self, q, n, t):
+        bases, ords, root, tree = root_pair(q, n, t)
+        points = search._stabilizer_points(field_for_order(q), bases[root])
+        assert len(points) > 0
+        rows = {tuple(r) for r in ords[tree].tolist()}
+        for perm in points:
+            assert sorted(perm.tolist()) == list(range(theta(n, q)))
+            for member in root:
+                assert set(perm[ords[member]].tolist()) == set(ords[member].tolist())
+            images = {tuple(sorted(r)) for r in perm[ords[tree]].tolist()}
+            assert images == rows
+
+    @pytest.mark.parametrize(
+        "q,n,t,sizes",
+        [(2, 5, 2, [6, 72]), (2, 6, 3, [168]), (3, 5, 2, [48, 864]),
+         (2, 7, 3, [168, 4704])],
+    )
+    def test_orbit_sizes(self, q, n, t, sizes):
+        bases, ords, root, tree = root_pair(q, n, t)
+        labels = search._orbit_labels(field_for_order(q), bases[root], ords[tree])
+        assert (labels <= np.arange(len(tree))).all()
+        assert (labels[labels] == labels).all()
+        assert sorted(np.bincount(labels)[np.unique(labels)].tolist()) == sizes
+
+    @pytest.mark.parametrize(
+        "q,n,t", [(2, 5, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2), (4, 4, 2)]
+    )
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_cut_keeps_the_result(self, q, n, t, warm, monkeypatch):
+        res = search.max_partial_spread(P(q, n, t), warm_start=warm)
+        monkeypatch.setattr(search, "_orbit_labels", singletons)
+        plain = search.max_partial_spread(P(q, n, t), warm_start=warm)
+        assert res.status == plain.status == search.EXACT
+        assert res.best_size == plain.best_size
+        assert rows(res.witness) == rows(plain.witness)
+        assert res.nodes_explored <= plain.nodes_explored
+        assert plain.prunes["symmetry"] == 0
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_both_v52_trees_close_small(self, warm):
+        res = search.max_partial_spread(P(2, 5, 2), warm_start=warm)
+        assert (res.status, res.best_size) == (search.EXACT, 9)
+        assert res.nodes_explored <= 1_200
+
+    @pytest.mark.parametrize(
+        "q,n,t,warm", [(2, 6, 2, True), (3, 6, 3, False), (2, 4, 2, True),
+                       (2, 4, 2, False)],
+    )
+    def test_no_orbits_built_where_the_root_counts_one_child(
+        self, q, n, t, warm, monkeypatch
+    ):
+        # the warm start closes the root, or the tail cut ends it after
+        # its first child, before a second child needs the orbits
+        def refuse(*args):
+            raise AssertionError("orbits built")
+
+        monkeypatch.setattr(search, "_orbit_labels", refuse)
+        res = search.max_partial_spread(P(q, n, t), warm_start=warm)
+        assert res.status == search.EXACT
+        assert res.prunes["symmetry"] == 0
+
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_budget_is_met_exactly_around_the_first_drop(self, warm):
+        def run(budget):
+            return search.max_partial_spread(
+                P(2, 5, 2), max_nodes=budget, warm_start=warm
+            )
+
+        # the least budget under which the root drops an orbit: the root
+        # and its first child's subtree, then the drop before the next child
+        lo, hi = 1, 1_200
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if run(mid).prunes["symmetry"] else (mid + 1, hi)
+        assert 1 < lo < 1_200
+        for budget in range(max(1, lo - 2), lo + 3):
+            res = run(budget)
+            assert (res.status, res.nodes_explored) == (search.BUDGET_EXHAUSTED, budget)
+            assert verify_partial_spread(res.witness).ok
+
+    def test_leaves_numpy_random_unloaded(self):
+        leaves_numpy_random_unloaded(
+            "max_partial_spread(SpreadParams(2, 5, 2), warm_start=False)"
+        )
 
 
 class TestBudgets:
@@ -461,6 +574,26 @@ GREEDY_283_SEED1 = [
 ]
 
 
+def leaves_numpy_random_unloaded(call):
+    """Run a search call in a child process and assert that it does not
+    import numpy.random, whose import alone costs several MiB of memory."""
+    code = (
+        "import sys\n"
+        "from spreadlab.bounds import SpreadParams\n"
+        "from spreadlab.search import greedy_spread, max_partial_spread\n"
+        f"{call}\n"
+        "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
+    )
+    # the child imports this spreadlab, however the tests found it
+    src = pathlib.Path(search.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestGreedy:
     def test_pinned_witness_v83(self):
         sp = search.greedy_spread(P(2, 8, 3), seed=1)
@@ -554,22 +687,7 @@ class TestGreedy:
             assert sp.size == theta(n, q)
 
     def test_leaves_numpy_random_unloaded(self):
-        # numpy.random's import alone costs several MiB of memory
-        code = (
-            "import sys\n"
-            "from spreadlab.bounds import SpreadParams\n"
-            "from spreadlab.search import greedy_spread\n"
-            "greedy_spread(SpreadParams(2, 6, 3), seed=1)\n"
-            "assert 'numpy.random' not in sys.modules, 'numpy.random imported'\n"
-        )
-        # the child imports this spreadlab, however the tests found it
-        src = pathlib.Path(search.__file__).parents[1]
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
+        leaves_numpy_random_unloaded("greedy_spread(SpreadParams(2, 6, 3), seed=1)")
 
     def test_result_wrapper(self):
         res = search.greedy_result(P(2, 6, 2), seed=3)
