@@ -23,6 +23,8 @@ fill, hyperplane profiles and search candidates: by XOR of the rows'
 integer encodings for p = 2, on GF(p) digits for odd p, expanding only the
 rows it reads.  ``point_ordinals`` numbers the points, and
 ``least_shared_pair`` sorts them to find subspaces that meet.
+``point_images`` maps every point through matrices over GF(q), as
+permutations of the ordinals.
 """
 
 from __future__ import annotations

@@ -373,7 +373,7 @@ def singletons(field, pair, ords):
 class TestSymmetry:
     @pytest.mark.parametrize(
         "q,n,t", [(2, 4, 2), (2, 5, 2), (2, 6, 3), (3, 4, 2), (4, 4, 2), (3, 5, 2),
-                  (9, 4, 2), (8, 3, 1)],
+                  (9, 3, 1), (8, 3, 1)],
     )
     def test_generators_fix_the_root_and_permute_the_tree(self, q, n, t):
         bases, ords, root, tree = root_pair(q, n, t)
@@ -413,12 +413,6 @@ class TestSymmetry:
         assert res.nodes_explored <= plain.nodes_explored
         assert plain.prunes["symmetry"] == 0
 
-    @pytest.mark.parametrize("warm", [True, False])
-    def test_both_v52_trees_close_small(self, warm):
-        res = search.max_partial_spread(P(2, 5, 2), warm_start=warm)
-        assert (res.status, res.best_size) == (search.EXACT, 9)
-        assert res.nodes_explored <= 1_200
-
     @pytest.mark.parametrize(
         "q,n,t,warm", [(2, 6, 2, True), (3, 6, 3, False), (2, 4, 2, True),
                        (2, 4, 2, False)],
@@ -435,25 +429,6 @@ class TestSymmetry:
         res = search.max_partial_spread(P(q, n, t), warm_start=warm)
         assert res.status == search.EXACT
         assert res.prunes["symmetry"] == 0
-
-    @pytest.mark.parametrize("warm", [True, False])
-    def test_budget_is_met_exactly_around_the_first_drop(self, warm):
-        def run(budget):
-            return search.max_partial_spread(
-                P(2, 5, 2), max_nodes=budget, warm_start=warm
-            )
-
-        # the least budget under which the root drops an orbit: the root
-        # and its first child's subtree, then the drop before the next child
-        lo, hi = 1, 1_200
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if run(mid).prunes["symmetry"] else (mid + 1, hi)
-        assert 1 < lo < 1_200
-        for budget in range(max(1, lo - 2), lo + 3):
-            res = run(budget)
-            assert (res.status, res.nodes_explored) == (search.BUDGET_EXHAUSTED, budget)
-            assert verify_partial_spread(res.witness).ok
 
     def test_leaves_numpy_random_unloaded(self):
         leaves_numpy_random_unloaded(
