@@ -46,21 +46,24 @@ only (GL(n, q) is transitive on t-subspaces).  By default the incumbent is
 warm-started with the packing-bound construction, which the search then
 tries to beat.  Exhausting the tree proves optimality either way.
 
-The root also cuts by symmetry.  The stabilizer G of its pair (U, W) in
-GL(n, q), the block matrices [[A,0,0],[0,B,0],[X,Y,D]] in a basis
-U + W + C, permutes the tree candidates.  Once the root has finished a
-child, it drops what is left of that child's G-orbit from its available
-candidates.  What it has dropped is then a union of orbits O_1, ..., O_j,
-G-invariant, and the children it explored are their least members
-c_1 < ... < c_j.  A spread through the root whose first orbit met is O_i
-has, under some g in G, an image through c_i that avoids O_1, ...,
-O_(i-1), so every member of it is at least c_i: branch c_i holds it.  So
-the maximum is unchanged.  The first maximum spread in DFS order is in
-the cut tree too, since an image of it in an earlier branch would come
-first, so the witness is unchanged.  The orbits (_orbit_labels) are built
-only when the root is about to count a second child, so a search that
-closes at the root, or whose tail cut ends the root after one child,
-builds none.  Deeper nodes do not cut by symmetry.
+The root also cuts by symmetry.  Call its pair (U, W) and let T be the
+group of the maps g in GL(n, q) that fix every vector of U + W and move
+every vector within its coset of U, (g - 1)V in U: in a basis U + W + C
+the block matrices [[I,0,0],[0,I,0],[X,0,I]], q^(t(n - 2t)) of them.  T
+fixes U and W, so it permutes the tree candidates.  Once the root has finished a child, it
+drops what is left of that child's T-orbit from its available candidates.
+What it has dropped is then a union of orbits O_1, ..., O_j, T-invariant,
+and the children it explored are their least members c_1 < ... < c_j.  A
+spread through the root whose first orbit met is O_i has, under some g in
+T, an image through c_i that avoids O_1, ..., O_(i-1), so every member of
+it is at least c_i: branch c_i holds it.  So the maximum is unchanged.
+The first maximum spread in DFS order is in the cut tree too, since an
+image of it in an earlier branch would come first, so the witness is
+unchanged.  The orbits (_orbit_labels) are built only when the root is
+about to count a second child, so a search that closes at the root, or
+whose tail cut ends the root after one child, builds none.  T is trivial
+when n = 2t.  It is a subgroup of the stabilizer of (U, W), which would
+cut more, and deeper nodes do not cut by symmetry.
 
 The search is deterministic: the same call gives the same witness and node
 count.  A search whose tree has at most max_nodes nodes ends EXACT; a node
@@ -220,48 +223,27 @@ def _bitset(mask: np.ndarray) -> int:
     return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
 
 
-def _primitive(field) -> int:
-    """The least generator of the unit group of field; 1 for GF(2)."""
-    for a in range(2, field.q):
-        x, order = a, 1
-        while x != 1:
-            x, order = field.mul(x, a), order + 1
-        if order == field.q - 1:
-            return a
-    return 1
+def _translation_generators(field, n: int, t: int) -> np.ndarray:
+    """Generators of T, the block matrices [[I,0,0],[0,I,0],[X,0,I]]
+    acting on rows, with U the span of the first t unit vectors, W of the
+    next t and C of the last n - 2t, as an (m, n, n) array: I + a E_ij for
+    each i in C, j in U and a = p^k, k < e, the GF(p)-basis x^k of GF(q)."""
+    p, e = field.p, field.e
+    gens = np.zeros((n - 2 * t, t, e, n, n), dtype=np.int64)
+    gens[...] = np.eye(n, dtype=np.int64)
+    for i in range(n - 2 * t):
+        for j in range(t):
+            gens[i, j, :, 2 * t + i, j] = p ** np.arange(e)
+    return gens.reshape(-1, n, n)
 
 
-def _stabilizer_generators(field, n: int, t: int) -> np.ndarray:
-    """Generators of the block matrices [[A,0,0],[0,B,0],[X,Y,D]] acting on
-    rows, the stabilizer of the span U of the first t unit vectors and the
-    span W of the next t, as an (m, n, n) array.  For each block GL(t),
-    GL(t) and GL(n - 2t): the transvections I + E_ij, i != j, and
-    diag(w, 1, ...) with w primitive; then I + E_(2t,0) and I + E_(2t,t),
-    which map C, the span of the last n - 2t, into U and into W."""
-    omega, gens = _primitive(field), []
-
-    def unit_plus(i, j, a):
-        g = np.eye(n, dtype=np.int64)
-        g[i, j] = a
-        return g
-
-    for lo, hi in ((0, t), (t, 2 * t), (2 * t, n)):
-        block = range(lo, hi)
-        gens += [unit_plus(i, j, 1) for i in block for j in block if i != j]
-        if hi > lo and omega != 1:
-            gens.append(unit_plus(lo, lo, omega))
-    if n > 2 * t:
-        gens += [unit_plus(2 * t, 0, 1), unit_plus(2 * t, t, 1)]
-    return np.array(gens, dtype=np.int64).reshape(-1, n, n)
-
-
-def _stabilizer_points(field, pair: np.ndarray) -> np.ndarray:
-    """The generators of G, the stabilizer in GL(n, q) of the root pair
-    (U, W), as permutations of the points: an (m, theta_n) array of point
+def _translation_points(field, pair: np.ndarray) -> np.ndarray:
+    """The generators of T (see the module docstring) for the root pair
+    (U, W) as permutations of the points: an (m, theta_n) array of point
     ordinals.
 
-    pair holds the RREF bases of U and W.  G is written in the basis of U,
-    W and the unit vectors off their pivots, C (_stabilizer_generators),
+    pair holds the RREF bases of U and W.  T is written in the basis of U,
+    W and the unit vectors off their pivots, C (_translation_generators),
     and each generator is carried to the unit basis through the points:
     point_images of the change of basis and of the generators.
     """
@@ -270,24 +252,24 @@ def _stabilizer_points(field, pair: np.ndarray) -> np.ndarray:
     pivots = set((rref_blocks(field, basis[None])[0][0] != 0).argmax(axis=1).tolist())
     off = [j for j in range(n) if j not in pivots]
     change = np.concatenate([basis, np.eye(n, dtype=np.int64)[off]])  # x -> x change
-    gens = _stabilizer_generators(field, n, t)
+    gens = _translation_generators(field, n, t)
     images = point_images(field, np.concatenate([change[None], gens]))
     return images[0][images[1:, np.argsort(images[0])]]
 
 
 def _orbit_labels(field, pair: np.ndarray, ords: np.ndarray) -> np.ndarray:
-    """The orbits of the tree candidates under G, the stabilizer of the
-    root pair (U, W) whose RREF bases pair holds: each candidate's label is
-    the least index in its orbit.
+    """The orbits of the tree candidates under T (see the module
+    docstring) for the root pair (U, W) whose RREF bases pair holds: each
+    candidate's label is the least index in its orbit.
 
     ords holds the candidates' point ordinals, ascending along each row.
     The image of each candidate's points under each generator
-    (_stabilizer_points) is looked up among the candidates by one
+    (_translation_points) is looked up among the candidates by one
     lexicographic sort of all the rows, checked element by element.  Labels
     fall to the least along every generator until none changes.
     """
     count = len(ords)
-    points = _stabilizer_points(field, pair)
+    points = _translation_points(field, pair)
     rows = np.concatenate([ords[None], np.sort(points[:, ords], axis=2)])
     rows = rows.reshape(-1, ords.shape[1])
     # a stable sort puts each candidate first among its len(points) images

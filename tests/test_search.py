@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -301,7 +302,7 @@ class TestIncumbents:
         monkeypatch.setattr(search, "_colour_classes", never_cuts)
         warm = search.max_partial_spread(P(2, 5, 2))
         cold = search.max_partial_spread(P(2, 5, 2), warm_start=False)
-        assert (warm.nodes_explored, cold.nodes_explored) == (28_434, 28_554)
+        assert (warm.nodes_explored, cold.nodes_explored) == (84_024, 84_144)
         assert warm.prunes["cover"] == cold.prunes["cover"] == 0
         assert rows(cold.witness) == COLD_252
 
@@ -320,11 +321,11 @@ class TestIncumbents:
 # the node loop counts a leaf that the available count or the colour classes
 # prune without calling itself, and must count it exactly as the call would
 TREES = [
-    (2, 5, 2, True, 1_070, (156, 0, 913, 76)),
-    (2, 5, 2, False, 1_080, (158, 0, 921, 76)),
+    (2, 5, 2, True, 2_864, (559, 0, 2_305, 36)),
+    (2, 5, 2, False, 2_874, (561, 0, 2_313, 36)),
     (2, 6, 3, False, 8, (1, 0, 6, 0)),
     (3, 4, 2, False, 9, (1, 0, 7, 0)),
-    (2, 6, 2, False, 987, (4, 926, 55, 475)),
+    (2, 6, 2, False, 1_038, (4, 960, 73, 348)),
     (2, 4, 2, False, 4, (1, 0, 2, 0)),
     (4, 4, 2, False, 21, (1, 2, 17, 0)),
 ]
@@ -372,32 +373,40 @@ def singletons(field, pair, ords):
 
 class TestSymmetry:
     @pytest.mark.parametrize(
-        "q,n,t", [(2, 4, 2), (2, 5, 2), (2, 6, 3), (3, 4, 2), (4, 4, 2), (3, 5, 2),
+        "q,n,t", [(2, 5, 2), (2, 6, 2), (3, 5, 2), (4, 5, 2), (2, 7, 3),
                   (9, 3, 1), (8, 3, 1)],
     )
     def test_generators_fix_the_root_and_permute_the_tree(self, q, n, t):
         bases, ords, root, tree = root_pair(q, n, t)
-        points = search._stabilizer_points(field_for_order(q), bases[root])
-        assert len(points) > 0
+        points = search._translation_points(field_for_order(q), bases[root])
+        # I + a E_ij for i in C, j in U and a in a GF(p)-basis of GF(q)
+        assert len(points) == (n - 2 * t) * t * field_for_order(q).e
         rows = {tuple(r) for r in ords[tree].tolist()}
         for perm in points:
             assert sorted(perm.tolist()) == list(range(theta(n, q)))
+            assert (perm != np.arange(theta(n, q))).any()
             for member in root:
-                assert set(perm[ords[member]].tolist()) == set(ords[member].tolist())
+                # every point of U and of W is fixed
+                assert (perm[ords[member]] == ords[member]).all()
             images = {tuple(sorted(r)) for r in perm[ords[tree]].tolist()}
             assert images == rows
 
     @pytest.mark.parametrize(
         "q,n,t,sizes",
-        [(2, 5, 2, [6, 72]), (2, 6, 3, [168]), (3, 5, 2, [48, 864]),
-         (2, 7, 3, [168, 4704])],
+        [(2, 5, 2, {1: 6, 4: 18}), (2, 6, 2, {1: 6, 4: 54, 16: 16}),
+         (3, 5, 2, {1: 48, 9: 96}), (2, 7, 3, {1: 168, 8: 588}),
+         (9, 3, 1, {1: 8, 9: 9})],
     )
     def test_orbit_sizes(self, q, n, t, sizes):
+        # {orbit size: number of orbits of that size}: T fixes the
+        # |GL(t, q)| candidates inside U + W and no other
         bases, ords, root, tree = root_pair(q, n, t)
         labels = search._orbit_labels(field_for_order(q), bases[root], ords[tree])
         assert (labels <= np.arange(len(tree))).all()
         assert (labels[labels] == labels).all()
-        assert sorted(np.bincount(labels)[np.unique(labels)].tolist()) == sizes
+        got = Counter(np.bincount(labels)[np.unique(labels)].tolist())
+        assert got == sizes
+        assert sum(size * count for size, count in sizes.items()) == len(tree)
 
     @pytest.mark.parametrize(
         "q,n,t", [(2, 5, 2), (2, 6, 2), (2, 6, 3), (3, 4, 2), (4, 4, 2)]
@@ -429,6 +438,15 @@ class TestSymmetry:
         res = search.max_partial_spread(P(q, n, t), warm_start=warm)
         assert res.status == search.EXACT
         assert res.prunes["symmetry"] == 0
+
+    @pytest.mark.parametrize("q,n,t", [(2, 6, 3), (3, 4, 2)])
+    def test_every_orbit_is_a_singleton_when_n_is_2t(self, q, n, t):
+        # C = 0, so T is trivial and has no generators
+        bases, ords, root, tree = root_pair(q, n, t)
+        field = field_for_order(q)
+        assert search._translation_points(field, bases[root]).shape == (0, theta(n, q))
+        labels = search._orbit_labels(field, bases[root], ords[tree])
+        assert (labels == np.arange(len(tree))).all()
 
     def test_leaves_numpy_random_unloaded(self):
         leaves_numpy_random_unloaded(
