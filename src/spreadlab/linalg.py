@@ -1,11 +1,13 @@
 """Exact linear algebra over finite fields: RREF, subspaces, points.
 
-A Subspace stores its RREF basis, zero rows dropped, as tuples of field
-element encodings, so equality is subspace equality.  Many subspaces, such
-as a spread's members or a partition's parts, are a GroupedBases: one numpy
-array of RREF bases per (field, ambient, dim), which the kernels read;
-iterating it yields a Subspace record per member.  A hyperplane is named by
-its normalized dual vector, so hyperplanes are numbered like points.
+A Subspace is the NamedTuple (field, ambient, rows): rows is its RREF
+basis, zero rows dropped, as tuples of field element encodings, so equality
+is subspace equality.  It unpacks and compares as that tuple, and assigning
+to it raises AttributeError.  Many subspaces, such as a spread's members or
+a partition's parts, are a GroupedBases: one numpy array of RREF bases per
+(field, ambient, dim), which the kernels read; iterating it yields a
+Subspace record per member.  A hyperplane is named by its normalized dual
+vector, so hyperplanes are numbered like points.
 
 ``rref_blocks`` is the one elimination: it reduces an (m, k, n) array of
 bases at once, on GF(p) digits for q = p^e; one basis is rows[None].
@@ -14,7 +16,7 @@ bases at once, on GF(p) digits for q = p^e; one basis is rows[None].
 The d-subspaces of V(n, q) have one canonical order, set by _row_options
 (RREF pivot sets in combinations order, then the product of the rows'
 free-cell fillings, row 0 most significant), in which enumerate_subspaces
-yields Subspace objects and subspace_bases arrays of bases and ordinals.
+yields Subspace records and subspace_bases arrays of bases and ordinals.
 
 A vector of V(n, q) is also one integer, its base-q encoding (digit i =
 coordinate i).  ``point_encodings_of_bases`` is the one place that lists
@@ -30,8 +32,8 @@ permutations of the ordinals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from itertools import chain, combinations, product
+from functools import partial
+from itertools import chain, combinations, product, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -120,12 +122,9 @@ def rref_blocks(field: Field, rows) -> tuple[np.ndarray, np.ndarray]:
     return (place @ a.reshape(e, -1)).reshape(m, k, n), ranks
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """Subspace of V(ambient, q), basis in RREF with zero rows dropped.
-
-    The constructor trusts its rows to be that basis.
-    """
+class Subspace(NamedTuple):
+    """Subspace of V(ambient, q): rows, its RREF basis with zero rows
+    dropped, which the constructor trusts."""
 
     field: Field
     ambient: int
@@ -381,11 +380,12 @@ def enumerate_subspaces(n: int, d: int, field: Field) -> Iterator[Subspace]:
     then the rows' options (see _row_options) as itertools.product does,
     row 0 most significant.  This is the free entries ascending
     lexicographically, read row-major, first free cell most significant.
+    Checks n, d and the budget at the call; builds the records as read.
     """
     _check_enum_budget(n, d, field.q)
-    for options in _row_options(n, d, field.q):
-        for rows in product(*options):
-            yield Subspace(field, n, rows)
+    make = partial(tuple.__new__, Subspace)
+    blocks = (product(*options) for options in _row_options(n, d, field.q))
+    return map(make, zip(repeat(field), repeat(n), chain.from_iterable(blocks)))
 
 
 def subspace_bases(n: int, d: int, field: Field) -> tuple[np.ndarray, np.ndarray]:

@@ -256,6 +256,16 @@ def test_enumeration_count_matches_formula():
     for s in subs:
         assert len(s.rows) == 2
         assert _rref(GF2, s.rows, 4) == s.rows  # already canonical
+    # the records are built positionally: each field must sit in its place
+    for field in (GF2, GF3, GF4):
+        for d in range(5):
+            for s in linalg.enumerate_subspaces(4, d, field):
+                assert isinstance(s, linalg.Subspace)
+                assert s.field is field and s.ambient == 4 and len(s.rows) == d
+                built = linalg.Subspace(field, 4, s.rows)
+                assert s == built and hash(s) == hash(built)
+                with pytest.raises(AttributeError):
+                    s.rows = ()
 
 
 def test_enumeration_total_small_grids():
@@ -280,6 +290,17 @@ def test_enumeration_budget(monkeypatch):
     monkeypatch.setattr(linalg, "DEFAULT_ENUM_BUDGET", 10_000)
     with pytest.raises(BudgetExceededError):
         list(linalg.enumerate_subspaces(7, 3, GF2))
+
+
+def test_enumeration_checks_at_the_call(monkeypatch):
+    # nothing is read from the iterators: the call itself raises
+    with pytest.raises(InvalidParamsError):
+        linalg.enumerate_subspaces(3, 5, GF2)
+    with pytest.raises(InvalidParamsError):
+        linalg.enumerate_subspaces(3, -1, GF2)
+    monkeypatch.setattr(linalg, "DEFAULT_ENUM_BUDGET", 10_000)
+    with pytest.raises(BudgetExceededError):
+        linalg.enumerate_subspaces(7, 3, GF2)
 
 
 def test_enumeration_dim_zero():

@@ -6,6 +6,10 @@ src/spreadlab/*.py must be named by another package module (the package
 outside its own body, by a script under scripts/, or by the benchmark's
 run, workloads or checks module.  Production code that only tests reach
 is deleted instead.
+
+Every module-level import in src/spreadlab/*.py other than ``from
+__future__`` is named in its own module; the package ``__init__``, which
+imports to re-export, is exempt.
 """
 
 import ast
@@ -61,4 +65,23 @@ def test_every_definition_is_used_outside_tests():
         for label, node in definitions(tree):
             if node.name not in elsewhere and node.name not in named(tree, node):
                 unused.append(f"{path.name}:{node.lineno} {label}")
+    assert unused == []
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = named(tree)
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                if bound not in used:
+                    unused.append(f"{path.name}:{node.lineno} {bound}")
     assert unused == []
