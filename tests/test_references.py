@@ -75,11 +75,12 @@ def test_every_import_is_used_in_its_module():
             continue
         tree = ast.parse(path.read_text())
         used = named(tree)
-        for node in tree.body:
-            if not isinstance(node, (ast.Import, ast.ImportFrom)):
-                continue
-            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-                continue
+        imports = [
+            node for node in tree.body
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ]
+        for node in imports:
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 if bound not in used:
