@@ -169,18 +169,17 @@ def main_bound(params: SpreadParams) -> int:
 
 
 def compare_bounds(params: SpreadParams) -> int:
-    """main_bound - drake_freeman for r >= 2 and 2r <= t <= theta_r.
-
-    Equals floor(q^r/2) - (q-1)(t-2) - c1 + c2 in closed form; strictly
-    negative (descent bound wins) once t is large enough in the regime.
-    """
+    """main_bound - drake_freeman for r >= 2 and 2r <= t <= theta_r, in
+    closed form (omega_floor is floor(q^r/2) - 1 there): floor(q^r/2) -
+    (q-1)(t-2) - c1 + c2 = descent_x - ceil(q^r/2).  Strictly negative
+    (descent bound wins) once t is large enough in the regime."""
     q, t, r = params.q, params.t, params.r
     if r < 2 or not (2 * r <= t <= theta(r, q)):
         raise OutOfRegimeError(
             f"(q,n,t)=({params.q},{params.n},{params.t}) has r={r}; "
             f"comparison requires r >= 2 and 2r <= t <= theta_r"
         )
-    return main_bound(params) - drake_freeman(params)
+    return descent_x(q, t, r) - (q ** r + 1) // 2
 
 
 def delta(x: int, i: int, q: int) -> int:

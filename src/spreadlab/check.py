@@ -82,9 +82,16 @@ def _check_shape(value, table, path: str) -> None:
             _check_shape(value[key], field, f"{path}.{key}" if path else key)
 
 
+def _below(q: int, value: int, k: int) -> bool:
+    """Whether value < q^k shows from the bit lengths, without q^k."""
+    return value < 0 or value.bit_length() <= (q.bit_length() - 1) * k
+
+
 def _replay(doc):
     """(dotted path, whether the field holds), in the order of the
-    descent; each pair is computed only after every earlier one held."""
+    descent; each pair is computed only after every earlier one held.  A
+    field fails before it forms a power q^k that a document integer must
+    reach when that integer is too short for it (_below)."""
     q, n, t, x = doc["q"], doc["n"], doc["t"], doc["x"]
 
     def theta(i):
@@ -100,16 +107,22 @@ def _replay(doc):
     yield "params", power is not None and n > t >= 1
     r = n % t
     yield "r", doc["r"] == r
-    yield "x", 0 < x < q ** r
+    yield "x", 0 < x and (_below(q, x, r) or x < q ** r)
     h = -(-x // (q - 1))  # ceil(x / (q - 1))
     # the descent lemma: q | x, q^2 does not, and t >= theta_r - h + 2
-    yield "x", x % q == 0 < x % (q * q) and 2 <= r and t >= theta(r) - h + 2
-    ell = (q ** (n - t) - q ** r) // (q ** t - 1)
-    yield "claimed_bound", doc["claimed_bound"] == ell * q ** t + x
-    yield "h", doc["h"] == h == -(-x * theta(t) // q ** t)  # ceil(x theta_t / q^t)
+    yield "x", x % q == 0 < x % (q * q) and 2 <= r and not _below(q, t + h, r - 1)
+    yield "x", t >= theta(r) - h + 2
+    # ell q^t + x > q^(n-t-1) for n >= 2t; for n < 2t, n - t = r and ell = 0
+    yield "claimed_bound", n < 2 * t or not _below(q, doc["claimed_bound"], n - t - 1)
+    span = q ** (n - t) - q ** r  # ell (q^t - 1)
+    ell = span and span // (q ** t - 1)
+    yield "claimed_bound", doc["claimed_bound"] == span + ell + x
+    # n_1 >= q^t: one shorter fails there, and the identity holds for r < t
+    short = _below(q, doc["n_1"], t)
+    yield "h", doc["h"] == h and (short or h == -(-x * theta(t) // q ** t))
     yield "ell", doc["ell"] == ell
-    yield "n_t", doc["n_t"] == ell * q ** t + x + 1
-    n_1 = q ** t * (theta(r) - h) + delta(t)
+    yield "n_t", doc["n_t"] == span + ell + x + 1
+    n_1 = None if short else q ** t * (theta(r) - h) + delta(t)
     yield "n_1", doc["n_1"] == n_1 == theta(n) - doc["n_t"] * theta(t)
 
     steps = doc["steps"]

@@ -57,6 +57,12 @@ class _UsageError(Exception):
     pass
 
 
+_TOO_LARGE = (
+    "output too large: it holds an integer of about {} decimal digits, "
+    "and at most {} can be printed"
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
@@ -201,10 +207,16 @@ def _check_printable(doc) -> None:
     # are cleared without computing 10 ** limit
     digits = int(largest.bit_length() * math.log10(2)) + 1
     if limit and digits > limit and largest >= 10 ** limit:
-        raise _UsageError(
-            f"output too large: it holds an integer of about {digits} decimal "
-            f"digits, and at most {limit} can be printed"
-        )
+        raise _UsageError(_TOO_LARGE.format(digits, limit))
+
+
+def _sized(params: SpreadParams) -> SpreadParams:
+    """params, once _check_printable's error is ruled out before computing:
+    for n >= 2t the output holds at least q^(n-t-1); a digit of slack is kept."""
+    q, n, t, limit = params.q, params.n, params.t, sys.get_int_max_str_digits()
+    if limit and n >= 2 * t and (n - t - 1) * math.log10(q) > limit + 1:
+        raise _UsageError(_TOO_LARGE.format(int((n - t) * math.log10(q)) + 1, limit))
+    return params
 
 
 def _printed(make, doc) -> str:
@@ -240,7 +252,7 @@ def _format_reports(reports, fmt: str) -> str:
 
 
 def _cmd_bounds(args, out, stdin):
-    rep = best_known(SpreadParams(args.q, args.n, args.t))
+    rep = best_known(_sized(SpreadParams(args.q, args.n, args.t)))
     out.write(_printed(lambda: _format_reports([rep], args.format), rep.to_dict()))
     return 0
 
@@ -251,7 +263,7 @@ def _cmd_table(args, out, stdin):
         for n in _parse_range(args.n):
             for t in _parse_range(args.t):
                 try:
-                    rep = best_known(SpreadParams(q, n, t))
+                    rep = best_known(_sized(SpreadParams(q, n, t)))
                 except InvalidParamsError:
                     continue  # sweep cells like n <= t are just skipped
                 _check_printable(rep.to_dict())  # stop at a cell too long to print
@@ -309,6 +321,7 @@ def _cmd_certify(args, out, stdin):
         return 0 if res.ok else 1
     if None in params[:3]:
         raise _UsageError("certify needs --q --n --t (or --check FILE)")
+    _sized(SpreadParams(*params[:3]))
     out.write_json(pt.descent_certificate(*params))
     return 0
 

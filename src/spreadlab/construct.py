@@ -25,12 +25,7 @@ import numpy as np
 from .bounds import SpreadParams, lower_bound, theta
 from .errors import BudgetExceededError, ConstructionSizeMismatchError, InvalidParamsError
 from .gf import Field, ext_field, field_for_order
-from .linalg import (
-    GroupedBases,
-    check_in_space,
-    least_shared_pair,
-    subspaces_from_dicts,
-)
+from .linalg import GroupedBases, least_shared_pair, subspaces_from_dicts
 
 # most points a spread or partition check lists, counted before listing any;
 # larger inputs are refused with BudgetExceededError
@@ -42,9 +37,9 @@ _BUILD_BLOCK = 1 << 12
 
 @dataclass(frozen=True)
 class PartialSpread:
-    """A collection of t-subspaces of V(n, q), held as GroupedBases;
-    pairwise disjointness is a claim tracked by ``verified`` (None = never
-    checked)."""
+    """A collection of t-subspaces of V(n, q), held as GroupedBases of
+    that space; pairwise disjointness is a claim tracked by ``verified``
+    (None = never checked)."""
 
     params: SpreadParams
     members: GroupedBases
@@ -54,6 +49,10 @@ class PartialSpread:
         if not isinstance(self.members, GroupedBases):
             got = type(self.members).__name__
             raise InvalidParamsError(f"PartialSpread takes GroupedBases, got {got}")
+        n, field, params = self.members.ambient, self.members.field, self.params
+        if (n, field) != (params.n, field_for_order(params.q)):
+            msg = f"members in V({n}) over {field}, spread in V({params.n}, {params.q})"
+            raise InvalidParamsError(msg)
 
     @property
     def size(self) -> int:
@@ -132,7 +131,7 @@ def build_lower_bound_spread(params: SpreadParams) -> PartialSpread:
     tail[:, range(t), range(offset, offset + t)] = 1
     blocks.append(tail)
 
-    members = GroupedBases([]).extended(field, n, np.concatenate(blocks))
+    members = GroupedBases(field, n, []).extended(np.concatenate(blocks))
     if len(members) != want:
         raise ConstructionSizeMismatchError(
             f"built {len(members)} members, packing bound says {want}"
@@ -152,14 +151,9 @@ def verify_partial_spread(spread: PartialSpread) -> VerificationResult:
     share a point.  Raises BudgetExceededError, before listing any, when
     there are more than VERIFY_POINT_BUDGET of them.
     """
-    params = spread.params
-    q, n, t = params.q, params.n, params.t
-    field = field_for_order(q)
-    members = spread.members
-    check_in_space(members, field, n, "member", "spread")
-    g = members.first(lambda g: g.dim != t)
-    if g is not None:
-        reason = f"member {g.index[0]} has dimension {g.dim}, expected {t}"
+    q, t, members = spread.params.q, spread.params.t, spread.members
+    if wrong := sorted((g.index[0], g.dim) for g in members.groups if g.dim != t):
+        reason = "member {} has dimension {}, expected {}".format(*wrong[0], t)
         return VerificationResult(False, None, reason)
     check_verify_budget("spread", len(members) * theta(t, q))
     shared = least_shared_pair(members)
@@ -173,6 +167,7 @@ def verify_partial_spread(spread: PartialSpread) -> VerificationResult:
 
 def spread_from_dict(d: dict) -> PartialSpread:
     """Inverse of PartialSpread.to_dict, parsed by subspaces_from_dicts
-    into grouped bases; the result is unverified."""
+    into grouped bases of V(n, q); the result is unverified."""
     params = SpreadParams(d["q"], d["n"], d["t"])
-    return PartialSpread(params, subspaces_from_dicts(d["members"]))
+    members = subspaces_from_dicts(d["members"], field_for_order(params.q), params.n)
+    return PartialSpread(params, members)

@@ -3,15 +3,16 @@
 A Subspace is the NamedTuple (field, ambient, rows): rows is its RREF
 basis, zero rows dropped, as tuples of field element encodings, so equality
 is subspace equality.  It unpacks and compares as that tuple, and assigning
-to it raises AttributeError.  Many subspaces, such as a spread's members or
-a partition's parts, are a GroupedBases: one numpy array of RREF bases per
-(field, ambient, dim), which the kernels read; iterating it yields a
-Subspace record per member.  A hyperplane is named by its normalized dual
-vector, so hyperplanes are numbered like points.
+to it raises AttributeError.  Many subspaces of one V(n, q), such as a
+spread's members or a partition's parts, are a GroupedBases: the field and
+n once, and one numpy array of RREF bases per dimension, which the kernels
+read; iterating it yields a Subspace record per member.  A hyperplane is
+named by its normalized dual vector, so hyperplanes are numbered like points.
 
 ``rref_blocks`` is the one elimination: it reduces an (m, k, n) array of
 bases at once, on GF(p) digits for q = p^e; one basis is rows[None].
-``subspaces_from_dicts`` parses documents through it into a GroupedBases.
+``subspaces_from_dicts`` parses a spread's member documents through it into
+a GroupedBases, and it refuses a member outside the spread's V(n, q).
 
 The d-subspaces of V(n, q) have one canonical order, set by _row_options
 (RREF pivot sets in combinations order, then the product of the rows'
@@ -44,7 +45,7 @@ from .errors import (
     FieldMismatchError,
     InvalidParamsError,
 )
-from .gf import Field, field_for_order
+from .gf import Field, prime_power
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -132,12 +133,10 @@ class Subspace(NamedTuple):
 
 
 class BasesGroup(NamedTuple):
-    """Subspaces of one dimension in V(ambient, q): their RREF bases, an
-    (m, d, ambient) array of dtype np.min_scalar_type(q - 1), and their
-    positions in a GroupedBases, ascending."""
+    """Subspaces of one dimension: their RREF bases, an (m, d, ambient)
+    array of dtype np.min_scalar_type(q - 1), and their positions in a
+    GroupedBases, ascending."""
 
-    field: Field
-    ambient: int
     rows: np.ndarray
     index: np.ndarray
 
@@ -147,35 +146,32 @@ class BasesGroup(NamedTuple):
 
 
 class GroupedBases:
-    """Subspaces in order, held as one BasesGroup per (field, ambient, dim):
-    the kernels read ``groups``.  Iterating builds one Subspace per member,
-    in order; == and hash compare the groups and build none."""
+    """Subspaces of V(ambient, q) in order, held as one BasesGroup per
+    dimension: the kernels read ``groups``.  Iterating builds one Subspace
+    per member, in order; == and hash compare the groups and build none."""
 
-    def __init__(self, groups: list[BasesGroup]):
-        """Groups that share (field, ambient, dim) are joined, their members
-        in ascending position; empty groups go."""
-        keys: dict[tuple, list[BasesGroup]] = {}
+    def __init__(self, field: Field, ambient: int, groups: list[BasesGroup]):
+        """Groups of one dimension are joined, their members in ascending
+        position; empty groups go."""
+        dims: dict[int, list[BasesGroup]] = {}
         for g in groups:
-            keys.setdefault((g.field, g.ambient, g.dim), []).append(g)
+            dims.setdefault(g.dim, []).append(g)
+        self.field, self.ambient = field, ambient
         self.groups, self.size = [], sum(len(g.index) for g in groups)
-        for (field, n, _), same in keys.items():
+        for same in dims.values():
             index = np.concatenate([g.index for g in same])
             order = np.argsort(index, kind="stable")
             rows = np.concatenate([g.rows for g in same])[order]
             rows = rows.astype(np.min_scalar_type(field.q - 1), copy=False)
             if len(index):
-                self.groups.append(BasesGroup(field, n, rows, index[order]))
+                self.groups.append(BasesGroup(rows, index[order]))
 
-    def extended(self, field: Field, ambient: int, rows: np.ndarray) -> "GroupedBases":
+    def extended(self, rows: np.ndarray) -> "GroupedBases":
         """These subspaces, then the ones whose RREF bases are rows, an
         (m, d, ambient) array."""
         index = np.arange(self.size, self.size + len(rows))
-        return GroupedBases(self.groups + [BasesGroup(field, ambient, rows, index)])
-
-    def first(self, where) -> BasesGroup | None:
-        """Of the groups g with where(g), the one holding the first
-        subspace; None when there is none."""
-        return min(filter(where, self.groups), key=lambda g: g.index[0], default=None)
+        groups = self.groups + [BasesGroup(rows, index)]
+        return GroupedBases(self.field, self.ambient, groups)
 
     def __len__(self) -> int:
         return self.size
@@ -184,25 +180,26 @@ class GroupedBases:
         out = [None] * self.size
         for g in self.groups:
             for i, basis in zip(g.index.tolist(), g.rows.tolist()):
-                out[i] = g, basis
-        return (Subspace(g.field, g.ambient, tuple(map(tuple, b))) for g, b in out)
+                out[i] = basis
+        return (Subspace(self.field, self.ambient, tuple(map(tuple, b))) for b in out)
 
-    def _key(self) -> list[tuple]:
+    def _key(self) -> tuple:
         groups = sorted(self.groups, key=lambda g: g.index[0])
-        return [(g.field, g.ambient, g.index.tobytes(), g.rows.tobytes()) for g in groups]
+        rows = [(g.index.tobytes(), g.rows.tobytes()) for g in groups]
+        return self.field, self.ambient, *rows
 
     def __eq__(self, other):
         return isinstance(other, GroupedBases) and self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(tuple(self._key()))
+        return hash(self._key())
 
     def to_dicts(self) -> list[dict]:
         """The document of every subspace, {"q", "n", "dim", "rows"}, one
         tolist() per group."""
         out = [None] * self.size
         for g in self.groups:
-            q, n, d = g.field.q, g.ambient, g.dim
+            q, n, d = self.field.q, self.ambient, g.dim
             for i, rows in zip(g.index.tolist(), g.rows.tolist()):
                 out[i] = {"q": q, "n": n, "dim": d, "rows": rows}
         return out
@@ -252,16 +249,17 @@ def _integer(x) -> bool:
     return _integer_type(type(x))
 
 
-def subspaces_from_dicts(docs) -> GroupedBases:
-    """The subspaces of a list of member documents {"q", "n", "dim",
-    "rows"}, checked and reduced in bulk.
+def subspaces_from_dicts(docs, field: Field, n: int) -> GroupedBases:
+    """The subspaces of V(n, q), q = field.q, that a spread's member
+    documents {"q", "n", "dim", "rows"} list, checked and reduced in bulk.
 
     Documents are grouped by declared (q, n, dim), their types and the row
-    count.  A group has (q, n, dim) checked as the spread schema requires,
-    resolves its field once, has its rows checked at once by _checked and
-    is reduced by one rref_blocks call into a BasesGroup.  The error raised
-    is the one for the first member that fails; one that is no object, or
-    whose rows are no list, is named as "member" and its index.
+    count.  A group has (q, n, dim) checked as the spread schema requires
+    and against the spread's q and n, has its rows checked at once by
+    _checked and is reduced by one rref_blocks call into a BasesGroup.  The
+    error raised is the one for the first member that fails; one that is no
+    object, or whose rows are no list, is named as "member" and its index,
+    as is one outside V(n, q).
     """
     if not isinstance(docs, (list, tuple)):
         raise InvalidParamsError(f"members must be a list, got {type(docs).__name__}")
@@ -280,17 +278,26 @@ def subspaces_from_dicts(docs) -> GroupedBases:
         # with the types: 2.0 == 2 and True == 1 would share a key
         keys.setdefault((*head, len(rows), *map(type, head)), []).append(i)
     groups = []
-    for (q, n, dim, k, *_), index in keys.items():
-        try:
-            if not all(map(_integer, (q, n, dim))) or min(q - 2, n - 1, dim) < 0:
-                raise InvalidParamsError(
-                    "q, n, dim must be integers with q >= 2, n >= 1, dim >= 0, "
-                    f"got {q!r}, {n!r}, {dim!r}"
-                )
-            q, n, dim = int(q), int(n), int(dim)
-            field = field_for_order(q)
-        except InvalidParamsError as exc:
-            errors.append((index[0], exc))
+    for (q, m, dim, k, *_), index in keys.items():
+        if not all(map(_integer, (q, m, dim))) or min(q - 2, m - 1, dim) < 0:
+            error = InvalidParamsError(
+                "q, n, dim must be integers with q >= 2, n >= 1, dim >= 0, "
+                f"got {q!r}, {m!r}, {dim!r}"
+            )
+        elif q != field.q and prime_power(q) is None:
+            error = InvalidParamsError(f"{q} is not a prime power")
+        elif q != field.q:
+            error = FieldMismatchError(
+                f"member {index[0]} over GF({q}), spread has q = {field.q}"
+            )
+        elif m != n:
+            error = AmbientMismatchError(
+                f"member {index[0]} in ambient {m}, spread has n = {n}"
+            )
+        else:
+            error = None
+        if error is not None:
+            errors.append((index[0], error))
             continue
         block, bad = _checked(field, n, [docs[i]["rows"] for i in index])
         if isinstance(bad, TypeError):
@@ -303,24 +310,10 @@ def subspaces_from_dicts(docs) -> GroupedBases:
             i, rank = index[wrong[0]], ranks[wrong[0]]
             error = f"declared dim {docs[i]['dim']} but basis has rank {rank}"
             errors.append((i, InvalidParamsError(error)))
-        groups.append(BasesGroup(field, n, reduced[:, :dim], index[:len(block)]))
+        groups.append(BasesGroup(reduced[:, :dim], index[:len(block)]))
     if errors:
         raise min(errors, key=lambda error: error[0])[1]
-    return GroupedBases(groups)
-
-
-def check_in_space(subspaces, field: Field, n: int, item: str, owner: str) -> None:
-    """Raise unless all the grouped bases lie in V(n, q) over ``field``; the
-    error names the first outside, e.g. "member 3 over GF(4), spread has q = 2"."""
-    g = subspaces.first(lambda g: (g.field, g.ambient) != (field, n))
-    if g is not None and g.field != field:
-        raise FieldMismatchError(
-            f"{item} {g.index[0]} over {g.field}, {owner} has q = {field.q}"
-        )
-    if g is not None:
-        raise AmbientMismatchError(
-            f"{item} {g.index[0]} in ambient {g.ambient}, {owner} has n = {n}"
-        )
+    return GroupedBases(field, n, groups)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -550,8 +543,7 @@ def point_images(field: Field, matrices) -> np.ndarray:
     result holds at ordinal i the ordinal of the point v_i g_k, v_i the
     normalized vector of ordinal i read as a row.  The products run on GF(p)
     digits as in rref_blocks, so every q = p^e takes the field's own
-    arithmetic; each image is normalized by the inverse of its first nonzero
-    coordinate.
+    arithmetic; rref_blocks normalizes each image as a one-row basis.
     """
     matrices = np.asarray(matrices, dtype=np.int64)
     m, n, _ = matrices.shape
@@ -563,24 +555,18 @@ def point_images(field: Field, matrices) -> np.ndarray:
     w = 0
     for j in range(n):  # v g = the sum of v_j times row j of g
         w = w + _mul(field, v[:, None, :, j, None], g[:, :, None, j])
-    w = _mod(w, p)  # (e, m, points, n)
-    elems = (place @ w.reshape(e, -1)).reshape(w.shape[1:])
-    leads = np.take_along_axis(elems, (elems != 0).argmax(axis=2)[..., None], 2)
-    inverse = {x: field.inv(x) for x in set(leads.ravel().tolist())}
-    inv = np.array([inverse[x] for x in leads.ravel().tolist()], dtype=np.int64)
-    inv = _mod(inv // place[:, None], p).reshape(e, *leads.shape)
-    w = _mod(_mul(field, inv, w), p)
-    encs = (place @ w.reshape(e, -1)).reshape(w.shape[1:]) @ q ** np.arange(n)
-    return point_ordinals(encs, n, q)
+    images = place @ _mod(w, p).reshape(e, -1)  # (m * points * n) elements
+    rows, _ = rref_blocks(field, images.reshape(-1, 1, n))
+    return point_ordinals(rows.reshape(m, -1, n) @ q ** np.arange(n), n, q)
 
 
 def least_shared_pair(subspaces: GroupedBases) -> tuple[int, int, int] | None:
     """Lexicographically least index pair (a, b), a < b, of subspaces that
     share a point, with the least encoding of a point they share; None when
-    no point is listed twice.  The groups share field and ambient space."""
+    no point is listed twice."""
     encs, owners = [], []
     for g in subspaces.groups:
-        for start, block in point_encodings_of_bases(g.field, g.rows):
+        for start, block in point_encodings_of_bases(subspaces.field, g.rows):
             encs.append(block.ravel())
             owners.append(np.repeat(g.index[start:start + len(block)], block.shape[1]))
     if not encs:

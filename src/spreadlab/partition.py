@@ -29,7 +29,6 @@ without this module.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,10 +42,9 @@ from .errors import (
     InvalidParamsError,
     UnverifiedSpreadError,
 )
-from .gf import digits, field_for_order
+from .gf import digits
 from .linalg import (
     GroupedBases,
-    check_in_space,
     normalized_point_encodings,
     point_encodings_of_bases,
     point_ordinals,
@@ -57,11 +55,9 @@ PROFILE_POINT_CAP = 1 << 24
 
 @dataclass(frozen=True)
 class SubspacePartition:
-    """Subspaces of V(n, q), held as GroupedBases, claimed to cover each
-    nonzero vector once."""
+    """Subspaces of V(n, q), held as GroupedBases of that space, whose q and
+    n it reads, claimed to cover each nonzero vector once."""
 
-    q: int
-    n: int
     parts: GroupedBases
 
     def __post_init__(self):
@@ -69,13 +65,13 @@ class SubspacePartition:
             got = type(self.parts).__name__
             raise InvalidParamsError(f"SubspacePartition takes GroupedBases, got {got}")
 
+    q = property(lambda self: self.parts.field.q)
+    n = property(lambda self: self.parts.ambient)
+
     @property
     def dim_counts(self) -> dict[int, int]:
-        """dimension -> multiplicity, largest dimension first."""
-        counts = Counter()
-        for g in self.parts.groups:
-            counts[g.dim] += len(g.rows)
-        return dict(sorted(counts.items(), reverse=True))
+        """dimension -> multiplicity, largest dimension first: a group each."""
+        return dict(sorted((g.dim, len(g.rows)) for g in self.parts.groups)[::-1])
 
 
 def partition_from_spread(spread: PartialSpread) -> SubspacePartition:
@@ -88,16 +84,15 @@ def partition_from_spread(spread: PartialSpread) -> SubspacePartition:
     params = spread.params
     q, n = params.q, params.n
     check_verify_budget(f"V({n}, {q})", theta(n, q))
-    field = field_for_order(q)
     covered = np.zeros(theta(n, q), dtype=bool)
     for g in spread.members.groups:
-        for _, block in point_encodings_of_bases(g.field, g.rows):
+        for _, block in point_encodings_of_bases(spread.members.field, g.rows):
             covered[point_ordinals(block, n, q)] = True
     holes = normalized_point_encodings(n, q)[~covered]
     # a normalized vector is already the RREF basis of its point
     singles = holes[:, None, None] // q ** np.arange(n) % q
-    parts = spread.members.extended(field, n, singles.astype(np.min_scalar_type(q - 1)))
-    return SubspacePartition(q, n, parts)
+    parts = spread.members.extended(singles.astype(np.min_scalar_type(q - 1)))
+    return SubspacePartition(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +202,7 @@ def hyperplane_profile(partition: SubspacePartition) -> HyperplaneProfile:
         raise BudgetExceededError(f"q^n = {q ** n} exceeds {PROFILE_POINT_CAP}")
     if not partition.parts:
         raise InvalidParamsError("empty partition has no profile")
-    field = field_for_order(q)
-    check_in_space(partition.parts, field, n, "part", "partition")
-    # the parts now differ only in dimension: one group each
+    field = partition.parts.field
     bases = {g.dim: g.rows for g in partition.parts.groups}
     p, e = field.p, field.e
     dim_counts = partition.dim_counts

@@ -146,9 +146,8 @@ def _candidates(params: SpreadParams):
 
 def _members(params: SpreadParams, bases, chosen) -> PartialSpread:
     """The verified partial spread of the candidates ``chosen``."""
-    members = GroupedBases([]).extended(
-        field_for_order(params.q), params.n, bases[list(chosen)]
-    )
+    field = field_for_order(params.q)
+    members = GroupedBases(field, params.n, []).extended(bases[list(chosen)])
     spread = PartialSpread(params, members)
     res = verify_partial_spread(spread)
     assert res.ok, res.reason
@@ -431,7 +430,7 @@ def max_partial_spread(
     elif seed_spread is not None:
         witness = seed_spread
     else:
-        witness = PartialSpread(params, GroupedBases([]), verified=True)
+        witness = _members(params, bases, [])
     status = EXACT if state.exhausted else BUDGET_EXHAUSTED
     return SearchResult(
         params=params,

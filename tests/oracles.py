@@ -194,16 +194,18 @@ def subspace(field, n: int, rows) -> Subspace:
     return Subspace(field, n, rref_rows(field, rows, n))
 
 
-def grouped(subspaces) -> GroupedBases:
-    """Subspace records, in order, as grouped bases: one group per (field,
-    ambient, dim); their rows are taken to be RREF bases, unchecked."""
-    subspaces, keys = tuple(subspaces), {}
+def grouped(field, n: int, subspaces) -> GroupedBases:
+    """Subspace records of V(n, q), in order, as the grouped bases of that
+    space: one group per dimension; their rows are taken to be RREF bases,
+    unchecked."""
+    subspaces, dims = tuple(subspaces), {}
     for i, s in enumerate(subspaces):
-        keys.setdefault((s.field, s.ambient, len(s.rows)), []).append(i)
-    return GroupedBases([
-        BasesGroup(f, n, np.reshape([subspaces[i].rows for i in index], (len(index), d, n)),
+        assert (s.field, s.ambient) == (field, n), i
+        dims.setdefault(len(s.rows), []).append(i)
+    return GroupedBases(field, n, [
+        BasesGroup(np.reshape([subspaces[i].rows for i in index], (len(index), d, n)),
                    np.array(index))
-        for (f, n, d), index in keys.items()
+        for d, index in dims.items()
     ])
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from spreadlab import bounds
 from spreadlab.bounds import SpreadParams, theta
+from spreadlab.gf import prime_power
 from spreadlab.errors import (
     HypothesisViolatedError,
     IdentityViolationError,
@@ -245,6 +246,27 @@ class TestCompare:
                     c1, c2 = bounds.c1_c2(q, t)
                     want = q ** r // 2 - (q - 1) * (t - 2) - c1 + c2
                     assert bounds.compare_bounds(p) == want
+
+    def test_closed_form_computes_neither_bound(self, monkeypatch):
+        # the margin scan checks compare_bounds against the two bounds, so it
+        # must not be their difference
+        def refuse(params):
+            raise AssertionError("compare_bounds computed a bound")
+
+        monkeypatch.setattr(bounds, "main_bound", refuse)
+        monkeypatch.setattr(bounds, "drake_freeman", refuse)
+        assert bounds.compare_bounds(P(2, 17, 13)) == -2
+
+    def test_agrees_with_the_subtraction(self):
+        cells = 0
+        for q in (q for q in range(2, 33) if prime_power(q)):
+            for r in range(2, 7):
+                for t in range(2 * r, min(theta(r, q), 60) + 1):
+                    p = P(q, 2 * t + r, t)
+                    want = bounds.main_bound(p) - bounds.drake_freeman(p)
+                    assert bounds.compare_bounds(p) == want, (q, r, t)
+                    cells += 1
+        assert cells > 500
 
     def test_negative_tail(self):
         # improvement is strict for t within half a theta of theta_r

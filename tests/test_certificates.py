@@ -1,8 +1,10 @@
 import ast
 import copy
 import json
+import io
 import pathlib
 import random
+import time
 
 import jsonschema
 import pytest
@@ -10,7 +12,14 @@ import pytest
 from spreadlab import bounds, check, partition as pt
 from spreadlab.bounds import theta
 from spreadlab.check import check_certificate
+from spreadlab.cli import run
 from spreadlab.errors import HypothesisViolatedError, InvalidParamsError
+
+
+def go(argv, inp=""):
+    out, err = io.StringIO(), io.StringIO()
+    rc = run(argv, stdin=io.StringIO(inp), stdout=out, stderr=err)
+    return rc, out.getvalue(), err.getvalue()
 
 
 class TestGolden283:
@@ -199,6 +208,59 @@ class TestTampering:
             if not res.ok:
                 rejected += 1
         assert rejected == 100
+
+
+class TestSizeGuards:
+    """A tampered n or t asks the replay for powers far beyond the
+    document's integers; the field that needs one fails before it is formed,
+    at the path the full replay reports."""
+
+    @staticmethod
+    def _tampered(qnt):
+        base = pt.descent_certificate(*qnt)
+        q, n, t = qnt
+        r, x, claimed = base["r"], base["x"], base["claimed_bound"]
+        edits = [{"n": n + k * t} for k in (-1, 1, 5, 40, 300)]
+        edits += [{"x": x + q * q * k} for k in (1, 50)]
+        # n < 2t, where ell = 0 and only n_1 bounds t
+        edits += [{"t": t + k, "n": t + k + r} for k in (1, 30, 400)]
+        edits += [
+            {"t": t + k, "n": t + k + r, "claimed_bound": x, "ell": 0, "n_t": x + 1}
+            for k in (1, 30, 400)
+        ]
+        # bounds about as long as a true one, on either side of the guard
+        edits += [
+            {"n": n + 300 * t, "claimed_bound": claimed * q ** k}
+            for k in (100, 300 * t - 3, 300 * t - 2, 300 * t - 1, 300 * t)
+        ]
+        for edit in edits:
+            yield {**copy.deepcopy(base), **edit}
+
+    @pytest.mark.parametrize("qnt", [(2, 8, 3), (3, 10, 4), (4, 12, 5)])
+    def test_guards_report_the_full_replay_path(self, qnt, monkeypatch):
+        docs = list(self._tampered(qnt))
+        guarded = [check_certificate(doc) for doc in docs]
+        monkeypatch.setattr(check, "_below", lambda q, value, k: False)
+        assert guarded == [check_certificate(doc) for doc in docs]
+        assert {res.mismatch for res in guarded} >= {"claimed_bound", "n_1"}
+
+    def test_huge_n_fails_at_the_bound_at_once(self):
+        doc = pt.descent_certificate(2, 8, 3)
+        doc["n"] = 100000000001  # r is still 2; 2^(n-3) alone needs 12.5 GB
+        start = time.monotonic()
+        rc, out, err = go(["certify", "--check", "-"], json.dumps(doc))
+        assert (rc, err) == (1, "")
+        assert json.loads(out) == {"ok": False, "mismatch": "claimed_bound"}
+        assert time.monotonic() - start < 1.0
+
+    def test_huge_t_below_2t_fails_at_once(self):
+        doc = pt.descent_certificate(2, 8, 3)
+        doc["t"], doc["n"] = 10 ** 11, 10 ** 11 + 2  # n < 2t: r = 2, ell = 0
+        start = time.monotonic()
+        assert check_certificate(doc).mismatch == "claimed_bound"
+        doc.update(claimed_bound=doc["x"], ell=0, n_t=doc["x"] + 1)
+        assert check_certificate(doc).mismatch == "n_1"
+        assert time.monotonic() - start < 1.0
 
 
 class TestSoundnessGrid:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -13,6 +14,8 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+from spreadlab import cli
+from spreadlab.bounds import SpreadParams
 from spreadlab.cli import run
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -488,6 +491,56 @@ def test_output_past_the_integer_print_limit_exits_two(argv):
     assert out == ""
     assert "output too large" in err and "30103 decimal digits" in err
     assert "malformed" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--q", "2", "--n", "3000000000", "--t", "3"],
+        ["bounds", "--q", "2", "--n", "100000000000", "--t", "3"],
+        ["table", "--q", "2", "--n", "3000000000", "--t", "3"],
+        ["table", "--q", "2", "--n", "100000000000", "--t", "3", "--format", "csv"],
+        ["certify", "--q", "2", "--n", "100000000001", "--t", "3"],
+    ],
+)
+def test_huge_n_is_refused_before_any_bound(argv):
+    # for n >= 2t the output holds an integer of at least q^(n-t-1)
+    start = time.perf_counter()
+    rc, out, err = go(argv)
+    assert time.perf_counter() - start < 2
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: output too large: it holds an integer of about")
+
+
+def test_table_below_2t_is_not_refused_by_size():
+    rc, out, err = go(["table", "--q", "3", "--n", "60000", "--t", "33000"])
+    assert (rc, err) == (0, "")
+    assert out == "mu_3(60000, 33000) = 1 [TRIVIAL_OVERLAP]\n  sources: TRIVIAL_OVERLAP=1\n"
+
+
+@pytest.mark.parametrize("q,t", [(2, 2), (3, 3), (5, 2)])
+def test_size_refusal_matches_the_check_after_computing(q, t, monkeypatch):
+    # the early refusal gives the exit, output and error of the check of the
+    # computed output, on both sides of the limit; the digits it names are
+    # an estimate
+    limit = sys.get_int_max_str_digits()
+    first = int(limit / math.log10(q)) + t
+    cases = [
+        [command, "--q", str(q), "--n", str(n), "--t", str(t)]
+        for command in ("bounds", "certify")
+        for n in range(first - 4, first + 12)
+        if command == "bounds" or n % t >= 2
+    ]
+
+    def runs():
+        return [(rc, out, err.split(" about ")[0]) for rc, out, err in map(go, cases)]
+
+    early = runs()
+    with pytest.raises(cli._UsageError):  # the window reaches the refusal
+        cli._sized(SpreadParams(q, first + 11, t))
+    monkeypatch.setattr(cli, "_sized", lambda params: params)
+    assert early == runs()
+    assert {rc for rc, _, _ in early} == {0, 2}
 
 
 def test_table_stops_at_the_first_cell_too_large_to_print():

@@ -36,6 +36,11 @@ def P(q, n, t):
     return SpreadParams(q, n, t)
 
 
+def spread_of(params, subspaces):
+    """The unverified partial spread of Subspace records of V(n, q)."""
+    return PartialSpread(params, grouped(field_for_order(params.q), params.n, subspaces))
+
+
 class TestMultMap:
     def test_zero_maps_to_zero(self):
         ext = ext_field(field_for_order(2), 3)
@@ -130,7 +135,7 @@ class TestBuild:
         sp = build_lower_bound_spread(P(2, 6, 2))
         seen = set()
         (group,) = sp.members.groups
-        for _, block in point_encodings_of_bases(group.field, group.rows):
+        for _, block in point_encodings_of_bases(sp.members.field, group.rows):
             assert block.shape[1] == theta(2, 2)
             seen.update(block.ravel().tolist())
         assert len(seen) == theta(6, 2)
@@ -158,7 +163,7 @@ class TestVerify:
     def test_duplicate_member_reported(self):
         sp = build_lower_bound_spread(P(2, 6, 3))
         members = tuple(sp.members)
-        bad = PartialSpread(sp.params, grouped((*members, members[2])))
+        bad = spread_of(sp.params, (*members, members[2]))
         res = verify_partial_spread(bad)
         assert not res.ok
         assert res.clash == (2, 9)
@@ -168,14 +173,14 @@ class TestVerify:
         s1 = subspace(f, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
         s2 = subspace(f, 4, [(0, 0, 1, 0), (0, 0, 0, 1)])
         s3 = subspace(f, 4, [(1, 0, 0, 0), (0, 0, 1, 0)])
-        res = verify_partial_spread(PartialSpread(P(2, 4, 2), grouped((s1, s2, s3))))
+        res = verify_partial_spread(spread_of(P(2, 4, 2), (s1, s2, s3)))
         assert not res.ok
         assert res.clash == (0, 2)
 
     def test_wrong_dimension_rejected(self):
         f = field_for_order(2)
         line = subspace(f, 6, [(1, 0, 0, 0, 0, 0)])
-        res = verify_partial_spread(PartialSpread(P(2, 6, 2), grouped((line,))))
+        res = verify_partial_spread(spread_of(P(2, 6, 2), (line,)))
         assert not res.ok
         assert "dimension" in res.reason
         assert res.clash is None
@@ -183,7 +188,7 @@ class TestVerify:
     def test_point_cover_path_agrees(self):
         sp = build_lower_bound_spread(P(2, 7, 3))
         members = tuple(sp.members)
-        bad = PartialSpread(sp.params, grouped((*members, members[5])))
+        bad = spread_of(sp.params, (*members, members[5]))
         res = verify_partial_spread(bad)
         assert res.ok is False
         assert res.clash == (5, 17)
@@ -199,14 +204,14 @@ class TestVerify:
             if intersect_dim(members[i], members[j]) > 0
         ]
         assert pairs == [(3, 18), (9, 17)]
-        res = verify_partial_spread(PartialSpread(sp4.params, grouped(members)))
+        res = verify_partial_spread(spread_of(sp4.params, members))
         assert res.ok is False
         assert res.clash == (3, 18)
 
     def test_inserted_copy_clashes_with_its_original(self):
         sp = build_lower_bound_spread(P(3, 6, 2))
         members = tuple(sp.members)
-        bad = PartialSpread(sp.params, grouped(members[:40] + (members[7],) + members[40:]))
+        bad = spread_of(sp.params, members[:40] + (members[7],) + members[40:])
         res = verify_partial_spread(bad)
         assert (res.ok, res.clash) == (False, (7, 40))
         assert res.reason == "members 7 and 40 share a nonzero vector"
@@ -219,7 +224,7 @@ class TestVerify:
         sp = build_lower_bound_spread(P(4, 4, 2))
         members = tuple(sp.members)
         planted = (members[9], members[3], members[3])
-        bad = PartialSpread(sp.params, grouped((*members, *planted)))
+        bad = spread_of(sp.params, (*members, *planted))
         want = verify_partial_spread(bad)
         monkeypatch.setattr(linalg, "_POINT_BLOCK", point_block)
         res = verify_partial_spread(bad)
@@ -234,7 +239,7 @@ class TestVerify:
         halves = (Subspace(f, 44, tuple(eye[:22])), Subspace(f, 44, tuple(eye[22:])))
         start = time.monotonic()
         with pytest.raises(BudgetExceededError, match="8388606 points, point budget"):
-            verify_partial_spread(PartialSpread(P(2, 44, 22), grouped(halves)))
+            verify_partial_spread(spread_of(P(2, 44, 22), halves))
         assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize("q,n", [(2, 64), (3, 41), (4, 32)])
@@ -245,29 +250,34 @@ class TestVerify:
         rng = random.Random(n)
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(7)]
         lines = [subspace(f, n, rows[i:i + 2]) for i in (0, 2, 4)]
-        assert verify_partial_spread(PartialSpread(P(q, n, 2), grouped(lines))).ok
+        assert verify_partial_spread(spread_of(P(q, n, 2), lines)).ok
         # a multiple of member 1's first row lies in the new member 3
         multiple = [f.mul(q - 1, x) for x in rows[2]]
         meets = subspace(f, n, [rows[6], multiple])
-        res = verify_partial_spread(PartialSpread(P(q, n, 2), grouped(lines + [meets])))
+        res = verify_partial_spread(spread_of(P(q, n, 2), lines + [meets]))
         assert (res.ok, res.clash) == (False, (1, 3))
 
+    # the constructor compares the members' space with the params, so no
+    # spread holds a member outside its V(n, q)
     def test_ambient_mismatch_raises(self):
-        f = field_for_order(2)
-        s = subspace(f, 5, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)])
-        msg = "^member 0 in ambient 5, spread has n = 6$"
-        with pytest.raises(AmbientMismatchError, match=msg):
-            verify_partial_spread(PartialSpread(P(2, 6, 2), grouped((s,))))
+        members = build_lower_bound_spread(P(2, 5, 2)).members
+        msg = r"^members in V\(5\) over GF\(2\), spread in V\(6, 2\)$"
+        with pytest.raises(InvalidParamsError, match=msg):
+            PartialSpread(P(2, 6, 2), members)
 
     def test_field_mismatch_raises(self):
-        f3 = field_for_order(3)
-        s = subspace(f3, 4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-        msg = r"^member 0 over GF\(3\), spread has q = 2$"
-        with pytest.raises(FieldMismatchError, match=msg):
-            verify_partial_spread(PartialSpread(P(2, 4, 2), grouped((s,))))
+        members = build_lower_bound_spread(P(3, 4, 2)).members
+        msg = r"^members in V\(4\) over GF\(3\), spread in V\(4, 2\)$"
+        with pytest.raises(InvalidParamsError, match=msg):
+            PartialSpread(P(2, 4, 2), members)
+        # a field of order 16 other than the one q = 16 names
+        tower = linalg.GroupedBases(ext_field(field_for_order(4), 2), 4, [])
+        msg = r"^members in V\(4\) over GF\(4\^2\), spread in V\(4, 16\)$"
+        with pytest.raises(InvalidParamsError, match=msg):
+            PartialSpread(P(16, 4, 2), tower)
 
     def test_empty_ok(self):
-        res = verify_partial_spread(PartialSpread(P(2, 6, 2), grouped(())))
+        res = verify_partial_spread(spread_of(P(2, 6, 2), ()))
         assert res.ok
 
 
@@ -312,7 +322,7 @@ class TestGroupedMembers:
         # parts of two dimensions shuffled, so the groups interleave
         docs = part.parts.to_dicts()
         random.Random(q).shuffle(docs)
-        shuffled = linalg.subspaces_from_dicts(docs)
+        shuffled = linalg.subspaces_from_dicts(docs, field_for_order(q), n)
         assert [s.rows for s in shuffled] == [tuple(map(tuple, d["rows"])) for d in docs]
         witness = search.max_partial_spread(P(2, 5, 2)).witness
         for bases in (spread.members, part.parts, shuffled, witness.members):
@@ -347,7 +357,7 @@ class TestGroupedMembers:
         "name,make",
         [
             ("PartialSpread", lambda bases: PartialSpread(P(2, 4, 2), bases)),
-            ("SubspacePartition", lambda bases: pt.SubspacePartition(2, 4, bases)),
+            ("SubspacePartition", lambda bases: pt.SubspacePartition(bases)),
         ],
     )
     def test_only_grouped_bases_are_taken(self, name, make):
@@ -428,16 +438,12 @@ class TestParse:
         [
             (lambda m: m.__setitem__("q", 3), FieldMismatchError, r"over GF\(3\)"),
             (_widen, AmbientMismatchError, "in ambient 5"),
+            (lambda m: m.__setitem__("n", 5), AmbientMismatchError, "in ambient 5"),
         ],
     )
-    def test_members_outside_the_space_fail_on_use(self, edit, error, text):
-        doc = _doc_with(edit)
-        spread = spread_from_dict(doc)
+    def test_members_outside_the_space_fail_at_parse(self, edit, error, text):
         with pytest.raises(error, match=rf"^member 2 {text}, spread has [qn] = \d$"):
-            verify_partial_spread(spread)
-        partition = pt.SubspacePartition(2, 4, spread.members)
-        with pytest.raises(error, match=rf"^part 2 {text}, partition has [qn] = \d$"):
-            pt.hyperplane_profile(partition)
+            spread_from_dict(_doc_with(edit))
 
     @pytest.mark.parametrize(
         "key,value,got",

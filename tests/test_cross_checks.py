@@ -139,7 +139,7 @@ class TestSearchPartitionPipeline:
     def test_profile_detects_dropped_part(self):
         spread = greedy_spread(SpreadParams(2, 6, 3), seed=0)
         part = partition_from_spread(spread)
-        broken = SubspacePartition(part.q, part.n, grouped(tuple(part.parts)[:-1]))
+        broken = SubspacePartition(grouped(part.parts.field, part.n, tuple(part.parts)[:-1]))
         # the first hyperplane in dual encoding order already breaks identity (1)
         with pytest.raises(
             IdentityViolationError, match=r"hyperplane \(1, 0, 0, 0, 0, 0\): 1 \+ sum b_d"
@@ -150,7 +150,7 @@ class TestSearchPartitionPipeline:
         spread = greedy_spread(SpreadParams(2, 6, 3), seed=0)
         part = partition_from_spread(spread)
         parts = tuple(part.parts)
-        broken = SubspacePartition(part.q, part.n, grouped((*parts, parts[-1])))
+        broken = SubspacePartition(grouped(part.parts.field, part.n, (*parts, parts[-1])))
         with pytest.raises(IdentityViolationError):
             hyperplane_profile(broken)
 

@@ -150,7 +150,7 @@ def test_numpy_integer_rows_give_the_int_result(dtype):
     as_scalars = [tuple(map(dtype, r)) for r in rows]
     for given in (as_arrays, as_scalars):
         doc = {"q": 4, "n": 5, "dim": 3, "rows": given}
-        (got,) = linalg.subspaces_from_dicts([doc])
+        (got,) = linalg.subspaces_from_dicts([doc], GF4, 5)
         assert got == want
         assert all(type(x) is int for r in got.rows for x in r)
 
@@ -182,44 +182,50 @@ def test_self_intersection_is_dim():
     assert intersect_dim(s, s) == 2
 
 
+def _point_docs(q, n, count):
+    """Documents of count copies of the point (1, 0, ..., 0) of V(n, q)."""
+    return [{"q": q, "n": n, "dim": 1, "rows": [[1] + [0] * (n - 1)]}] * count
+
+
 def test_ambient_mismatch():
-    a = subspace(GF2, 3, [(1, 0, 0)])
-    b = subspace(GF2, 4, [(1, 0, 0, 0)])
+    docs = _point_docs(2, 3, 1) + _point_docs(2, 4, 1)
     with pytest.raises(AmbientMismatchError):
-        linalg.check_in_space(grouped((a, b)), GF2, 3, "member", "spread")
+        linalg.subspaces_from_dicts(docs, GF2, 3)
 
 
 def test_field_mismatch():
-    a = subspace(GF2, 3, [(1, 0, 0)])
-    b = subspace(GF3, 3, [(1, 0, 0)])
+    docs = _point_docs(2, 3, 1) + _point_docs(3, 3, 1)
     with pytest.raises(FieldMismatchError):
-        linalg.check_in_space(grouped((a, b)), GF2, 3, "member", "spread")
+        linalg.subspaces_from_dicts(docs, GF2, 3)
 
 
-def test_check_in_space_names_the_first_subspace_outside():
-    inside = subspace(GF2, 3, [(1, 0, 0)])
-    over_gf4 = subspace(GF4, 3, [(1, 0, 0)])
-    in_v4 = subspace(GF2, 4, [(1, 0, 0, 0)])
-    linalg.check_in_space(grouped([inside] * 3), GF2, 3, "member", "spread")
+def test_parse_names_the_first_member_outside():
+    inside = _point_docs(2, 3, 3)
+    assert len(linalg.subspaces_from_dicts(inside, GF2, 3)) == 3
     msg = r"^member 3 over GF\(4\), spread has q = 2$"
     with pytest.raises(FieldMismatchError, match=msg):
-        linalg.check_in_space(grouped([inside] * 3 + [over_gf4]), GF2, 3, "member", "spread")
-    msg = "^part 1 in ambient 4, partition has n = 3$"
+        linalg.subspaces_from_dicts(inside + _point_docs(4, 3, 2), GF2, 3)
+    msg = "^member 1 in ambient 4, spread has n = 3$"
     with pytest.raises(AmbientMismatchError, match=msg):
-        linalg.check_in_space(grouped([inside, in_v4]), GF2, 3, "part", "partition")
+        linalg.subspaces_from_dicts(inside[:1] + _point_docs(2, 4, 1) + inside, GF2, 3)
+    # the first member outside is named before a later member's row error
+    bad_row = {"q": 2, "n": 3, "dim": 1, "rows": [[1, 0]]}
+    msg = "^member 1 in ambient 2, spread has n = 3$"
+    with pytest.raises(AmbientMismatchError, match=msg):
+        linalg.subspaces_from_dicts(inside[:1] + _point_docs(2, 2, 1) + [bad_row], GF2, 3)
 
 
 def test_subspace_json_roundtrip():
     s = subspace(GF4, 3, [(1, 2, 3), (2, 1, 1)])
-    (d,) = grouped([s]).to_dicts()
+    (d,) = grouped(GF4, 3, [s]).to_dicts()
     assert set(d) == {"q", "n", "dim", "rows"}
-    assert tuple(linalg.subspaces_from_dicts([d])) == (s,)
+    assert tuple(linalg.subspaces_from_dicts([d], GF4, 3)) == (s,)
 
 
 def test_subspace_from_dict_checks_dim():
     d = {"q": 2, "n": 3, "dim": 2, "rows": [[1, 0, 0], [1, 0, 0]]}
     with pytest.raises(InvalidParamsError):
-        linalg.subspaces_from_dicts([d])
+        linalg.subspaces_from_dicts([d], GF2, 3)
 
 
 # -- counting and enumeration --------------------------------------------------
@@ -387,7 +393,7 @@ def _with_singles(s):
         for e in linalg.normalized_point_encodings(n, field.q).tolist()
         if e not in inside
     )
-    return pt.SubspacePartition(field.q, n, grouped((s,) + singles))
+    return pt.SubspacePartition(grouped(field, n, (s,) + singles))
 
 
 def _profile_containing(s):
@@ -682,6 +688,6 @@ def test_least_shared_pair_matches_the_pairwise_oracle():
             if s.rows:
                 members.append(s)
         want = pairwise_least_shared(members)
-        assert linalg.least_shared_pair(grouped(members)) == want, (q, n, members)
+        assert linalg.least_shared_pair(grouped(field, n, members)) == want, (q, n, members)
         met += want is not None
     assert 100 < met < 300

@@ -17,9 +17,7 @@ from spreadlab.bounds import SpreadParams, theta
 from spreadlab.check import check_certificate
 from spreadlab.construct import PartialSpread, build_lower_bound_spread
 from spreadlab.errors import (
-    AmbientMismatchError,
     BudgetExceededError,
-    FieldMismatchError,
     IdentityViolationError,
     UnverifiedSpreadError,
 )
@@ -34,6 +32,11 @@ from spreadlab.linalg import (
 
 def P(q, n, t):
     return SpreadParams(q, n, t)
+
+
+def partition_of(q, n, parts):
+    """The claimed partition of V(n, q) into the Subspace records parts."""
+    return pt.SubspacePartition(grouped(field_for_order(q), n, parts))
 
 
 def singles_partition(q, n):
@@ -55,7 +58,7 @@ def with_singles(q, n, big):
         for e in normalized_point_encodings(n, q).tolist()
         if e not in covered
     )
-    return pt.SubspacePartition(q, n, grouped(tuple(big) + singles))
+    return partition_of(q, n, tuple(big) + singles)
 
 
 def _three_dimensions():
@@ -84,7 +87,7 @@ class TestFromSpread:
         f = field_for_order(2)
         eye = [tuple(int(i == j) for j in range(24)) for i in range(24)]
         spread = PartialSpread(
-            P(2, 24, 2), grouped([subspace(f, 24, eye[:2])]), verified=True
+            P(2, 24, 2), grouped(f, 24, [subspace(f, 24, eye[:2])]), verified=True
         )
         with pytest.raises(BudgetExceededError):
             pt.partition_from_spread(spread)
@@ -99,7 +102,7 @@ class TestFromSpread:
         # parts of two dimensions parse back, in order, from their documents
         part = pt.partition_from_spread(build_lower_bound_spread(P(2, 5, 2)))
         docs = json.loads(json.dumps(part.parts.to_dicts()))
-        assert linalg.subspaces_from_dicts(docs) == part.parts
+        assert linalg.subspaces_from_dicts(docs, field_for_order(2), 5) == part.parts
 
 
 class TestVerifyPartition:
@@ -118,7 +121,7 @@ class TestVerifyPartition:
     def test_double_cover_found(self):
         part = singles_partition(2, 3)
         parts = tuple(part.parts)
-        doubled = pt.SubspacePartition(2, 3, grouped((*parts, parts[0])))
+        doubled = partition_of(2, 3, (*parts, parts[0]))
         assert cover_faults(field_for_order(2), 3, doubled.parts) == ([1], [])
         # each hyperplane holds 3 or 4 of the 8 parts, so 1 + 2 b_1 != 8
         with pytest.raises(IdentityViolationError, match=r"hyperplane \(1, 0, 0\):"):
@@ -126,7 +129,7 @@ class TestVerifyPartition:
 
     def test_missing_point_found(self):
         part = singles_partition(2, 3)
-        missing = pt.SubspacePartition(2, 3, grouped(tuple(part.parts)[1:]))
+        missing = partition_of(2, 3, tuple(part.parts)[1:])
         assert cover_faults(field_for_order(2), 3, missing.parts) == ([], [1])
 
 
@@ -156,7 +159,7 @@ class TestProfile:
     def test_whole_space_part(self):
         f = field_for_order(2)
         whole = subspace(f, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        prof = pt.hyperplane_profile(pt.SubspacePartition(2, 3, grouped((whole,))))
+        prof = pt.hyperplane_profile(partition_of(2, 3, (whole,)))
         assert prof.s_b == {(0,): 7}
 
     def test_generic_path_gf4(self):
@@ -191,7 +194,7 @@ class TestProfile:
 
     def test_non_partition_rejected(self):
         part = singles_partition(2, 3)
-        broken = pt.SubspacePartition(2, 3, grouped(tuple(part.parts)[1:]))
+        broken = partition_of(2, 3, tuple(part.parts)[1:])
         # every hyperplane breaks 1 + 2 b_1 = 6; the first is (1, 0, 0)
         with pytest.raises(IdentityViolationError, match=r"hyperplane \(1, 0, 0\):"):
             pt.hyperplane_profile(broken)
@@ -215,24 +218,26 @@ class TestProfile:
 
     def test_point_cap(self):
         with pytest.raises(BudgetExceededError):
-            pt.hyperplane_profile(pt.SubspacePartition(2, 30, grouped(())))
+            pt.hyperplane_profile(partition_of(2, 30, ()))
 
-    # parts outside the declared V(3, 2): seven points of V(4, 2) or V(2, 2),
-    # or a point of V(3, 4)
+    # a partition is of its parts' space: seven copies of a point written
+    # in V(4, 2) or V(2, 2), or over GF(4), are refused as a partition of
+    # that space, not checked against a V(3, 2) kept beside them
     @pytest.mark.parametrize("check", [pt.hyperplane_profile])
     @pytest.mark.parametrize("ambient", [4, 2])
     def test_part_in_other_ambient_rejected(self, check, ambient):
         point = Subspace(field_for_order(2), ambient, ((1,) + (0,) * (ambient - 1),))
-        part = pt.SubspacePartition(2, 3, grouped((point,) * 7))
-        with pytest.raises(AmbientMismatchError, match=f"part 0 in ambient {ambient}"):
+        part = partition_of(2, ambient, (point,) * 7)
+        assert (part.q, part.n) == (2, ambient)
+        with pytest.raises(IdentityViolationError, match=r"^hyperplane \(1, 0"):
             check(part)
 
     @pytest.mark.parametrize("check", [pt.hyperplane_profile])
     def test_part_over_other_field_rejected(self, check):
-        singles = tuple(singles_partition(2, 3).parts)
         point = Subspace(field_for_order(4), 3, ((1, 0, 0),))
-        part = pt.SubspacePartition(2, 3, grouped(singles[:6] + (point,)))
-        with pytest.raises(FieldMismatchError, match=r"part 6 over GF\(4\)"):
+        part = partition_of(4, 3, (point,) * 7)
+        assert (part.q, part.n) == (4, 3)
+        with pytest.raises(IdentityViolationError, match=r"^hyperplane \(1, 0, 0\)"):
             check(part)
 
     def test_to_dict_shape(self):

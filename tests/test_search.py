@@ -470,7 +470,7 @@ class TestBudgets:
         assert res.nodes_explored == 1
         assert res.best_size == 0
         assert len(res.witness.members) == 0
-        assert res.witness.members == GroupedBases([])
+        assert res.witness.members == GroupedBases(field_for_order(2), 5, [])
         assert res.witness.verified is True
         assert verify_partial_spread(res.witness).ok
         assert res.to_dict()["witness"]["members"] == []
